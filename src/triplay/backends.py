@@ -12,10 +12,14 @@ import base64
 import hashlib
 import json
 import logging
+import os
+import re
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlparse
+from urllib.request import url2pathname
 
 import numpy as np
 
@@ -281,13 +285,29 @@ def _post_with_retry(transport, url, payload, headers, config, sleep) -> dict:
     raise last if last is not None else Transport(f"no response from {url}")
 
 
+_URL_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
+
+
 def _image_content(image_ref: str) -> dict:
-    if image_ref.startswith(("http://", "https://", "data:")):
-        url = image_ref
+    """A data: URI or a locator with a URL scheme (http, synth, ...) is sent
+    as given; a bare path or a file:// URL is read and inlined as a data URI."""
+    if image_ref.startswith("file://"):
+        path = url2pathname(urlparse(image_ref).path)
+    elif image_ref.startswith("data:") or _URL_SCHEME.match(image_ref):
+        return {"type": "image_url", "image_url": {"url": image_ref}}
     else:
-        data = Path(image_ref).read_bytes()
-        url = "data:image/png;base64," + base64.b64encode(data).decode("ascii")
+        path = image_ref
+    data = Path(path).read_bytes()
+    url = "data:image/png;base64," + base64.b64encode(data).decode("ascii")
     return {"type": "image_url", "image_url": {"url": url}}
+
+
+def _headers(config: HttpBackendConfig) -> dict:
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(config.auth_env, "") if config.auth_env else ""
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    return headers
 
 
 class HttpChatBackend:
@@ -299,15 +319,6 @@ class HttpChatBackend:
         self.config = config
         self._transport = transport or _requests_transport
         self._sleep = sleep
-
-    def _headers(self) -> dict:
-        import os
-
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.config.auth_env, "") if self.config.auth_env else ""
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
 
     def generate(self, request: GenerationRequest) -> list[str]:
         messages = []
@@ -332,7 +343,7 @@ class HttpChatBackend:
             self._transport,
             self.config.endpoint,
             payload,
-            self._headers(),
+            _headers(self.config),
             self.config,
             self._sleep,
         )
@@ -365,12 +376,11 @@ class HttpEmbeddingBackend:
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.config.embedding_model, "input": text}
-        headers = {"Content-Type": "application/json"}
         body = _post_with_retry(
             self._transport,
             self.config.embedding_endpoint,
             payload,
-            headers,
+            _headers(self.config),
             self.config,
             self._sleep,
         )

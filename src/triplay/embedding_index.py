@@ -1,8 +1,11 @@
 """Exact cosine-similarity store over an image corpus, with manifest I/O.
 
-The index is a flat scan: every query is scored against every record and
-sorted, so results are exact. Ties are broken by ascending record id to keep
-retrieval deterministic.
+The index is a flat scan: every query is scored against every record, so
+results are exact. Only the best k are ordered: partial selection finds each
+query's k-th best score, every record scoring at or above it (ties on that
+boundary included) becomes a candidate, and only the candidates are
+stable-sorted. Ties are broken by ascending record id, which keeps retrieval
+deterministic and equal to a full stable sort of all scores.
 """
 
 from __future__ import annotations
@@ -135,6 +138,28 @@ def load_manifest(path: str | Path) -> IndexManifest:
     return IndexManifest(dimension=dimension, records=records, checksum=checksum)
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise indices of the k highest scores, best first, ties by ascending
+    index: exactly np.argsort(-scores, axis=1, kind="stable")[:, :k]."""
+    n = scores.shape[1]
+    if k >= n:
+        return np.argsort(-scores, axis=1, kind="stable")
+    neg = np.negative(scores)
+    neg.partition(k - 1, axis=1)
+    kth_best = -neg[:, k - 1 : k]
+    # Candidates are the entries not below the k-th best score: every tie on
+    # that boundary is kept. "Not below" rather than ">=" also keeps NaN
+    # scores, which then sort last as they do under argsort.
+    flat = np.flatnonzero(~(scores < kth_best))
+    rows, cols = np.divmod(flat, n)
+    # lexsort is stable and its last key is the primary one, so within a row
+    # equal scores keep the ascending index order of flatnonzero.
+    order = np.lexsort((-scores.ravel()[flat], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    return cols[rank < k].reshape(len(scores), k)
+
+
 class EmbeddingIndex:
     """Immutable flat index over an IndexManifest; safe for concurrent reads."""
 
@@ -187,9 +212,9 @@ class EmbeddingIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         scores = self._matrix @ self._normalize_query(query)
-        # Records are stored in ascending-id order, so a stable sort on the
-        # negated scores yields the id tie-break for free.
-        order = np.argsort(-scores, kind="stable")[: min(k, len(self._records))]
+        # Records are stored in ascending-id order, so _top_k's index
+        # tie-break is the id tie-break.
+        order = _top_k(scores[None, :], k)[0]
         return [(self._records[i], float(scores[i])) for i in order]
 
     def retrieve_batch(
@@ -202,19 +227,13 @@ class EmbeddingIndex:
             raise ValueError("k must be >= 1")
         out: list[list[tuple[ImageRecord, float]]] = []
         queries = list(queries)
-        top = min(k, len(self._records))
         for start in range(0, len(queries), chunk):
             block = np.stack(
                 [self._normalize_query(q) for q in queries[start : start + chunk]]
             )
             scores = block @ self._matrix.T
-            order = np.argsort(-scores, axis=1, kind="stable")[:, :top]
-            for row, picks in enumerate(order):
+            for row, picks in enumerate(_top_k(scores, k)):
                 out.append(
                     [(self._records[i], float(scores[row, i])) for i in picks]
                 )
         return out
-
-
-def retrieve(index: EmbeddingIndex, query, k: int) -> list[tuple[ImageRecord, float]]:
-    return index.retrieve(query, k)

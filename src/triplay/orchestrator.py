@@ -760,18 +760,29 @@ class Engine:
             self.solver.reset()
 
 
+def _synthetic_world(cfg: RunConfig) -> SyntheticWorld:
+    return SyntheticWorld.generate(
+        seed=cfg.seed,
+        count=cfg.world.count,
+        dim=cfg.world.dim,
+        categories=[d.category for d in cfg.iteration.domains],
+        bands_per_category=cfg.world.bands_per_category,
+        noise=cfg.world.noise,
+    )
+
+
+def build_index(cfg: RunConfig) -> EmbeddingIndex:
+    """The run's image index alone, the same one build_engine gives the engine."""
+    cfg = validate_config(cfg)
+    if cfg.mode == "synthetic":
+        return _synthetic_world(cfg).index
+    return EmbeddingIndex(load_manifest(cfg.manifest_path))
+
+
 def build_engine(cfg: RunConfig) -> Engine:
     cfg = validate_config(cfg)
     if cfg.mode == "synthetic":
-        categories = [d.category for d in cfg.iteration.domains]
-        world = SyntheticWorld.generate(
-            seed=cfg.seed,
-            count=cfg.world.count,
-            dim=cfg.world.dim,
-            categories=categories,
-            bands_per_category=cfg.world.bands_per_category,
-            noise=cfg.world.noise,
-        )
+        world = _synthetic_world(cfg)
         solver = SyntheticSolver(
             skill=cfg.world.solver_skill,
             noise_temperature=cfg.world.solver_noise_temperature,
@@ -785,8 +796,7 @@ def build_engine(cfg: RunConfig) -> Engine:
             embedder=WorldQueryEmbedder(world),
             world=world,
         )
-    manifest = load_manifest(cfg.manifest_path)
-    index = EmbeddingIndex(manifest)
+    index = build_index(cfg)
     backend = HttpChatBackend(cfg.backend)
     embedder = HttpEmbeddingBackend(cfg.backend)
     exemplars = {d.category: d.exemplar for d in cfg.iteration.domains}
@@ -950,7 +960,7 @@ def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
         if stop_after == key:
             return {"run_dir": str(run_dir), "stopped_after": key}
 
-    report = compute_stats(cfg, run_dir)
+    report = compute_stats(cfg, run_dir, engine.index)
     stats_path = run_dir / "stats.json"
     stats_path.write_text(json.dumps(report, indent=2, sort_keys=True))
     return {
@@ -1007,11 +1017,11 @@ def _series(rows: list[dict], fields_: tuple[str, ...]) -> list[dict]:
     return out
 
 
-def compute_stats(cfg: RunConfig, run_dir: str | Path) -> dict:
+def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) -> dict:
     """Machine-readable report: per-cycle consensus histogram, category shares
-    over the active set, and reward time series for all three stages."""
+    over the active set (categories looked up in the run's index), and reward
+    time series for all three stages."""
     run_dir = Path(run_dir)
-    engine = build_engine(cfg)
     cycles = []
     for cycle in range(1, cfg.iteration.cycles + 1):
         cycle_dir = run_dir / f"cycle{cycle}"
@@ -1029,7 +1039,7 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path) -> dict:
                 "consensus_histogram": consensus_histogram(
                     d_train, cfg.iteration.vote_trajectories
                 ),
-                "category_distribution": category_distribution(engine.index, d_active),
+                "category_distribution": category_distribution(index, d_active),
                 "reward_series": {
                     "searcher": _series(queries, ("r_chal", "p_rep", "r_final")),
                     "questioner": _series(questions, ("r_chal", "p_rep", "r_final")),

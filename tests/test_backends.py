@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -178,6 +179,25 @@ class TestHttpChatBackend:
         assert content[0] == {"type": "text", "text": "p"}
         assert content[1]["image_url"]["url"] == "https://img.example/a.png"
 
+    @pytest.mark.parametrize(
+        "ref", ["synth://img00042", "s3://bucket/a.png", "data:image/png;base64,AAAA"]
+    )
+    def test_image_locator_with_scheme_sent_unchanged(self, ref):
+        backend, transport = make_backend([(200, chat_body(["ok"]))])
+        backend.generate(GenerationRequest(prompt="p", image_ref=ref))
+        content = transport.calls[0]["payload"]["messages"][-1]["content"]
+        assert content[1] == {"type": "image_url", "image_url": {"url": ref}}
+
+    def test_image_path_inlined_as_data_uri(self, tmp_path):
+        image = tmp_path / "a b.png"
+        image.write_bytes(b"\x89PNG-bytes")
+        expected = "data:image/png;base64," + base64.b64encode(b"\x89PNG-bytes").decode()
+        for ref in (str(image), image.as_uri()):
+            backend, transport = make_backend([(200, chat_body(["ok"]))])
+            backend.generate(GenerationRequest(prompt="p", image_ref=ref))
+            content = transport.calls[0]["payload"]["messages"][-1]["content"]
+            assert content[1]["image_url"]["url"] == expected
+
     def test_5xx_retries_then_surfaces(self):
         backend, transport = make_backend(
             [(503, "down"), (502, "down"), (500, "down")], max_retries=2
@@ -228,18 +248,36 @@ class TestHttpChatBackend:
             HttpChatBackend(HttpBackendConfig())
 
 
+def make_embedding_backend(auth_env=""):
+    config = HttpBackendConfig(
+        embedding_endpoint="https://api.example/v1/embed",
+        embedding_model="emb",
+        auth_env=auth_env,
+    )
+    body = json.dumps({"data": [{"embedding": [0.1, 0.2, 0.3]}]})
+    transport = FakeTransport([(200, body)])
+    backend = HttpEmbeddingBackend(config, transport=transport, sleep=lambda _t: None)
+    return backend, transport
+
+
 class TestHttpEmbeddingBackend:
     def test_happy_path(self):
-        config = HttpBackendConfig(
-            embedding_endpoint="https://api.example/v1/embed",
-            embedding_model="emb",
-        )
-        body = json.dumps({"data": [{"embedding": [0.1, 0.2, 0.3]}]})
-        transport = FakeTransport([(200, body)])
-        backend = HttpEmbeddingBackend(config, transport=transport, sleep=lambda _t: None)
+        backend, _ = make_embedding_backend()
         vec = embed_text(backend, "query")
         np.testing.assert_allclose(vec, [0.1, 0.2, 0.3])
         assert backend.dimension == 3
+
+    def test_auth_header_from_env(self, monkeypatch):
+        monkeypatch.setenv("TEST_API_TOKEN", "sekrit")
+        backend, transport = make_embedding_backend(auth_env="TEST_API_TOKEN")
+        backend.embed("query")
+        assert transport.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
+
+    def test_no_auth_header_without_auth_env(self, monkeypatch):
+        monkeypatch.setenv("TEST_API_TOKEN", "sekrit")
+        backend, transport = make_embedding_backend()
+        backend.embed("query")
+        assert "Authorization" not in transport.calls[0]["headers"]
 
     def test_missing_data(self):
         config = HttpBackendConfig(

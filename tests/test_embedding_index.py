@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplay.embedding_index import (
     EmbeddingIndex,
@@ -10,7 +13,6 @@ from triplay.embedding_index import (
     cosine_similarity,
     dedup,
     load_manifest,
-    retrieve,
     save_manifest,
 )
 from triplay.errors import (
@@ -109,10 +111,6 @@ class TestRetrieve:
         with pytest.raises(ZeroVector):
             index.retrieve([0, 0], 1)
 
-    def test_module_level_function(self):
-        index = make_index({"A": [1, 0], "B": [0, 1]})
-        assert retrieve(index, [1, 0], 1)[0][0].id == "A"
-
 
 def brute_force(index: EmbeddingIndex, query, k: int):
     scored = []
@@ -157,6 +155,52 @@ class TestRetrieveOracle:
         for query, ranked in zip(queries, batched):
             single = index.retrieve(query, 5)
             assert [r.id for r, _ in ranked] == [r.id for r, _ in single]
+
+
+# Small-integer vectors of squared norm 1, 4 or 16: normalising them is exact,
+# so every cosine score is exact too, and scores tie heavily.
+_EXACT_VECTOR = st.one_of(
+    st.tuples(st.integers(0, 3), st.sampled_from([-2, -1, 1, 2])).map(
+        lambda t: [t[1] if j == t[0] else 0 for j in range(4)]
+    ),
+    st.tuples(
+        st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4),
+        st.sampled_from([1, 2]),
+    ).map(lambda t: [sign * t[1] for sign in t[0]]),
+)
+
+
+def exact_cosine(a, b) -> float:
+    norms = math.isqrt(sum(x * x for x in a)) * math.isqrt(sum(y * y for y in b))
+    return sum(x * y for x, y in zip(a, b)) / norms
+
+
+@st.composite
+def tied_retrieval_cases(draw):
+    n = draw(st.integers(1, 24))
+    vectors = draw(st.lists(_EXACT_VECTOR, min_size=n, max_size=n))
+    ids = draw(st.permutations([f"r{i:02d}" for i in range(n)]))
+    queries = draw(st.lists(_EXACT_VECTOR, min_size=1, max_size=7))
+    k = draw(st.integers(1, n + 2))
+    chunk = draw(st.integers(1, len(queries) + 1))
+    return dict(zip(ids, vectors)), queries, k, chunk
+
+
+class TestRetrieveTieBreakProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_retrieval_cases())
+    def test_matches_sorted_oracle(self, case):
+        vectors, queries, k, chunk = case
+        index = make_index(vectors)
+        ids = sorted(vectors)
+        batched = index.retrieve_batch(queries, k, chunk=chunk)
+        assert len(batched) == len(queries)
+        for query, ranked in zip(queries, batched):
+            score = [exact_cosine(vectors[i], query) for i in ids]
+            order = sorted(range(len(ids)), key=lambda i: (-score[i], ids[i]))
+            want = [(ids[i], score[i]) for i in order[:k]]
+            assert [(r.id, s) for r, s in index.retrieve(query, k)] == want
+            assert [(r.id, s) for r, s in ranked] == want
 
 
 class TestDedup:

@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import logging
+import mimetypes
 import os
 import re
 import threading
@@ -290,7 +291,8 @@ _URL_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
 def _image_content(image_ref: str) -> dict:
     """A data: URI or a locator with a URL scheme (http, synth, ...) is sent
-    as given; a bare path or a file:// URL is read and inlined as a data URI."""
+    as given; a bare path or a file:// URL is read and inlined as a data URI
+    whose MIME type comes from the file's suffix (PNG when that is unknown)."""
     if image_ref.startswith("file://"):
         path = url2pathname(urlparse(image_ref).path)
     elif image_ref.startswith("data:") or _URL_SCHEME.match(image_ref):
@@ -298,7 +300,8 @@ def _image_content(image_ref: str) -> dict:
     else:
         path = image_ref
     data = Path(path).read_bytes()
-    url = "data:image/png;base64," + base64.b64encode(data).decode("ascii")
+    mime = mimetypes.guess_type(path)[0] or "image/png"
+    url = f"data:{mime};base64," + base64.b64encode(data).decode("ascii")
     return {"type": "image_url", "image_url": {"url": url}}
 
 
@@ -397,7 +400,10 @@ class RecordingBackend:
 
     Safe under concurrent generate() calls; repeated identical requests are
     disambiguated by an ordinal, so replay is exact as long as identical
-    requests are not issued concurrently with each other.
+    requests are not issued concurrently with each other. Judge requests run
+    concurrently across the images harvested for the training set; identical
+    judge payloads there can only come from two images that got the same
+    question and the same answers.
     """
 
     def __init__(self, inner, path: str | Path):

@@ -129,20 +129,30 @@ class RemoteJudge:
     """LLM-backed judge, made symmetric by querying both orders and OR-ing.
 
     Exact normalized equality short-circuits, which also makes the relation
-    reflexive without a network call.
+    reflexive without a network call. Verdicts are memoized per unordered pair
+    of answer strings, so one judge (one question) asks about each pair of
+    distinct strings at most once, with up to 2 requests per pair. This is
+    exact because the judge runs at temperature 0. A JudgeFailure is raised,
+    not memoized, so the pair is asked again on the next call.
     """
 
     def __init__(self, backend, question: str = "", retries: int = 3):
         self.backend = backend
         self.question = question
         self.retries = retries
+        self._verdicts: dict[frozenset[str], bool] = {}
 
     def equivalent(self, a: str, b: str) -> bool:
         if normalize_answer(a) == normalize_answer(b):
             return True
-        return remote_judge(
-            self.backend, self.question, a, b, retries=self.retries
-        ) or remote_judge(self.backend, self.question, b, a, retries=self.retries)
+        pair = frozenset((a, b))
+        verdict = self._verdicts.get(pair)
+        if verdict is None:
+            verdict = remote_judge(
+                self.backend, self.question, a, b, retries=self.retries
+            ) or remote_judge(self.backend, self.question, b, a, retries=self.retries)
+            self._verdicts[pair] = verdict
+        return verdict
 
 
 @dataclass(frozen=True)

@@ -348,14 +348,9 @@ def _map_ordered(fn, items, workers: int) -> list:
 
 
 @dataclass
-class Stage1Result:
-    rows: list[dict]
-    records: list[RewardRecord]
-    batches: list[BatchRecord]
+class StepResult:
+    """One searcher (stage 1) or questioner (stage 2) optimization step."""
 
-
-@dataclass
-class Stage2Result:
     rows: list[dict]
     records: list[RewardRecord]
     batches: list[BatchRecord]
@@ -417,7 +412,7 @@ class Engine:
             probes.append(probe_from_answers(answers, self.judge_for(question)))
         return probes
 
-    def stage1_step(self, step: int, rng: np.random.Generator) -> Stage1Result:
+    def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
         """One searcher optimization step across every domain."""
         it = self.cfg.iteration
         rows: list[dict] = []
@@ -509,7 +504,7 @@ class Engine:
                 )
             reward_records.extend(entry["records"])
             rows.extend(entry["rows"])
-        return Stage1Result(rows=rows, records=reward_records, batches=batches)
+        return StepResult(rows=rows, records=reward_records, batches=batches)
 
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
         """Sample queries from the searcher, retrieve top-k per query, dedup by id."""
@@ -560,7 +555,7 @@ class Engine:
 
     def stage2_step(
         self, step: int, d_active: list[dict], rng: np.random.Generator
-    ) -> Stage2Result:
+    ) -> StepResult:
         """One questioner optimization step over a few active images."""
         it = self.cfg.iteration
         if not d_active:
@@ -628,7 +623,7 @@ class Engine:
                     )
                 )
             reward_records.extend(records)
-        return Stage2Result(rows=rows, records=reward_records, batches=batches)
+        return StepResult(rows=rows, records=reward_records, batches=batches)
 
     def _rollout_workers(self) -> int:
         # Synthetic roles consume the shared RNG, so they must stay serial;
@@ -645,34 +640,38 @@ class Engine:
         it = self.cfg.iteration
 
         def harvest(row: dict):
+            # Sample, roll out and vote on one image; the vote runs in the
+            # worker so remote judge calls fan out with the rollouts.
             image = self.index.get(row["image_id"])
             sample = self.questioner.sample(image, 1, rng)[0]
             question = extract_tagged(sample.text, "question")
             qtype = extract_tagged(sample.text, "type")
             if not question or qtype not in VALID_QUESTION_TYPES:
-                return image.id, None, None, None
+                return image.id, None, None, None, None
             raw = self.solver.solve(image, question, it.vote_trajectories, rng)
-            return image.id, question, qtype, raw
-
-        d_train: list[CurriculumItem] = []
-        d_star: list[CurriculumItem] = []
-        for image_id, question, qtype, raw in _map_ordered(
-            harvest, d_active, self._rollout_workers()
-        ):
-            if raw is None:
-                logger.warning("build_training: dropping %s (malformed question)", image_id)
-                continue
             answers = [extract_boxed(text) or "" for text in raw]
             judge = self.judge_for(question)
             try:
                 vote = majority_vote(answers, judge)
+                hits = sum(judge.equivalent(a, vote.label) for a in answers) if vote.label else 0
             except JudgeFailure as exc:
-                logger.warning("build_training: vote aborted for %s: %s", image_id, exc)
+                return image.id, question, qtype, exc, None
+            return image.id, question, qtype, vote, hits / len(answers)
+
+        d_train: list[CurriculumItem] = []
+        d_star: list[CurriculumItem] = []
+        for image_id, question, qtype, vote, accuracy in _map_ordered(
+            harvest, d_active, self._rollout_workers()
+        ):
+            if question is None:
+                logger.warning("build_training: dropping %s (malformed question)", image_id)
+                continue
+            if isinstance(vote, JudgeFailure):
+                logger.warning("build_training: vote aborted for %s: %s", image_id, vote)
                 continue
             if not vote.label:
                 logger.warning("build_training: dropping %s (empty consensus)", image_id)
                 continue
-            accuracy = sum(judge.equivalent(a, vote.label) for a in answers) / len(answers)
             item = CurriculumItem(
                 image_id=image_id,
                 question=question,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .consensus import AnswerJudge, ExactNormalizedJudge, majority_vote
-from .errors import EmptyAnswers, EmptyProbes, InvalidWindow, OutOfRange
+from .errors import EmptyProbes, InvalidWindow, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,6 @@ def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> 
     return ProbeResult(
         answers=tuple(answers), consensus=vote.label, accuracy=acc, m=len(answers)
     )
-
-
-def empirical_accuracy(probe: ProbeResult, judge: AnswerJudge | None = None) -> float:
-    """Fraction of the probe's answers equivalent to its consensus label."""
-    if probe.m < 1 or not probe.answers:
-        raise EmptyAnswers("probe has no answers")
-    judge = judge if judge is not None else ExactNormalizedJudge()
-    return sum(judge.equivalent(a, probe.consensus) for a in probe.answers) / probe.m
 
 
 def challenge_reward(acc: float) -> float:

@@ -198,6 +198,15 @@ class TestHttpChatBackend:
             content = transport.calls[0]["payload"]["messages"][-1]["content"]
             assert content[1]["image_url"]["url"] == expected
 
+    def test_inlined_jpeg_labelled_by_suffix(self, tmp_path):
+        image = tmp_path / "photo.jpg"
+        data = b"\xff\xd8\xff\xe0JFIF-bytes"
+        image.write_bytes(data)
+        backend, transport = make_backend([(200, chat_body(["ok"]))])
+        backend.generate(GenerationRequest(prompt="p", image_ref=str(image)))
+        url = transport.calls[0]["payload"]["messages"][-1]["content"][1]["image_url"]["url"]
+        assert url == "data:image/jpeg;base64," + base64.b64encode(data).decode()
+
     def test_5xx_retries_then_surfaces(self):
         backend, transport = make_backend(
             [(503, "down"), (502, "down"), (500, "down")], max_retries=2

@@ -1,7 +1,10 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplay.backends import GenerationRequest
 from triplay.consensus import (
@@ -222,3 +225,92 @@ class TestRemoteJudge:
         result = majority_vote(["x"], ExactNormalizedJudge())
         assert isinstance(result, ConsensusResult)
         assert result.score == 1.0
+
+
+_NUMERALS = {"4": 4, "four": 4, "iv": 4, "5": 5, "five": 5, "7": 7, "seven": 7, "vii": 7}
+_JUDGE_SLOTS = re.compile(r"Correct answer: (.*?)\. Answer to be judged: (.*?)\. Judgment result")
+
+
+class CountingJudgeBackend:
+    """Deterministic, order-sensitive judge: a prediction one above the gold
+    numeral also counts as correct. Counts each (gold, predicted) request."""
+
+    def __init__(self):
+        self.asked: Counter = Counter()
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        gold, pred = _JUDGE_SLOTS.search(request.prompt).groups()
+        self.asked[(gold, pred)] += 1
+        g, p = _NUMERALS.get(normalize_answer(gold)), _NUMERALS.get(normalize_answer(pred))
+        if g is None or p is None:
+            ok = normalize_answer(gold) == normalize_answer(pred)
+        else:
+            ok = p - g in (0, 1)
+        return ["correct" if ok else "incorrect"]
+
+
+class UnmemoizedJudge:
+    """RemoteJudge.equivalent without the verdict memo: the reference."""
+
+    def __init__(self, backend, question: str = ""):
+        self.backend = backend
+        self.question = question
+
+    def equivalent(self, a: str, b: str) -> bool:
+        if normalize_answer(a) == normalize_answer(b):
+            return True
+        return remote_judge(self.backend, self.question, a, b) or remote_judge(
+            self.backend, self.question, b, a
+        )
+
+
+ANSWER_POOL = ["4", "four", "IV", " 4 ", "4.0", "5", "five", "7", "seven", "VII", "x", ""]
+
+
+class TestRemoteJudgeMemo:
+    def test_k9_vote_asks_each_pair_once(self):
+        # The vote, then the accuracy recount, as build_training_set runs them.
+        answers = ["four", "4", "four", "IV", "five", "5", "five", "seven", "four"]
+        memo_backend, plain_backend = CountingJudgeBackend(), CountingJudgeBackend()
+        memo = RemoteJudge(memo_backend, question="q")
+        plain = UnmemoizedJudge(plain_backend, question="q")
+        vote = majority_vote(answers, memo)
+        assert vote == majority_vote(answers, plain)
+        assert sum(memo.equivalent(a, vote.label) for a in answers) == sum(
+            plain.equivalent(a, vote.label) for a in answers
+        )
+        assert max(memo_backend.asked.values()) == 1
+        pairs = Counter(frozenset(key) for key in memo_backend.asked)
+        assert max(pairs.values()) <= 2
+        assert sum(memo_backend.asked.values()) < sum(plain_backend.asked.values())
+
+    def test_judge_failure_is_not_memoized(self):
+        backend = FakeJudgeBackend(["maybe", "correct"])
+        judge = RemoteJudge(backend, question="q", retries=1)
+        with pytest.raises(JudgeFailure):
+            judge.equivalent("left", "right")
+        assert judge.equivalent("right", "left") is True
+        assert len(backend.requests) == 2
+        assert judge.equivalent("left", "right") is True
+        assert len(backend.requests) == 2
+
+    def test_memo_is_per_judge(self):
+        backend = CountingJudgeBackend()
+        RemoteJudge(backend, question="q").equivalent("4", "five")
+        RemoteJudge(backend, question="q").equivalent("4", "five")
+        assert backend.asked[("4", "five")] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ANSWER_POOL), min_size=1, max_size=9).flatmap(
+            lambda answers: st.tuples(st.just(answers), st.permutations(answers))
+        )
+    )
+    def test_vote_permutation_invariant(self, case):
+        answers, shuffled = case
+        backend = CountingJudgeBackend()
+        base = majority_vote(answers, RemoteJudge(backend, question="q"))
+        again = majority_vote(shuffled, RemoteJudge(backend, question="q"))
+        assert (again.label, again.class_sizes) == (base.label, base.class_sizes)
+        plain = majority_vote(answers, UnmemoizedJudge(backend, question="q"))
+        assert (base.label, base.class_sizes) == (plain.label, plain.class_sizes)

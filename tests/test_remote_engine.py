@@ -4,6 +4,7 @@ datasets exactly.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -90,7 +91,21 @@ def manifest_path(tmp_path_factory):
     return str(path)
 
 
-def role_engine(cfg: RunConfig, backend) -> Engine:
+class CountingVerdictBackend:
+    """Thread-safe judge backend: a fixed verdict per prompt, and a request count."""
+
+    def __init__(self):
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        with self._lock:
+            self.requests += 1
+        digest = hashlib.sha256(request.prompt.encode()).digest()
+        return ["correct" if digest[0] % 3 == 0 else "incorrect"]
+
+
+def role_engine(cfg: RunConfig, backend, judge_backend=None) -> Engine:
     from triplay.embedding_index import load_manifest
 
     index = EmbeddingIndex(load_manifest(cfg.manifest_path))
@@ -102,6 +117,7 @@ def role_engine(cfg: RunConfig, backend) -> Engine:
         questioner=RemoteQuestionerRole(backend),
         solver=RemoteSolverRole(backend),
         embedder=ScriptedEmbeddingBackend(dimension=16, seed=1),
+        judge_backend=judge_backend,
     )
 
 
@@ -166,6 +182,25 @@ class TestRemoteWiring:
         )
         assert train_parallel == train_serial
         assert star_parallel == star_serial
+
+    def test_concurrent_remote_votes_match_serial(self, manifest_path):
+        # The vote and its judge calls run in the harvest workers; with a
+        # remote judge the datasets match a serial run, and the fan-out
+        # asks the judge no more often.
+        runs = {}
+        for in_flight in (1, 4):
+            cfg = remote_cfg(manifest_path)
+            cfg.judge.kind = "remote"
+            cfg.backend.in_flight = in_flight
+            judge_backend = CountingVerdictBackend()
+            engine = role_engine(cfg, RolePlayBackend(), judge_backend)
+            d_active = engine.build_active_dataset(np.random.default_rng(1))
+            datasets = engine.build_training_set(d_active, np.random.default_rng(2))
+            runs[in_flight] = (datasets, judge_backend.requests)
+        (serial, serial_requests), (parallel, parallel_requests) = runs[1], runs[4]
+        assert serial[0]
+        assert parallel == serial
+        assert 0 < parallel_requests <= serial_requests
 
     def test_transcript_replay_reproduces_datasets(self, manifest_path, tmp_path):
         cfg = remote_cfg(manifest_path)

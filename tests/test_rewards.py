@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from triplay.consensus import ExactNormalizedJudge
-from triplay.errors import EmptyAnswers, EmptyProbes, InvalidWindow, OutOfRange
+from triplay.errors import EmptyProbes, InvalidWindow, OutOfRange
 from triplay.rewards import (
     ProbeResult,
     challenge_reward,
     difficulty_filter,
-    empirical_accuracy,
     probe_from_answers,
     questioner_reward,
     searcher_reward,
@@ -47,24 +46,14 @@ class TestChallengeReward:
 
 
 class TestEmpiricalAccuracy:
-    def test_counting(self):
-        p = probe(0.6)
-        assert empirical_accuracy(p) == pytest.approx(0.6)
-
     def test_all_identical(self):
         p = probe_from_answers(["4"] * 5)
         assert p.accuracy == 1.0
-        assert empirical_accuracy(p) == 1.0
 
     def test_two_thirds(self):
         p = probe_from_answers(["4", "4", "5"])
         assert p.consensus == "4"
-        assert empirical_accuracy(p) == pytest.approx(2 / 3)
-
-    def test_empty_raises(self):
-        bad = ProbeResult(answers=(), consensus="", accuracy=0.0, m=0)
-        with pytest.raises(EmptyAnswers):
-            empirical_accuracy(bad)
+        assert p.accuracy == pytest.approx(2 / 3)
 
     def test_accuracy_is_quantized(self):
         rng = np.random.default_rng(0)

@@ -181,7 +181,7 @@ def _cmd_dataset_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "config.json")
     report = orchestrator.compute_stats(cfg, run_dir, orchestrator.build_index(cfg))
@@ -245,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     dfilter.add_argument("--low", type=float, default=0.3)
     dfilter.add_argument("--high", type=float, default=0.8)
     dfilter.set_defaults(func=_cmd_dataset_filter)
-    dstats = dataset_sub.add_parser("stats", help="emit the stats report for a run dir")
-    dstats.add_argument("--run-dir", required=True)
-    dstats.add_argument("--out")
-    dstats.set_defaults(func=_cmd_stats)
 
     check = sub.add_parser("grpo", help="optimization self-checks")
     check_sub = check.add_subparsers(dest="grpo_command", required=True)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="emit the stats report for a run dir")
     report.add_argument("--run-dir", required=True)
     report.add_argument("--out")
-    report.set_defaults(func=_cmd_stats)
+    report.set_defaults(func=_cmd_report)
 
     return parser
 

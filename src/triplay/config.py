@@ -46,7 +46,6 @@ class IterationConfig:
     probe_questions_per_image: int = 1
     stage2_images_per_step: int = 4
     stage3_items_per_step: int = 4
-    penalty_scope: str = "group"  # "group" or "batch"
     searcher_lr: float = 0.35
     questioner_lr: float = 0.35
     solver_gain: float = 0.02
@@ -97,8 +96,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for name in ("probe_rollouts", "vote_trajectories", "queries_per_iteration", "top_k", "cycles"):
         if getattr(it, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(it, name)}")
-    if it.penalty_scope not in ("group", "batch"):
-        raise ConfigError(f"penalty_scope must be 'group' or 'batch', got {it.penalty_scope!r}")
     if not it.domains:
         raise ConfigError("at least one domain is required")
     if cfg.mode not in ("synthetic", "remote"):

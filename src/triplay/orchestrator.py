@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -218,7 +219,6 @@ class SyntheticSolverRole:
         self.world = world
         self.solver = solver
         self.gain = gain
-        self._initial_skill = solver.skill
 
     def solve(self, image: ImageRecord, question: str, n: int, rng: np.random.Generator) -> list[str]:
         synth = self.world.image(image.id)
@@ -233,9 +233,6 @@ class SyntheticSolverRole:
 
     def restore(self, state: dict) -> None:
         self.solver.skill = float(state["skill"])
-
-    def reset(self) -> None:
-        self.solver.skill = self._initial_skill
 
 
 class RemoteSearcherRole:
@@ -325,9 +322,6 @@ class RemoteSolverRole:
     def restore(self, state: dict) -> None:
         pass
 
-    def reset(self) -> None:
-        pass
-
 
 # ---------------------------------------------------------------------------
 # Engine
@@ -389,6 +383,7 @@ class Engine:
             raise DimensionMismatch(
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
+        self._initial_state = self.snapshot()
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
@@ -745,18 +740,8 @@ class Engine:
         self.solver.restore(state["solver"])
 
     def reset_agents(self) -> None:
-        if hasattr(self.searcher, "policy"):
-            self.searcher.policy = ToyPolicy(
-                np.zeros_like(self.searcher.policy.logits),
-                self.searcher.policy.temperature,
-            )
-        if hasattr(self.questioner, "policy"):
-            self.questioner.policy = ToyPolicy(
-                np.zeros_like(self.questioner.policy.logits),
-                self.questioner.policy.temperature,
-            )
-        if hasattr(self.solver, "reset"):
-            self.solver.reset()
+        """Return every role to the state it had when the engine was built."""
+        self.restore(self._initial_state)
 
 
 def _synthetic_world(cfg: RunConfig) -> SyntheticWorld:
@@ -836,7 +821,9 @@ def _read_optional(path: Path) -> list[dict]:
 
 
 class Journal:
-    """Single-writer journal of completed stages; enables exact resume."""
+    """Single-writer journal of completed stages. Each entry carries the agent
+    state after its stage, and writing the entry is the stage's commit point:
+    a run killed before it redoes the stage from the previous entry's state."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -847,17 +834,32 @@ class Journal:
     def done(self, key: str) -> bool:
         return any(e["key"] == key and e["status"] == "done" for e in self.entries)
 
-    def mark(self, key: str, artifacts: list[str]) -> None:
-        self.entries.append({"key": key, "status": "done", "artifacts": artifacts})
+    def mark(self, key: str, artifacts: list[str], state: dict) -> None:
+        entry = {"key": key, "status": "done", "artifacts": artifacts, "state": state}
         tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"entries": self.entries}, indent=2))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"entries": self.entries + [entry]}, indent=2))
+            fh.flush()
+            os.fsync(fh.fileno())
         tmp.replace(self.path)
+        self.entries.append(entry)
 
 
 def _write_batches(path: Path, batches: list[BatchRecord]) -> None:
     if path.exists():
         path.unlink()
     write_training_batch(batches, path)
+
+
+def _run_steps(steps: int, step_fn, *args) -> tuple[list[dict], list[BatchRecord]]:
+    """Call step_fn(step, *args) for each step; concatenated rows and batches."""
+    rows: list[dict] = []
+    batches: list[BatchRecord] = []
+    for step in range(steps):
+        result = step_fn(step, *args)
+        rows.extend(result.rows)
+        batches.extend(result.batches)
+    return rows, batches
 
 
 def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
@@ -874,90 +876,57 @@ def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     )
     journal = Journal(run_dir / "journal.json")
-    state_path = run_dir / "state" / "latest.json"
-    state_path.parent.mkdir(exist_ok=True)
     engine = build_engine(cfg)
-    if journal.entries and state_path.exists():
-        engine.restore(json.loads(state_path.read_text()))
-
-    def commit(key: str, artifacts: list[str]) -> None:
-        state_path.write_text(json.dumps(engine.snapshot(), sort_keys=True))
-        journal.mark(key, artifacts)
+    if journal.entries:
+        engine.restore(journal.entries[-1]["state"])
 
     it = cfg.iteration
+
+    def d_active(cycle_dir: Path) -> list[dict]:
+        return read_jsonl(cycle_dir / "d_active.jsonl")
+
+    def d_star(cycle_dir: Path) -> list[CurriculumItem]:
+        return [CurriculumItem.from_row(r) for r in read_jsonl(cycle_dir / "d_train_star.jsonl")]
+
+    # (name, stage fn, artifacts): the stage fn takes (rng, cycle_dir) and
+    # returns one payload per artifact; *_batches.jsonl payloads are batch
+    # records. Engine methods are looked up when a stage runs.
+    stages = (
+        ("stage1",
+         lambda rng, _: _run_steps(it.searcher_steps, engine.stage1_step, rng),
+         ("queries.jsonl", "searcher_batches.jsonl")),
+        ("build_active",
+         lambda rng, _: (engine.build_active_dataset(rng),),
+         ("d_active.jsonl",)),
+        ("stage2",
+         lambda rng, cycle_dir: _run_steps(
+             it.questioner_steps, engine.stage2_step, d_active(cycle_dir), rng),
+         ("questions.jsonl", "questioner_batches.jsonl")),
+        ("build_training",
+         lambda rng, cycle_dir: [
+             [item.to_row() for item in items]
+             for items in engine.build_training_set(d_active(cycle_dir), rng)],
+         ("d_train.jsonl", "d_train_star.jsonl")),
+        ("stage3",
+         lambda rng, cycle_dir: _run_steps(
+             it.solver_steps, engine.stage3_step, d_star(cycle_dir), rng),
+         ("solver_steps.jsonl", "solver_batches.jsonl")),
+    )
     for cycle in range(1, it.cycles + 1):
         cycle_dir = run_dir / f"cycle{cycle}"
         cycle_dir.mkdir(exist_ok=True)
         if it.reinit_each_cycle and cycle > 1 and not journal.done(f"cycle{cycle}:stage1"):
             engine.reset_agents()
-
-        key = f"cycle{cycle}:stage1"
-        if not journal.done(key):
-            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "stage1"))
-            rows: list[dict] = []
-            batches: list[BatchRecord] = []
-            for step in range(it.searcher_steps):
-                result = engine.stage1_step(step, rng)
-                rows.extend(result.rows)
-                batches.extend(result.batches)
-            write_jsonl(cycle_dir / "queries.jsonl", rows)
-            _write_batches(cycle_dir / "searcher_batches.jsonl", batches)
-            commit(key, ["queries.jsonl", "searcher_batches.jsonl"])
-        if stop_after == key:
-            return {"run_dir": str(run_dir), "stopped_after": key}
-
-        key = f"cycle{cycle}:build_active"
-        if not journal.done(key):
-            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "build_active"))
-            d_active = engine.build_active_dataset(rng)
-            write_jsonl(cycle_dir / "d_active.jsonl", d_active)
-            commit(key, ["d_active.jsonl"])
-        d_active = read_jsonl(cycle_dir / "d_active.jsonl")
-        if stop_after == key:
-            return {"run_dir": str(run_dir), "stopped_after": key}
-
-        key = f"cycle{cycle}:stage2"
-        if not journal.done(key):
-            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "stage2"))
-            rows = []
-            batches = []
-            for step in range(it.questioner_steps):
-                result = engine.stage2_step(step, d_active, rng)
-                rows.extend(result.rows)
-                batches.extend(result.batches)
-            write_jsonl(cycle_dir / "questions.jsonl", rows)
-            _write_batches(cycle_dir / "questioner_batches.jsonl", batches)
-            commit(key, ["questions.jsonl", "questioner_batches.jsonl"])
-        if stop_after == key:
-            return {"run_dir": str(run_dir), "stopped_after": key}
-
-        key = f"cycle{cycle}:build_training"
-        if not journal.done(key):
-            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "build_training"))
-            d_train, d_star = engine.build_training_set(d_active, rng)
-            write_jsonl(cycle_dir / "d_train.jsonl", [i.to_row() for i in d_train])
-            write_jsonl(cycle_dir / "d_train_star.jsonl", [i.to_row() for i in d_star])
-            commit(key, ["d_train.jsonl", "d_train_star.jsonl"])
-        d_star_items = [
-            CurriculumItem.from_row(r) for r in read_jsonl(cycle_dir / "d_train_star.jsonl")
-        ]
-        if stop_after == key:
-            return {"run_dir": str(run_dir), "stopped_after": key}
-
-        key = f"cycle{cycle}:stage3"
-        if not journal.done(key):
-            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "stage3"))
-            rows = []
-            batches = []
-            for step in range(it.solver_steps):
-                result = engine.stage3_step(step, d_star_items, rng)
-                rows.extend(result.rows)
-                batches.extend(result.batches)
-            write_jsonl(cycle_dir / "solver_steps.jsonl", rows)
-            _write_batches(cycle_dir / "solver_batches.jsonl", batches)
-            commit(key, ["solver_steps.jsonl", "solver_batches.jsonl"])
-        if stop_after == key:
-            return {"run_dir": str(run_dir), "stopped_after": key}
+        for name, stage, artifacts in stages:
+            key = f"cycle{cycle}:{name}"
+            if not journal.done(key):
+                rng = np.random.default_rng(stage_seed(cfg.seed, cycle, name))
+                for artifact, payload in zip(artifacts, stage(rng, cycle_dir)):
+                    write = _write_batches if artifact.endswith("_batches.jsonl") else write_jsonl
+                    write(cycle_dir / artifact, payload)
+                journal.mark(key, list(artifacts), engine.snapshot())
+            if stop_after == key:
+                return {"run_dir": str(run_dir), "stopped_after": key}
 
     report = compute_stats(cfg, run_dir, engine.index)
     stats_path = run_dir / "stats.json"

@@ -16,18 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ExactNormalizedJudge, extract_boxed
-from .diversity import DiversityBatch, repetition_penalty
 from .errors import ConfigError
-from .grpo import (
-    GrpoConfig,
-    ToyPolicy,
-    group_advantages,
-    sample_actions,
-    toy_policy_update,
-)
+from .grpo import ToyPolicy, sample_actions
 from .embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
-from .rewards import probe_from_answers, searcher_reward
 
 # Angular frequencies of the difficulty curve. Several incommensurate
 # frequencies keep nearby difficulties close in embedding space while pushing
@@ -299,98 +290,6 @@ def synthetic_solve(
             if answer != image.answer:
                 break
     return f"Reading the figure, the value resolves to \\boxed{{{answer}}}."
-
-
-def _stage_rng(seed: int, step: int) -> np.random.Generator:
-    digest = hashlib.sha256(f"stage1:{seed}:{step}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
-def probe_image(
-    world: SyntheticWorld,
-    solver: SyntheticSolver,
-    image: SyntheticImage,
-    m_rollouts: int,
-    rng: np.random.Generator,
-):
-    """m neutral-probe rollouts -> voted ProbeResult over the boxed answers."""
-    judge = ExactNormalizedJudge()
-    raw = [synthetic_solve(solver, image, rng) for _ in range(m_rollouts)]
-    answers = [extract_boxed(text) or "" for text in raw]
-    return probe_from_answers(answers, judge)
-
-
-def simulate_stage1(
-    world: SyntheticWorld,
-    solver: SyntheticSolver,
-    policy: ToyPolicy,
-    steps: int,
-    group_size: int = 8,
-    m_rollouts: int = 10,
-    tau_txt: float = 0.5,
-    tau_vis: float = 0.1,
-    learning_rate: float = 0.35,
-    seed: int = 0,
-    update: bool = True,
-    grpo_cfg: GrpoConfig | None = None,
-) -> list[dict]:
-    """Run the search-probe-reward loop over the world's query templates and
-    return per-step stats: mean challenge reward, mean repetition penalty, and
-    mean |accuracy - 1/2| of the probed samples.
-
-    The policy's logits are updated in place (one masked sub-policy per
-    category) unless update is False, which gives the untrained baseline.
-    """
-    cfg = grpo_cfg or GrpoConfig()
-    stats: list[dict] = []
-    for step in range(steps):
-        rng = _stage_rng(seed, step)
-        challenges: list[float] = []
-        penalties: list[float] = []
-        gaps: list[float] = []
-        for category in world.categories:
-            indices = world.template_indices(category)
-            sub = ToyPolicy(policy.logits[indices], policy.temperature)
-            actions = sample_actions(sub, group_size, rng)
-            logp_old = sub.log_probabilities()[actions]
-            templates = [world.templates[indices[a]] for a in actions]
-            images = []
-            probes = []
-            for template in templates:
-                record, _ = world.index.retrieve(template.embedding, 1)[0]
-                image = world.image(record.id)
-                images.append(image)
-                probes.append(probe_image(world, solver, image, m_rollouts, rng))
-            batch = DiversityBatch(
-                items=[
-                    (t.text, img.record.embedding)
-                    for t, img in zip(templates, images)
-                ]
-            )
-            batch_penalties = repetition_penalty(batch, tau_txt, tau_vis)
-            records = [
-                searcher_reward([probe], penalty)
-                for probe, penalty in zip(probes, batch_penalties)
-            ]
-            finals = [rec.final for rec in records]
-            advantages = group_advantages(finals, std_epsilon=cfg.std_epsilon)
-            if update and any(advantages):
-                updated = toy_policy_update(
-                    sub, actions, logp_old, advantages, cfg, learning_rate
-                )
-                policy.logits[indices] = updated.logits
-            challenges.extend(rec.challenge for rec in records)
-            penalties.extend(batch_penalties)
-            gaps.extend(abs(p.accuracy - 0.5) for p in probes)
-        stats.append(
-            {
-                "step": step,
-                "challenge_mean": float(np.mean(challenges)),
-                "penalty_mean": float(np.mean(penalties)),
-                "acc_gap_mean": float(np.mean(gaps)),
-            }
-        )
-    return stats
 
 
 def selected_difficulties(

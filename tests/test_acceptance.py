@@ -19,15 +19,11 @@ from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, majority_vote, normalize_answer
 from triplay.diversity import DiversityBatch, repetition_penalty, threshold_cluster
 from triplay.embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
-from triplay.grpo import (
-    ToyPolicy,
-    domain_advantages,
-    gradient_check,
-    group_advantages,
-)
+from triplay.grpo import domain_advantages, gradient_check, group_advantages
 from triplay.orchestrator import build_engine, consensus_histogram, read_jsonl
 from triplay.rewards import challenge_reward, difficulty_filter
-from triplay.synthetic_world import simulate_stage1
+
+from conftest import neutral_probe, stage1_stats
 
 
 @contextmanager
@@ -65,8 +61,8 @@ def default_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained_pipeline():
-    """10k-image world; searcher trained for 200 stage-1 steps plus the
-    untrained baseline time series."""
+    """10k-image world; searcher trained for 200 stage-1 steps with neutral
+    probes, plus the untrained baseline time series."""
     cfg = RunConfig(
         seed=7,
         mode="synthetic",
@@ -74,19 +70,14 @@ def trained_pipeline():
         world=WorldConfig(count=10000, dim=32),
     )
     engine = build_engine(cfg)
+    baseline_engine = build_engine(cfg)
+    for e in (engine, baseline_engine):
+        e.questioner.probe = neutral_probe
+    # The untrained baseline samples from its initial policy throughout.
+    baseline_engine.searcher.apply = lambda category, samples, advantages: None
     start = time.perf_counter()
-    trained_stats = simulate_stage1(
-        engine.world, engine.solver.solver, engine.searcher.policy, steps=200, seed=11
-    )
-    baseline_policy = ToyPolicy(np.zeros(len(engine.world.templates)))
-    baseline_stats = simulate_stage1(
-        engine.world,
-        engine.solver.solver,
-        baseline_policy,
-        steps=200,
-        seed=11,
-        update=False,
-    )
+    trained_stats = stage1_stats(engine, steps=200, seed=11)
+    baseline_stats = stage1_stats(baseline_engine, steps=200, seed=11)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         engine=engine,

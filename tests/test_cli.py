@@ -210,7 +210,7 @@ class TestDatasetCommands:
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(
             capsys,
-            ["dataset", "stats", "--run-dir", str(finished_run), "--out", str(out_path)],
+            ["report", "--run-dir", str(finished_run), "--out", str(out_path)],
         )
         assert code == 0
         report = json.loads(out_path.read_text())

@@ -1,11 +1,18 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import triplay
+from triplay.backends import HttpBackendConfig
 from triplay.config import (
     DEFAULT_DOMAINS,
     IterationConfig,
+    JudgeConfig,
     RunConfig,
+    WorldConfig,
     config_from_dict,
     config_hash,
     deep_merge,
@@ -14,6 +21,7 @@ from triplay.config import (
     validate_config,
 )
 from triplay.errors import ConfigError
+from triplay.grpo import GrpoConfig
 
 
 class TestDefaults:
@@ -76,10 +84,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau_mid"):
             config_from_dict({"iteration": {"tau_mid": 0.5}})
 
-    def test_bad_penalty_scope(self):
-        with pytest.raises(ConfigError, match="penalty_scope"):
-            config_from_dict({"iteration": {"penalty_scope": "global"}})
-
 
 class TestLoadingAndHash:
     def test_overrides_win(self, tmp_path):
@@ -120,3 +124,29 @@ class TestLoadingAndHash:
         assert path.name == f"{config_hash(cfg)}-seed3"
         cfg.run_dir = "explicit/dir"
         assert str(resolve_run_dir(cfg)) == "explicit/dir"
+
+
+class TestNoDeadKeys:
+    def test_every_field_is_read_outside_config(self):
+        # A field that no module reads as an attribute is a key users can
+        # set to no effect.
+        package = Path(triplay.__file__).parent
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(package.glob("*.py"))
+            if path.name != "config.py"
+        )
+        unread = [
+            f"{cls.__name__}.{f.name}"
+            for cls in (
+                IterationConfig,
+                WorldConfig,
+                JudgeConfig,
+                RunConfig,
+                GrpoConfig,
+                HttpBackendConfig,
+            )
+            for f in fields(cls)
+            if not re.search(rf"\.{f.name}\b", source)
+        ]
+        assert unread == []

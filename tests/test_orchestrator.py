@@ -10,6 +10,7 @@ from triplay.errors import ConfigError, DimensionMismatch
 from triplay.orchestrator import (
     CurriculumItem,
     Engine,
+    Journal,
     Sample,
     build_engine,
     category_distribution,
@@ -39,6 +40,18 @@ def small_cfg(tmp_path, seed=7, **iteration_overrides) -> RunConfig:
         iteration=iteration,
         world=SMALL_WORLD,
     )
+
+
+def assert_same_artifacts(run_a: Path, run_b: Path) -> None:
+    """Every cycle artifact and stats.json of run_b is byte-identical to run_a's."""
+
+    def digest(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    names = sorted(str(p.relative_to(run_a)) for p in run_a.glob("cycle*/*"))
+    assert names == sorted(str(p.relative_to(run_b)) for p in run_b.glob("cycle*/*"))
+    for name in names + ["stats.json"]:
+        assert digest(run_a / name) == digest(run_b / name), name
 
 
 @pytest.fixture()
@@ -356,17 +369,41 @@ class TestRunAndResume:
         partial = run(cfg_b, stop_after=stop_key)
         assert partial["stopped_after"] == stop_key
         run(cfg_b)
+        assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
 
-        def digest(path: Path) -> str:
-            return hashlib.sha256(path.read_bytes()).hexdigest()
+    @pytest.mark.parametrize(
+        "crash_key",
+        [
+            "cycle1:stage1",
+            "cycle1:build_active",
+            "cycle1:stage2",
+            "cycle1:build_training",
+            "cycle1:stage3",
+        ],
+    )
+    def test_kill_before_commit_resumes_byte_identical(
+        self, tmp_path, monkeypatch, crash_key
+    ):
+        # The process dies after a stage wrote its artifacts and updated the
+        # agents, but before its journal entry landed.
+        cfg_a = small_cfg(tmp_path / "a", cycles=2)
+        run(cfg_a)
+        cfg_b = small_cfg(tmp_path / "b", cycles=2)
+        mark = Journal.mark
+        crashed = []
 
-        dir_a = Path(cfg_a.run_dir) / "cycle1"
-        dir_b = Path(cfg_b.run_dir) / "cycle1"
-        for name in sorted(p.name for p in dir_a.iterdir()):
-            assert digest(dir_a / name) == digest(dir_b / name), name
-        assert digest(Path(cfg_a.run_dir) / "stats.json") == digest(
-            Path(cfg_b.run_dir) / "stats.json"
-        )
+        def mark_or_crash(self, key, *args, **kwargs):
+            if key == crash_key and not crashed:
+                crashed.append(key)
+                raise RuntimeError(f"killed before committing {key}")
+            return mark(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(Journal, "mark", mark_or_crash)
+        with pytest.raises(RuntimeError, match="killed before committing"):
+            run(cfg_b)
+        run(cfg_b)
+        assert crashed == [crash_key]
+        assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
 
     def test_resume_skips_completed_stages(self, tmp_path):
         cfg = small_cfg(tmp_path)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from triplay.config import RunConfig, WorldConfig
+from triplay.consensus import ExactNormalizedJudge, extract_boxed
 from triplay.diversity import text_distance, visual_distance
 from triplay.embedding_index import cosine_similarity
 from triplay.grpo import ToyPolicy
+from triplay.orchestrator import build_engine
+from triplay.rewards import probe_from_answers
 from triplay.synthetic_world import (
     QUESTION_FORMS,
     SyntheticSolver,
@@ -11,13 +15,13 @@ from triplay.synthetic_world import (
     gen_corpus,
     ks_statistic_uniform,
     logistic,
-    probe_image,
     question_delta,
     selected_difficulties,
-    simulate_stage1,
     solve_probability,
     synthetic_solve,
 )
+
+from conftest import neutral_probe, stage1_stats
 
 CATEGORIES = ["charts", "diagrams", "maps", "photos"]
 
@@ -107,7 +111,9 @@ class TestSolver:
         # Large-m probe: voted accuracy approaches the analytic solve rate.
         solver = SyntheticSolver(skill=0.5, noise_temperature=0.15)
         image = next(i for i in world.images if 0.45 < i.difficulty < 0.55)
-        probe = probe_image(world, solver, image, 1000, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        answers = [extract_boxed(synthetic_solve(solver, image, rng)) for _ in range(1000)]
+        probe = probe_from_answers(answers, ExactNormalizedJudge())
         p = solve_probability(solver, image.difficulty)
         se = (p * (1 - p) / 1000) ** 0.5
         assert probe.accuracy == pytest.approx(p, abs=3 * se)
@@ -173,55 +179,61 @@ class TestWorldStructure:
             assert img.answer == original[img.record.id].answer
 
 
+def stage1_engine():
+    """Synthetic engine over the same 2000-image world as the `world` fixture,
+    with neutral probes."""
+    engine = build_engine(
+        RunConfig(seed=7, mode="synthetic", world=WorldConfig(count=2000, dim=32))
+    )
+    engine.questioner.probe = neutral_probe
+    return engine
+
+
 @pytest.fixture(scope="module")
-def trained(world):
-    solver = SyntheticSolver(skill=0.5, noise_temperature=0.15)
-    policy = ToyPolicy(np.zeros(len(world.templates)))
-    stats = simulate_stage1(world, solver, policy, steps=120, seed=11)
-    return solver, policy, stats
+def trained():
+    engine = stage1_engine()
+    return engine, stage1_stats(engine, steps=120, seed=11)
 
 
 class TestSimulateStage1:
+    """Stage 1 simulated by Engine.stage1_step with neutral probes."""
+
     def test_acc_gap_decreases(self, trained):
-        _, _, stats = trained
+        _, stats = trained
         first = stats[0]["acc_gap_mean"]
         last = np.mean([s["acc_gap_mean"] for s in stats[-10:]])
         assert last < 0.8 * first
 
     def test_challenge_increases(self, trained):
-        _, _, stats = trained
+        _, stats = trained
         first = np.mean([s["challenge_mean"] for s in stats[:24]])
         last = np.mean([s["challenge_mean"] for s in stats[-24:]])
         assert last > first
 
-    def test_deterministic(self, world):
-        solver = SyntheticSolver()
-        p1 = ToyPolicy(np.zeros(len(world.templates)))
-        p2 = ToyPolicy(np.zeros(len(world.templates)))
-        s1 = simulate_stage1(world, solver, p1, steps=5, seed=3)
-        s2 = simulate_stage1(world, SyntheticSolver(), p2, steps=5, seed=3)
-        assert s1 == s2
-        np.testing.assert_array_equal(p1.logits, p2.logits)
+    def test_deterministic(self):
+        e1, e2 = stage1_engine(), stage1_engine()
+        assert stage1_stats(e1, steps=5, seed=3) == stage1_stats(e2, steps=5, seed=3)
+        np.testing.assert_array_equal(e1.searcher.policy.logits, e2.searcher.policy.logits)
 
-    def test_untrained_baseline_flat(self, world):
-        solver = SyntheticSolver()
-        policy = ToyPolicy(np.zeros(len(world.templates)))
-        stats = simulate_stage1(world, solver, policy, steps=60, seed=13, update=False)
+    def test_untrained_baseline_flat(self):
+        engine = stage1_engine()
+        engine.searcher.apply = lambda category, samples, advantages: None
+        stats = stage1_stats(engine, steps=60, seed=13)
         first = np.mean([s["challenge_mean"] for s in stats[:20]])
         last = np.mean([s["challenge_mean"] for s in stats[-20:]])
         assert abs(last - first) < 0.08
-        np.testing.assert_array_equal(policy.logits, np.zeros(len(world.templates)))
+        np.testing.assert_array_equal(
+            engine.searcher.policy.logits, np.zeros(len(engine.world.templates))
+        )
 
-    def test_penalty_drops_from_concentrated_start(self, world):
+    def test_penalty_drops_from_concentrated_start(self):
         # Mirrors the expected shape: high early repetition, then a drop to a
         # stable diverse regime once the diversity term bites.
-        solver = SyntheticSolver()
-        logits = np.zeros(len(world.templates))
-        for category in world.categories:
-            idx = world.template_indices(category)
-            logits[idx[3]] = 5.0
-        policy = ToyPolicy(logits)
-        stats = simulate_stage1(world, solver, policy, steps=120, seed=5)
+        engine = stage1_engine()
+        for category in engine.world.categories:
+            idx = engine.world.template_indices(category)
+            engine.searcher.policy.logits[idx[3]] = 5.0
+        stats = stage1_stats(engine, steps=120, seed=5)
         pen = [s["penalty_mean"] for s in stats]
         first_quarter = np.mean(pen[:30])
         last_quarter = np.mean(pen[-30:])
@@ -229,11 +241,12 @@ class TestSimulateStage1:
         third_quarter = np.mean(pen[60:90])
         assert abs(last_quarter - third_quarter) < 0.15
 
-    def test_curriculum_concentrates_near_skill(self, world, trained):
-        _, policy, _ = trained
+    def test_curriculum_concentrates_near_skill(self, trained):
+        engine, _ = trained
+        world = engine.world
         uniform = ToyPolicy(np.zeros(len(world.templates)))
         ks_trained = ks_statistic_uniform(
-            selected_difficulties(world, policy, 400, np.random.default_rng(3))
+            selected_difficulties(world, engine.searcher.policy, 400, np.random.default_rng(3))
         )
         ks_uniform = ks_statistic_uniform(
             selected_difficulties(world, uniform, 400, np.random.default_rng(3))

@@ -2,20 +2,17 @@
 
 All three agent roles and the judge share one backend interface; the role is
 purely a prompt-level distinction. Remote backends speak JSON-over-HTTP chat
-completions; scripted backends are pure functions of (seed, request) so tests
-and the synthetic world stay deterministic.
+completions and embeddings. Synthetic mode calls no backend: its roles and
+query embedder come from the synthetic world.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
-import logging
 import mimetypes
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,11 +26,8 @@ from .errors import (
     MalformedResponse,
     MissingSlot,
     RateLimited,
-    ReplayMiss,
     Transport,
 )
-
-logger = logging.getLogger(__name__)
 
 SEARCHER_TEMPLATE = """\
 You are an AI Data Engineer. Your task is to generate a unique and concise image retrieval query.
@@ -176,23 +170,6 @@ class GenerationRequest:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
 
 
-def request_fingerprint(request: GenerationRequest, extra: str = "") -> str:
-    payload = json.dumps(
-        {
-            "prompt": request.prompt,
-            "image_ref": request.image_ref,
-            "n": request.n,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "system": request.system,
-            "extra": extra,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def generate(backend, request: GenerationRequest) -> list[str]:
     """Run one generation call and enforce the exactly-n-completions contract."""
     completions = backend.generate(request)
@@ -208,33 +185,6 @@ def embed_text(backend, text: str) -> np.ndarray:
     if vec.ndim != 1:
         raise MalformedResponse(f"embedding must be a vector, got shape {vec.shape}")
     return vec
-
-
-class ScriptedBackend:
-    """Deterministic stand-in: completions are a pure function of (seed, request)."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def generate(self, request: GenerationRequest) -> list[str]:
-        return [
-            f"scripted:{request_fingerprint(request, extra=f'{self.seed}:{i}')[:16]}"
-            for i in range(request.n)
-        ]
-
-
-class ScriptedEmbeddingBackend:
-    """Hash-seeded unit vector per text; identical text gives identical output."""
-
-    def __init__(self, dimension: int, seed: int = 0):
-        self.dimension = dimension
-        self.seed = seed
-
-    def embed(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        vec = rng.normal(size=self.dimension)
-        return vec / np.linalg.norm(vec)
 
 
 @dataclass
@@ -394,65 +344,3 @@ class HttpEmbeddingBackend:
         self.dimension = int(vec.shape[0])
         return vec
 
-
-class RecordingBackend:
-    """Wraps a generative backend and journals every completion to disk.
-
-    Safe under concurrent generate() calls; repeated identical requests are
-    disambiguated by an ordinal, so replay is exact as long as identical
-    requests are not issued concurrently with each other. Judge requests run
-    concurrently across the images harvested for the training set; identical
-    judge payloads there can only come from two images that got the same
-    question and the same answers.
-    """
-
-    def __init__(self, inner, path: str | Path):
-        self.inner = inner
-        self.path = Path(path)
-        self._counts: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def generate(self, request: GenerationRequest) -> list[str]:
-        completions = self.inner.generate(request)
-        fp = request_fingerprint(request)
-        with self._lock:
-            ordinal = self._counts.get(fp, 0)
-            self._counts[fp] = ordinal + 1
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "fingerprint": fp,
-                            "ordinal": ordinal,
-                            "completions": completions,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        return completions
-
-
-class ReplayBackend:
-    """Serves completions recorded by RecordingBackend, keyed by request."""
-
-    def __init__(self, path: str | Path):
-        self._store: dict[tuple[str, int], list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self._store[(row["fingerprint"], row["ordinal"])] = row["completions"]
-        self._counts: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def generate(self, request: GenerationRequest) -> list[str]:
-        fp = request_fingerprint(request)
-        with self._lock:
-            ordinal = self._counts.get(fp, 0)
-            self._counts[fp] = ordinal + 1
-        try:
-            return self._store[(fp, ordinal)]
-        except KeyError:
-            raise ReplayMiss(f"no recorded completions for request {fp[:12]}...")

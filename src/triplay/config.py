@@ -93,9 +93,21 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         )
     if it.group_size < 2:
         raise ConfigError(f"group_size must be >= 2 for advantage normalization, got {it.group_size}")
-    for name in ("probe_rollouts", "vote_trajectories", "queries_per_iteration", "top_k", "cycles"):
-        if getattr(it, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(it, name)}")
+    for name, floor in (
+        ("probe_rollouts", 1),
+        ("vote_trajectories", 1),
+        ("queries_per_iteration", 1),
+        ("top_k", 1),
+        ("cycles", 1),
+        ("probe_questions_per_image", 1),
+        ("stage2_images_per_step", 1),
+        ("stage3_items_per_step", 1),
+        ("searcher_steps", 0),
+        ("questioner_steps", 0),
+        ("solver_steps", 0),
+    ):
+        if getattr(it, name) < floor:
+            raise ConfigError(f"{name} must be >= {floor}, got {getattr(it, name)}")
     if not it.domains:
         raise ConfigError("at least one domain is required")
     if cfg.mode not in ("synthetic", "remote"):

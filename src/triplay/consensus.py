@@ -19,8 +19,6 @@ logger = logging.getLogger(__name__)
 
 _BOX = "\\boxed{"
 
-KNOWN_TAGS = ("think", "type", "query", "question", "answer")
-
 
 def extract_boxed(text: str) -> str | None:
     """Content of the last balanced \\boxed{...}, respecting nested braces."""

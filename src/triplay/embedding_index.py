@@ -55,17 +55,6 @@ class IndexManifest:
     checksum: str = ""
 
 
-def dedup(retrieved: list[ImageRecord]) -> list[ImageRecord]:
-    """Keep the first occurrence of each record id, preserving input order."""
-    seen: set[str] = set()
-    out = []
-    for rec in retrieved:
-        if rec.id not in seen:
-            seen.add(rec.id)
-            out.append(rec)
-    return out
-
-
 def _record_line(rec: ImageRecord) -> str:
     row = {
         "id": rec.id,

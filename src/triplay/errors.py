@@ -52,10 +52,6 @@ class DomainTooSmall(EngineError):
         self.size = size
 
 
-class LengthMismatch(EngineError):
-    pass
-
-
 class JudgeFailure(EngineError):
     pass
 
@@ -69,10 +65,6 @@ class Transport(EngineError):
 
 
 class RateLimited(Transport):
-    pass
-
-
-class ReplayMiss(EngineError):
     pass
 
 

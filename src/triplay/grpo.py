@@ -1,10 +1,12 @@
-"""Group-relative advantages, the token-level clipped objective, and a toy
-softmax policy used to validate the full optimization path at desk scale.
+"""Group-relative advantages, the clipped objective over a toy softmax policy
+with its analytic gradient, and training-batch export for an external trainer.
 
 Advantages normalize each reward against its group (or domain) peers using the
 population standard deviation plus a small guard; zero-variance groups yield
-exactly zero advantages. The clipped objective averages per-token terms within
-each response, then averages over responses.
+exactly zero advantages. Each toy action is a one-token response, so the
+clipped objective is the mean of min(ratio * A, clip(ratio) * A) over a group.
+The synthetic searcher and questioner learn by ascending it; in remote mode
+the engine only exports batches.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
     DegenerateDistribution,
     DomainTooSmall,
     GroupTooSmall,
-    LengthMismatch,
 )
 
 STD_EPSILON = 1e-8
@@ -38,30 +39,6 @@ class GrpoConfig:
                 f"clip range must satisfy 0 < eps < 1, got "
                 f"eps_low={self.eps_low}, eps_high={self.eps_high}"
             )
-
-
-@dataclass
-class Response:
-    """One sampled completion with per-token log-probs under both policies."""
-
-    tokens: list
-    logp_new: list[float]
-    logp_old: list[float]
-    reward: float
-    advantage: float | None = None
-
-    def __post_init__(self):
-        if len(self.logp_new) != len(self.logp_old):
-            raise LengthMismatch(
-                f"logp_new has {len(self.logp_new)} tokens, "
-                f"logp_old has {len(self.logp_old)}"
-            )
-
-
-@dataclass
-class ResponseGroup:
-    responses: list[Response]
-    domain: str | None = None
 
 
 def group_advantages(rewards, std_epsilon: float = STD_EPSILON) -> list[float]:
@@ -95,46 +72,9 @@ def domain_advantages(
     return out
 
 
-def token_ratios(logp_new, logp_old) -> list[float]:
-    new = np.asarray(logp_new, dtype=np.float64)
-    old = np.asarray(logp_old, dtype=np.float64)
-    if new.shape != old.shape:
-        raise LengthMismatch(f"token counts differ: {new.shape} vs {old.shape}")
-    return [float(x) for x in np.exp(new - old)]
-
-
 def _clipped_terms(ratios: np.ndarray, advantage: float, cfg: GrpoConfig) -> np.ndarray:
     clipped = np.clip(ratios, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high)
     return np.minimum(ratios * advantage, clipped * advantage)
-
-
-def clipped_objective(
-    group: ResponseGroup, cfg: GrpoConfig, advantages: list[float] | None = None
-) -> float:
-    """Objective value to maximize: token-mean of the clipped terms within each
-    response, then mean over the group's responses.
-
-    Advantages attached to the responses (or passed explicitly) take
-    precedence; otherwise they are computed from the group's rewards.
-    """
-    responses = group.responses
-    if advantages is None:
-        if all(r.advantage is not None for r in responses):
-            advantages = [r.advantage for r in responses]
-        else:
-            advantages = group_advantages(
-                [r.reward for r in responses], std_epsilon=cfg.std_epsilon
-            )
-    if len(advantages) != len(responses):
-        raise LengthMismatch(
-            f"{len(advantages)} advantages for {len(responses)} responses"
-        )
-    per_response = []
-    for resp, adv in zip(responses, advantages):
-        ratios = np.asarray(token_ratios(resp.logp_new, resp.logp_old))
-        terms = _clipped_terms(ratios, adv, cfg)
-        per_response.append(float(terms.mean()) if terms.size else 0.0)
-    return float(np.mean(per_response))
 
 
 @dataclass
@@ -229,26 +169,6 @@ def toy_policy_update(
         policy.logits, policy.temperature, actions, logp_old, advantages, cfg
     )
     return ToyPolicy(policy.logits + learning_rate * grad, policy.temperature)
-
-
-def toy_policy_step(
-    policy: ToyPolicy,
-    sampler: np.random.Generator,
-    reward_fn,
-    cfg: GrpoConfig,
-    learning_rate: float,
-    group_size: int = 8,
-) -> ToyPolicy:
-    """Sample a group from the frozen policy, score it, and ascend the objective.
-
-    reward_fn receives the list of sampled action indices and returns one
-    reward per action; zero-variance groups leave the logits unchanged.
-    """
-    actions = sample_actions(policy, group_size, sampler)
-    logp_old = policy.log_probabilities()[actions]
-    rewards = reward_fn(list(int(a) for a in actions))
-    advantages = group_advantages(rewards, std_epsilon=cfg.std_epsilon)
-    return toy_policy_update(policy, actions, logp_old, advantages, cfg, learning_rate)
 
 
 def gradient_check(

@@ -3,7 +3,8 @@ construction, questioner optimization, training-set construction with
 majority-vote pseudo-labels and difficulty filtering, and solver batches.
 
 Runs are journaled at stage boundaries and every stage derives its RNG from
-(seed, cycle, stage), so a killed run resumes to byte-identical artifacts.
+(seed, cycle, stage), so a killed run resumes to byte-identical artifacts
+whenever its backends are deterministic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .consensus import (
 )
 from .diversity import DiversityBatch, repetition_penalty, text_repetition_penalty
 from .embedding_index import EmbeddingIndex, ImageRecord, load_manifest
-from .errors import DimensionMismatch, EmptyIndex, JudgeFailure
+from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure
 from .grpo import (
     BatchRecord,
     GrpoConfig,
@@ -235,13 +236,28 @@ class SyntheticSolverRole:
         self.solver.skill = float(state["skill"])
 
 
-class RemoteSearcherRole:
-    """Query sampling through a chat backend; batches are exported, not applied."""
+class RemoteRole:
+    """A role served by a chat backend. It keeps no trainable state: its
+    batches are exported for an external trainer, not applied here."""
 
-    def __init__(self, backend, exemplars: dict[str, str], temperature: float = 1.0):
+    def __init__(self, backend, temperature: float = 1.0):
         self.backend = backend
-        self.exemplars = exemplars
         self.temperature = temperature
+
+    def apply(self, *args) -> None:
+        pass
+
+    def snapshot(self) -> dict:
+        return {}
+
+    def restore(self, state: dict) -> None:
+        pass
+
+
+class RemoteSearcherRole(RemoteRole):
+    def __init__(self, backend, exemplars: dict[str, str], temperature: float = 1.0):
+        super().__init__(backend, temperature)
+        self.exemplars = exemplars
 
     def sample(self, category: str, g: int, rng: np.random.Generator) -> list[Sample]:
         prompt = render_prompt(
@@ -260,21 +276,8 @@ class RemoteSearcherRole:
             remaining -= n
         return out
 
-    def apply(self, category: str, samples: list[Sample], advantages: list[float]) -> None:
-        pass
 
-    def snapshot(self) -> dict:
-        return {}
-
-    def restore(self, state: dict) -> None:
-        pass
-
-
-class RemoteQuestionerRole:
-    def __init__(self, backend, temperature: float = 1.0):
-        self.backend = backend
-        self.temperature = temperature
-
+class RemoteQuestionerRole(RemoteRole):
     def _request(self, image: ImageRecord, n: int) -> GenerationRequest:
         return GenerationRequest(
             prompt=render_prompt(PromptTemplate(role="questioner")),
@@ -289,21 +292,8 @@ class RemoteQuestionerRole:
     def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
         return self.sample(image, 1, rng)[0]
 
-    def apply(self, samples: list[Sample], advantages: list[float]) -> None:
-        pass
 
-    def snapshot(self) -> dict:
-        return {}
-
-    def restore(self, state: dict) -> None:
-        pass
-
-
-class RemoteSolverRole:
-    def __init__(self, backend, temperature: float = 1.0):
-        self.backend = backend
-        self.temperature = temperature
-
+class RemoteSolverRole(RemoteRole):
     def solve(self, image: ImageRecord, question: str, n: int, rng: np.random.Generator) -> list[str]:
         request = GenerationRequest(
             prompt=render_prompt(PromptTemplate(role="solver"), {"question": question}),
@@ -312,15 +302,6 @@ class RemoteSolverRole:
             temperature=self.temperature,
         )
         return generate(self.backend, request)
-
-    def apply(self, mean_reward: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def restore(self, state: dict) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -868,14 +849,21 @@ def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
 
     stop_after names a journal key like "cycle1:stage2" and makes the run
     return after committing that stage, which simulates a kill between stages.
+    A run directory with journal entries is resumed only under the config it
+    was started with; any other config raises ConfigError.
     """
     cfg = validate_config(cfg)
     run_dir = resolve_run_dir(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
-    )
+    config_path = run_dir / "config.json"
+    config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     journal = Journal(run_dir / "journal.json")
+    if journal.entries and config_path.read_text() != config_text:
+        raise ConfigError(
+            f"{run_dir} holds a run started under a different config; resume it "
+            f"with that config or choose another run directory"
+        )
+    config_path.write_text(config_text)
     engine = build_engine(cfg)
     if journal.entries:
         engine.restore(journal.entries[-1]["state"])

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grpo import ToyPolicy, sample_actions
 from .embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
 
 # Angular frequencies of the difficulty curve. Several incommensurate
@@ -291,31 +290,3 @@ def synthetic_solve(
                 break
     return f"Reading the figure, the value resolves to \\boxed{{{answer}}}."
 
-
-def selected_difficulties(
-    world: SyntheticWorld,
-    policy: ToyPolicy,
-    samples: int,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Difficulties of top-1 retrieved images for template draws from the policy."""
-    out = []
-    per_category = samples // len(world.categories)
-    for category in world.categories:
-        indices = world.template_indices(category)
-        sub = ToyPolicy(policy.logits[indices], policy.temperature)
-        actions = sample_actions(sub, per_category, rng)
-        for a in actions:
-            template = world.templates[indices[a]]
-            record, _ = world.index.retrieve(template.embedding, 1)[0]
-            out.append(world.image(record.id).difficulty)
-    return out
-
-
-def ks_statistic_uniform(values: list[float]) -> float:
-    """Kolmogorov-Smirnov statistic of a sample against Uniform[0, 1]."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(v)
-    upper = np.arange(1, n + 1) / n - v
-    lower = v - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))

@@ -1,8 +1,59 @@
-"""Test helpers that drive stage 1 through Engine.stage1_step."""
+"""Test helpers: deterministic stand-in backends, and helpers that drive and
+measure stage 1 through Engine.stage1_step."""
+
+import hashlib
+import json
 
 import numpy as np
 
+from triplay.backends import GenerationRequest
+from triplay.grpo import ToyPolicy, sample_actions
 from triplay.orchestrator import Sample
+from triplay.synthetic_world import SyntheticWorld
+
+
+def request_fingerprint(request: GenerationRequest, extra: str = "") -> str:
+    payload = json.dumps(
+        {
+            "prompt": request.prompt,
+            "image_ref": request.image_ref,
+            "n": request.n,
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+            "system": request.system,
+            "extra": extra,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class ScriptedBackend:
+    """Deterministic stand-in: completions are a pure function of (seed, request)."""
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        return [
+            f"scripted:{request_fingerprint(request, extra=f'{self.seed}:{i}')[:16]}"
+            for i in range(request.n)
+        ]
+
+
+class ScriptedEmbeddingBackend:
+    """Hash-seeded unit vector per text; identical text gives identical output."""
+
+    def __init__(self, dimension: int, seed: int = 0):
+        self.dimension = dimension
+        self.seed = seed
+
+    def embed(self, text: str) -> np.ndarray:
+        digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+        vec = rng.normal(size=self.dimension)
+        return vec / np.linalg.norm(vec)
 
 
 def neutral_probe(image, rng) -> Sample:
@@ -27,3 +78,32 @@ def stage1_stats(engine, steps: int, seed: int) -> list[dict]:
             }
         )
     return stats
+
+
+def selected_difficulties(
+    world: SyntheticWorld,
+    policy: ToyPolicy,
+    samples: int,
+    rng: np.random.Generator,
+) -> list[float]:
+    """Difficulties of top-1 retrieved images for template draws from the policy."""
+    out = []
+    per_category = samples // len(world.categories)
+    for category in world.categories:
+        indices = world.template_indices(category)
+        sub = ToyPolicy(policy.logits[indices], policy.temperature)
+        actions = sample_actions(sub, per_category, rng)
+        for a in actions:
+            template = world.templates[indices[a]]
+            record, _ = world.index.retrieve(template.embedding, 1)[0]
+            out.append(world.image(record.id).difficulty)
+    return out
+
+
+def ks_statistic_uniform(values: list[float]) -> float:
+    """Kolmogorov-Smirnov statistic of a sample against Uniform[0, 1]."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(v)
+    upper = np.arange(1, n + 1) / n - v
+    lower = v - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))

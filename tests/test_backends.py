@@ -10,10 +10,6 @@ from triplay.backends import (
     HttpChatBackend,
     HttpEmbeddingBackend,
     PromptTemplate,
-    RecordingBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    ScriptedEmbeddingBackend,
     embed_text,
     generate,
     render_prompt,
@@ -23,9 +19,10 @@ from triplay.errors import (
     MalformedResponse,
     MissingSlot,
     RateLimited,
-    ReplayMiss,
     Transport,
 )
+
+from conftest import ScriptedBackend, ScriptedEmbeddingBackend
 
 
 class TestRenderPrompt:
@@ -298,26 +295,3 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(MalformedResponse):
             backend.embed("query")
 
-
-class TestRecordReplay:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "transcript.jsonl"
-        recorded = RecordingBackend(ScriptedBackend(seed=4), path)
-        req_a = GenerationRequest(prompt="a", n=2)
-        req_b = GenerationRequest(prompt="b", n=1)
-        out_a1 = recorded.generate(req_a)
-        out_b = recorded.generate(req_b)
-        out_a2 = recorded.generate(req_a)
-        replay = ReplayBackend(path)
-        assert replay.generate(req_a) == out_a1
-        assert replay.generate(req_b) == out_b
-        assert replay.generate(req_a) == out_a2
-
-    def test_miss_raises(self, tmp_path):
-        path = tmp_path / "transcript.jsonl"
-        RecordingBackend(ScriptedBackend(), path).generate(
-            GenerationRequest(prompt="seen")
-        )
-        replay = ReplayBackend(path)
-        with pytest.raises(ReplayMiss):
-            replay.generate(GenerationRequest(prompt="unseen"))

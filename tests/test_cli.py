@@ -159,6 +159,19 @@ class TestRunCommand:
         assert saved["seed"] == 12  # flag wins
         assert saved["iteration"]["group_size"] == 4  # file value kept
 
+    def test_resume_under_changed_config_refused(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
+        code, _, _ = run_cli(capsys, argv + ["--stop-after", "cycle1:stage1"])
+        assert code == 0
+        config_before = (run_dir / "config.json").read_bytes()
+        code, _, err = run_cli(capsys, argv + ["--group-size", "4"])
+        assert code == 1
+        assert "error[ConfigError]" in err
+        assert str(run_dir) in err
+        assert (run_dir / "config.json").read_bytes() == config_before
+        assert not (run_dir / "cycle1" / "d_active.jsonl").exists()
+
     def test_inverted_window_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,

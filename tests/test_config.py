@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from dataclasses import fields
@@ -80,6 +81,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="group_size"):
             config_from_dict({"iteration": {"group_size": 1}})
 
+    @pytest.mark.parametrize(
+        "name, value, floor",
+        [
+            ("probe_questions_per_image", 0, 1),
+            ("stage2_images_per_step", -1, 1),
+            ("stage3_items_per_step", -2, 1),
+            ("searcher_steps", -3, 0),
+            ("questioner_steps", -1, 0),
+            ("solver_steps", -1, 0),
+        ],
+    )
+    def test_iteration_count_floor(self, name, value, floor):
+        with pytest.raises(ConfigError, match=f"{name} must be >= {floor}, got {value}"):
+            config_from_dict({"iteration": {name: value}})
+
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="tau_mid"):
             config_from_dict({"iteration": {"tau_mid": 0.5}})
@@ -150,3 +166,35 @@ class TestNoDeadKeys:
             if not re.search(rf"\.{f.name}\b", source)
         ]
         assert unread == []
+
+
+class TestNoDeadCode:
+    def test_every_public_name_is_used_in_the_package(self):
+        # A public name that no module of the package refers to is code that
+        # only tests reach; it belongs in tests/ or nowhere.
+        package = Path(triplay.__file__).parent
+        defined: dict[str, str] = {}
+        used: set[str] = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
+                else:
+                    names = []
+                for name in names:
+                    if not name.startswith("_"):
+                        defined[name] = path.name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+        assert unused == []

@@ -11,7 +11,6 @@ from triplay.embedding_index import (
     ImageRecord,
     IndexManifest,
     cosine_similarity,
-    dedup,
     load_manifest,
     save_manifest,
 )
@@ -201,21 +200,6 @@ class TestRetrieveTieBreakProperty:
             want = [(ids[i], score[i]) for i in order[:k]]
             assert [(r.id, s) for r, s in index.retrieve(query, k)] == want
             assert [(r.id, s) for r, s in ranked] == want
-
-
-class TestDedup:
-    def test_removes_duplicate_ids(self):
-        a = ImageRecord(id="A", embedding=[1, 0], category="c")
-        b = ImageRecord(id="B", embedding=[0, 1], category="c")
-        a2 = ImageRecord(id="A", embedding=[1, 0], category="c")
-        assert [r.id for r in dedup([a, b, a2])] == ["A", "B"]
-
-    def test_empty(self):
-        assert dedup([]) == []
-
-    def test_all_same(self):
-        a = ImageRecord(id="A", embedding=[1, 0], category="c")
-        assert [r.id for r in dedup([a, a, a])] == ["A"]
 
 
 class TestManifest:

@@ -9,23 +9,17 @@ from triplay.errors import (
     DegenerateDistribution,
     DomainTooSmall,
     GroupTooSmall,
-    LengthMismatch,
 )
 from triplay.grpo import (
     BatchRecord,
     GrpoConfig,
-    Response,
-    ResponseGroup,
     ToyPolicy,
-    clipped_objective,
     domain_advantages,
     gradient_check,
     group_advantages,
     sample_actions,
-    token_ratios,
     toy_objective,
     toy_objective_gradient,
-    toy_policy_step,
     toy_policy_update,
     write_training_batch,
 )
@@ -104,53 +98,20 @@ class TestDomainAdvantages:
             assert scaled == pytest.approx(base, abs=1e-6)
 
 
-class TestTokenRatios:
-    def test_identical_logps(self):
-        assert token_ratios([-1.0, -2.0], [-1.0, -2.0]) == pytest.approx([1.0, 1.0])
-
-    def test_log_two_difference(self):
-        assert token_ratios([0.0], [-math.log(2)]) == pytest.approx([2.0])
-
-    def test_negative_log_four(self):
-        assert token_ratios([-math.log(4)], [0.0]) == pytest.approx([0.25])
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            token_ratios([0.0], [0.0, 0.0])
-
-
-def single_token_group(ratio: float, reward: float = 1.0) -> ResponseGroup:
-    return ResponseGroup(
-        responses=[
-            Response(
-                tokens=["t"],
-                logp_new=[math.log(ratio)],
-                logp_old=[0.0],
-                reward=reward,
-            )
-        ]
-    )
+def single_action_objective(ratio: float, advantage: float, cfg: GrpoConfig) -> float:
+    """toy_objective for one sampled action whose new/old probability ratio is `ratio`."""
+    logp_old = [math.log(0.5) - math.log(ratio)]
+    return toy_objective(np.zeros(2), 1.0, [0], logp_old, [advantage], cfg)
 
 
 class TestClippedObjective:
-    def test_ratio_one_gives_mean_advantage(self):
-        cfg = GrpoConfig()
-        responses = [
-            Response(tokens=["t"], logp_new=[-1.0], logp_old=[-1.0], reward=r)
-            for r in (1.0, 0.0, 0.0, 1.0)
-        ]
-        value = clipped_objective(ResponseGroup(responses=responses), cfg)
-        assert value == pytest.approx(0.0, abs=1e-9)
-
     def test_upper_clip(self):
         cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        value = clipped_objective(single_token_group(1.5), cfg, advantages=[1.0])
-        assert value == pytest.approx(1.2)
+        assert single_action_objective(1.5, 1.0, cfg) == pytest.approx(1.2)
 
     def test_sign_aware_min_on_negative_advantage(self):
         cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        value = clipped_objective(single_token_group(0.5), cfg, advantages=[-1.0])
-        assert value == pytest.approx(-0.8)
+        assert single_action_objective(0.5, -1.0, cfg) == pytest.approx(-0.8)
 
     def test_scalar_oracle_both_branches(self):
         cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
@@ -158,33 +119,24 @@ class TestClippedObjective:
         for _ in range(200):
             ratio = float(rng.uniform(0.1, 2.5))
             adv = float(rng.normal())
-            value = clipped_objective(single_token_group(ratio), cfg, advantages=[adv])
+            value = single_action_objective(ratio, adv, cfg)
             oracle = min(ratio * adv, min(max(ratio, 0.8), 1.2) * adv)
             assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_invariant_beyond_clip_range(self):
         cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        v1 = clipped_objective(single_token_group(1.3), cfg, advantages=[1.0])
-        v2 = clipped_objective(single_token_group(4.0), cfg, advantages=[1.0])
+        v1 = single_action_objective(1.3, 1.0, cfg)
+        v2 = single_action_objective(4.0, 1.0, cfg)
         assert v1 == pytest.approx(v2)
 
-    def test_token_then_group_aggregation(self):
-        cfg = GrpoConfig()
-        responses = [
-            Response(tokens=["a", "b"], logp_new=[0.0, 0.0], logp_old=[0.0, 0.0], reward=1.0),
-            Response(tokens=["c"], logp_new=[0.0], logp_old=[0.0], reward=0.0),
-        ]
-        value = clipped_objective(
-            ResponseGroup(responses=responses), cfg, advantages=[1.0, -1.0]
-        )
-        # token means are 1 and -1; group mean is 0
-        assert value == pytest.approx(0.0)
 
-    def test_uses_attached_advantages(self):
-        cfg = GrpoConfig()
-        group = single_token_group(1.0)
-        group.responses[0].advantage = 0.5
-        assert clipped_objective(group, cfg) == pytest.approx(0.5)
+def policy_step(policy, rng, reward_fn, cfg, learning_rate, group_size):
+    """Sample a group from the frozen policy, score it with reward_fn, and take
+    one ascent step on the clipped objective."""
+    actions = sample_actions(policy, group_size, rng)
+    logp_old = policy.log_probabilities()[actions]
+    advantages = group_advantages(reward_fn(actions), std_epsilon=cfg.std_epsilon)
+    return toy_policy_update(policy, actions, logp_old, advantages, cfg, learning_rate)
 
 
 class TestToyPolicy:
@@ -243,7 +195,7 @@ class TestToyGradient:
         cfg = GrpoConfig()
         policy = ToyPolicy(np.array([0.5, -0.5, 0.0]))
         rng = np.random.default_rng(2)
-        updated = toy_policy_step(
+        updated = policy_step(
             policy, rng, lambda actions: [0.7] * len(actions), cfg, 0.5, group_size=6
         )
         np.testing.assert_array_equal(updated.logits, policy.logits)
@@ -254,7 +206,7 @@ class TestToyGradient:
         rng = np.random.default_rng(11)
         p_start = policy.probabilities()[0]
         for _ in range(100):
-            policy = toy_policy_step(
+            policy = policy_step(
                 policy,
                 rng,
                 lambda actions: [1.0 if a == 0 else 0.0 for a in actions],

@@ -1,6 +1,6 @@
 """Remote-mode wiring: role adapters over generative backends, parse-failure
-handling for free-form completions, and transcript record/replay reproducing
-datasets exactly.
+handling for free-form completions, and concurrent rollouts and votes that
+match a serial run.
 """
 
 import hashlib
@@ -9,15 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from triplay.backends import (
-    GenerationRequest,
-    RecordingBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    ScriptedEmbeddingBackend,
-    request_fingerprint,
-)
-from triplay.config import IterationConfig, RunConfig, WorldConfig
+from triplay.backends import GenerationRequest
+from triplay.config import IterationConfig, RunConfig
 from triplay.embedding_index import EmbeddingIndex, IndexManifest
 from triplay.errors import ConfigError
 from triplay.orchestrator import (
@@ -28,6 +21,8 @@ from triplay.orchestrator import (
     build_engine,
 )
 from triplay.synthetic_world import SyntheticWorld
+
+from conftest import ScriptedBackend, ScriptedEmbeddingBackend, request_fingerprint
 
 
 class RolePlayBackend:
@@ -202,17 +197,3 @@ class TestRemoteWiring:
         assert parallel == serial
         assert 0 < parallel_requests <= serial_requests
 
-    def test_transcript_replay_reproduces_datasets(self, manifest_path, tmp_path):
-        cfg = remote_cfg(manifest_path)
-        transcript = tmp_path / "transcript.jsonl"
-        recording = role_engine(cfg, RecordingBackend(RolePlayBackend(), transcript))
-        d_active = recording.build_active_dataset(np.random.default_rng(1))
-        d_train, _ = recording.build_training_set(d_active, np.random.default_rng(2))
-
-        replayed = role_engine(cfg, ReplayBackend(transcript))
-        d_active_replay = replayed.build_active_dataset(np.random.default_rng(1))
-        d_train_replay, _ = replayed.build_training_set(
-            d_active_replay, np.random.default_rng(2)
-        )
-        assert d_active_replay == d_active
-        assert d_train_replay == d_train

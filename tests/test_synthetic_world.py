@@ -13,15 +13,18 @@ from triplay.synthetic_world import (
     SyntheticSolver,
     SyntheticWorld,
     gen_corpus,
-    ks_statistic_uniform,
     logistic,
     question_delta,
-    selected_difficulties,
     solve_probability,
     synthetic_solve,
 )
 
-from conftest import neutral_probe, stage1_stats
+from conftest import (
+    ks_statistic_uniform,
+    neutral_probe,
+    selected_difficulties,
+    stage1_stats,
+)
 
 CATEGORIES = ["charts", "diagrams", "maps", "photos"]
 

@@ -3,13 +3,15 @@ full self-play loop, dataset utilities, the gradient self-check, and reports.
 
 Config precedence: values from --config are overridden by explicit flags.
 Auth tokens are read from the environment variable named in the backend
-config, never from flags or files.
+config, never from flags or files. --log-level sets the verbosity of the
+engine's log messages on stderr (default WARNING).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -203,6 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="WARNING",
+        help="lowest level of log message written to stderr (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = sub.add_parser("index", help="vector index operations")
@@ -266,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except EngineError as exc:

@@ -114,6 +114,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"mode must be 'synthetic' or 'remote', got {cfg.mode!r}")
     if cfg.judge.kind not in ("exact", "remote"):
         raise ConfigError(f"judge.kind must be 'exact' or 'remote', got {cfg.judge.kind!r}")
+    if cfg.mode == "synthetic" and cfg.judge.kind == "remote":
+        raise ConfigError(
+            "judge.kind 'remote' needs mode 'remote': a synthetic run has no "
+            "chat backend to judge with"
+        )
     if cfg.mode == "remote":
         missing = [
             name

@@ -5,10 +5,16 @@ Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine.
 A batch is clustered per modality by connecting every pair at distance <= tau
 (single linkage), and each item is penalized by the relative size of its text
 and visual clusters.
+
+The penalties take the text distance as an argument. A caller that scores the
+same texts batch after batch passes memoized_text_distance, which computes
+each unordered pair's BLEU distance once and returns exactly what
+text_distance returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,17 +67,32 @@ def text_distance(qi: str, qj: str) -> float:
     return 1.0 - 0.5 * (sentence_bleu(qi, qj) + sentence_bleu(qj, qi))
 
 
+def memoized_text_distance(maxsize: int):
+    """text_distance behind a bounded LRU memo keyed by the unordered pair.
+
+    text_distance is symmetric to the bit, so one entry serves both orders.
+    The memo belongs to the returned callable; create one per owner.
+    """
+    cached = functools.lru_cache(maxsize=maxsize)(text_distance)
+
+    def distance(qi: str, qj: str) -> float:
+        return cached(qi, qj) if qi <= qj else cached(qj, qi)
+
+    distance.cache_info = cached.cache_info
+    return distance
+
+
 def visual_distance(ei, ej) -> float:
     """1 - cosine similarity; 0 for parallel, 1 for orthogonal, 2 for antipodal."""
     return 1.0 - cosine_similarity(ei, ej)
 
 
-def text_distance_matrix(texts: list[str]) -> np.ndarray:
+def text_distance_matrix(texts: list[str], distance=text_distance) -> np.ndarray:
     n = len(texts)
     mat = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = text_distance(texts[i], texts[j])
+            d = distance(texts[i], texts[j])
             mat[i, j] = d
             mat[j, i] = d
     return mat
@@ -158,17 +179,18 @@ class DiversityBatch:
 
 
 def repetition_penalty(
-    batch: DiversityBatch, tau_txt: float, tau_vis: float
+    batch: DiversityBatch, tau_txt: float, tau_vis: float, distance=text_distance
 ) -> list[float]:
     """Per-item density penalty: text-cluster share plus visual-cluster share.
 
-    Each term lies in [1/n, 1], so the total lies in [2/n, 2].
+    Each term lies in [1/n, 1], so the total lies in [2/n, 2]. distance is the
+    text distance, text_distance or a memoized equal of it.
     """
     if batch.n < 1:
         raise ValueError("batch must contain at least one item")
     texts = [t for t, _ in batch.items]
     embeds = [e for _, e in batch.items]
-    txt_clusters = threshold_cluster(text_distance_matrix(texts), tau_txt)
+    txt_clusters = threshold_cluster(text_distance_matrix(texts, distance), tau_txt)
     vis_clusters = threshold_cluster(visual_distance_matrix(embeds), tau_vis)
     n = batch.n
     return [
@@ -176,10 +198,12 @@ def repetition_penalty(
     ]
 
 
-def text_repetition_penalty(texts: list[str], tau_txt: float) -> list[float]:
+def text_repetition_penalty(
+    texts: list[str], tau_txt: float, distance=text_distance
+) -> list[float]:
     """Text-only variant used for question batches: cluster share in [1/n, 1]."""
     if not texts:
         raise ValueError("need at least one text")
-    clusters = threshold_cluster(text_distance_matrix(texts), tau_txt)
+    clusters = threshold_cluster(text_distance_matrix(texts, distance), tau_txt)
     n = len(texts)
     return [clusters.size_of(i) / n for i in range(n)]

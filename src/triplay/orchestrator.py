@@ -5,10 +5,18 @@ majority-vote pseudo-labels and difficulty filtering, and solver batches.
 Runs are journaled at stage boundaries and every stage derives its RNG from
 (seed, cycle, stage), so a killed run resumes to byte-identical artifacts
 whenever its backends are deterministic.
+
+Each distinct piece of work is done once. build_active_dataset embeds and
+retrieves each distinct query of a domain once. An Engine memoizes, per
+engine and within fixed bounds, the stage-1 top-1 hit of each query text and
+the BLEU distance of each pair of texts. The dedup and the query memo assume
+a deterministic embedding backend; the memos hold no agent state and are not
+journaled.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -41,7 +49,12 @@ from .consensus import (
     extract_tagged,
     majority_vote,
 )
-from .diversity import DiversityBatch, repetition_penalty, text_repetition_penalty
+from .diversity import (
+    DiversityBatch,
+    memoized_text_distance,
+    repetition_penalty,
+    text_repetition_penalty,
+)
 from .embedding_index import EmbeddingIndex, ImageRecord, load_manifest
 from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure
 from .grpo import (
@@ -74,6 +87,12 @@ from .synthetic_world import (
 logger = logging.getLogger(__name__)
 
 VALID_QUESTION_TYPES = ("short_answer", "numeric_value")
+
+# Entry bounds of each engine's memos: query text -> stage-1 top-1 hit, and
+# unordered text pair -> BLEU distance. Remote query text is unbounded, so
+# the memos evict least-recently-used entries past these sizes.
+_QUERY_MEMO_SIZE = 4096
+_TEXT_PAIR_MEMO_SIZE = 16384
 
 
 @dataclass
@@ -365,6 +384,13 @@ class Engine:
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
         self._initial_state = self.snapshot()
+        # lru_cache caches no exception, so a failed embed or a
+        # DimensionMismatch leaves no entry behind.
+        self._top1 = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._retrieve_top1)
+        self._text_distance = memoized_text_distance(_TEXT_PAIR_MEMO_SIZE)
+
+    def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
+        return self.index.retrieve(embed_text(self.embedder, query), 1)[0]
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
@@ -407,8 +433,7 @@ class Engine:
                         domain.category,
                     )
                     continue
-                embedding = embed_text(self.embedder, query)
-                record, score = self.index.retrieve(embedding, 1)[0]
+                record, _ = self._top1(query)
                 probes = self._probe_accuracy(record, rng)
                 if not probes:
                     continue
@@ -418,7 +443,9 @@ class Engine:
                 batch = DiversityBatch(
                     items=[(q, rec.embedding) for _, q, rec, _ in kept]
                 )
-                penalties = repetition_penalty(batch, it.tau_txt, it.tau_vis)
+                penalties = repetition_penalty(
+                    batch, it.tau_txt, it.tau_vis, self._text_distance
+                )
             records = [RewardRecord(0.0, 0.0, 0.0, "searcher")] * len(samples)
             row_data: list[dict] = [
                 {
@@ -483,7 +510,11 @@ class Engine:
         return StepResult(rows=rows, records=reward_records, batches=batches)
 
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
-        """Sample queries from the searcher, retrieve top-k per query, dedup by id."""
+        """Sample queries from the searcher, retrieve top-k per query, dedup by id.
+
+        Each distinct query of a domain is embedded and retrieved once, in
+        first-seen order: a repeat could add no row, since every id it
+        retrieves is already in `seen`."""
         it = self.cfg.iteration
         rows: list[dict] = []
         seen: set[str] = set()
@@ -503,9 +534,10 @@ class Engine:
                     logger.warning("build_active: dropping unparsable query")
             if not queries:
                 continue
-            embeddings = [embed_text(self.embedder, q) for q in queries]
+            distinct = list(dict.fromkeys(queries))
+            embeddings = [embed_text(self.embedder, q) for q in distinct]
             results = self.index.retrieve_batch(embeddings, it.top_k)
-            for query, ranked in zip(queries, results):
+            for query, ranked in zip(distinct, results):
                 for rank, (record, score) in enumerate(ranked, start=1):
                     if record.id in seen:
                         continue
@@ -561,7 +593,9 @@ class Engine:
                     parsed.append((question, qtype))
             kept = [(i, p[0]) for i, p in enumerate(parsed) if p is not None]
             penalties = (
-                text_repetition_penalty([q for _, q in kept], it.tau_txt)
+                text_repetition_penalty(
+                    [q for _, q in kept], it.tau_txt, self._text_distance
+                )
                 if kept
                 else []
             )

@@ -1,10 +1,11 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
 from triplay.cli import main
-from triplay.orchestrator import read_jsonl
+from triplay.orchestrator import Sample, SyntheticSearcherRole, read_jsonl
 
 
 def run_cli(capsys, argv):
@@ -181,12 +182,50 @@ class TestRunCommand:
         assert "error[ConfigError]" in err
         assert "tau_low" in err
 
+    def test_synthetic_mode_with_remote_judge_refused(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mode": "synthetic", "judge": {"kind": "remote"}}))
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, ["run", "--config", str(config_path), "--run-dir", str(run_dir)]
+        )
+        assert code == 1
+        assert "error[ConfigError]" in err
+        assert "judge.kind" in err
+        assert out == ""
+        assert not run_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"mode": "synthetic", "bogus": 1}))
         code, _, err = run_cli(capsys, ["run", "--config", str(config_path)])
         assert code == 1
         assert "bogus" in err
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("level, shown", [("WARNING", True), ("ERROR", False)])
+    def test_build_active_drop_warning(self, tmp_path, capsys, monkeypatch, level, shown):
+        sample = SyntheticSearcherRole.sample
+
+        def one_untagged(self, category, g, rng):
+            return [Sample(text="no query tag")] + sample(self, category, g, rng)[1:]
+
+        monkeypatch.setattr(SyntheticSearcherRole, "sample", one_untagged)
+        argv = ["--log-level", level, "run", "--run-dir", str(tmp_path / "run"),
+                "--stop-after", "cycle1:build_active"] + RUN_ARGS + ["--searcher-steps", "0"]
+        # basicConfig configures only a root logger without handlers, and the
+        # test runner has put its own there; set them aside for the call.
+        root = logging.getLogger()
+        handlers, root_level = root.handlers[:], root.level
+        root.handlers.clear()
+        try:
+            code, _, err = run_cli(capsys, argv)
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(root_level)
+        assert code == 0
+        assert ("build_active: dropping unparsable query" in err) == shown
 
 
 class TestDatasetCommands:

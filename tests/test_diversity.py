@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplay.diversity import (
     Clustering,
     DiversityBatch,
+    memoized_text_distance,
     repetition_penalty,
     sentence_bleu,
     text_distance,
@@ -170,6 +173,25 @@ class TestThresholdCluster:
             )
             assert sum(clustering.sizes.values()) == n
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_transitive_closure_property(self, data):
+        # Distances on a 0.1 grid and tau on the same grid, so many pairs sit
+        # exactly on the inclusive boundary.
+        n = data.draw(st.integers(1, 9))
+        grid = st.integers(0, 10).map(lambda x: x / 10)
+        upper = data.draw(st.lists(grid, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        tau = data.draw(grid)
+        mat = np.zeros((n, n))
+        mat[np.triu_indices(n, 1)] = upper
+        mat = mat + mat.T
+        clustering = threshold_cluster(mat, tau)
+        for component in closure_oracle(mat, tau):
+            for i in component:
+                assert clustering.assignment[i] == min(component)
+                assert clustering.size_of(i) == len(component)
+        assert sum(clustering.sizes.values()) == n
+
     def test_partition_sizes(self):
         rng = np.random.default_rng(5)
         mat = random_symmetric(rng, 10)
@@ -258,3 +280,26 @@ class TestRepetitionPenalty:
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0.0)
         assert mat[0, 2] == 0.0
+
+
+class TestMemoizedTextDistance:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matrix_equals_unmemoized(self, data):
+        # One small memo across three batches: later batches meet pairs in
+        # both orders, texts repeat, and entries are evicted.
+        words = st.lists(st.sampled_from("ant bee cow dog elk".split()), max_size=6)
+        texts = data.draw(st.lists(words.map(" ".join), min_size=1, max_size=10))
+        shuffled = data.draw(st.permutations(texts))
+        distance = memoized_text_distance(maxsize=8)
+        for batch in (texts, shuffled, texts + shuffled):
+            assert np.array_equal(
+                text_distance_matrix(batch, distance), text_distance_matrix(batch)
+            )
+        assert distance.cache_info().currsize <= 8
+
+    def test_one_entry_per_unordered_pair(self):
+        distance = memoized_text_distance(maxsize=16)
+        assert distance("a b", "c d") == distance("c d", "a b") == text_distance("a b", "c d")
+        info = distance.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ScriptedEmbeddingBackend
 
+from triplay import orchestrator
+from triplay.backends import embed_text
 from triplay.config import IterationConfig, RunConfig, WorldConfig
+from triplay.consensus import extract_tagged
 from triplay.errors import ConfigError, DimensionMismatch
 from triplay.orchestrator import (
     CurriculumItem,
@@ -174,6 +179,141 @@ class TestBuildActive:
         assert len(rows) == 40
         assert len({r["image_id"] for r in rows}) == 40
         assert all(r["rank"] == 1 for r in rows)
+
+
+def build_active_reference(engine, rng) -> list[dict]:
+    """build_active_dataset as it was before the query dedup: every parsed
+    query, repeats included, is embedded and retrieved."""
+    it = engine.cfg.iteration
+    rows: list[dict] = []
+    seen: set[str] = set()
+    quota = it.queries_per_iteration // len(it.domains)
+    extra = it.queries_per_iteration - quota * len(it.domains)
+    for d_idx, domain in enumerate(it.domains):
+        count = quota + (1 if d_idx < extra else 0)
+        if count == 0:
+            continue
+        samples = engine.searcher.sample(domain.category, count, rng)
+        queries = [q for q in (extract_tagged(s.text, "query") for s in samples) if q]
+        if not queries:
+            continue
+        embeddings = [embed_text(engine.embedder, q) for q in queries]
+        for query, ranked in zip(queries, engine.index.retrieve_batch(embeddings, it.top_k)):
+            for rank, (record, score) in enumerate(ranked, start=1):
+                if record.id in seen:
+                    continue
+                seen.add(record.id)
+                rows.append({"image_id": record.id, "query": query, "rank": rank, "score": score})
+    return rows
+
+
+def count_embeds(engine) -> Counter:
+    """Wrap engine.embedder.embed; the returned Counter counts calls per text."""
+    calls: Counter = Counter()
+    embed = engine.embedder.embed
+
+    def counted(text):
+        calls[text] += 1
+        return embed(text)
+
+    engine.embedder.embed = counted
+    return calls
+
+
+def brute_force_top1(index):
+    """Oracle over the index's records: from a query embedding to the ids
+    whose cosine with it is within 1e-12 of the best one."""
+    ids = np.array([r.id for r in index.records])
+    matrix = np.stack([r.embedding / np.linalg.norm(r.embedding) for r in index.records])
+
+    def top1(query_embedding) -> set[str]:
+        scores = matrix @ (query_embedding / np.linalg.norm(query_embedding))
+        return set(ids[scores >= scores.max() - 1e-12])
+
+    return top1
+
+
+class TestDistinctWorkOnce:
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_build_active_matches_undeduplicated_reference(self, tmp_path, seed):
+        # 600 queries per domain from 8 templates each: many repeats, and the
+        # reference scores them in two retrieve_batch chunks.
+        cfg = small_cfg(tmp_path, seed=seed, queries_per_iteration=2400)
+        engine = build_engine(cfg)
+        calls = count_embeds(engine)
+        rows = engine.build_active_dataset(np.random.default_rng(seed))
+        reference = build_active_reference(build_engine(cfg), np.random.default_rng(seed))
+        assert rows == reference
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) < cfg.iteration.queries_per_iteration
+
+    def test_stage1_embeds_each_query_text_once(self, engine):
+        calls = count_embeds(engine)
+        rng = np.random.default_rng(31)
+        queries = [row["query"] for step in range(20) for row in engine.stage1_step(step, rng).rows]
+        assert set(calls) == set(queries)
+        assert set(calls.values()) == {1}
+        assert len(queries) > len(calls)
+
+    def test_stage1_image_is_brute_force_top1(self, engine):
+        oracle = brute_force_top1(engine.index)
+        rng = np.random.default_rng(32)
+        for step in range(20):
+            for row in engine.stage1_step(step, rng).rows:
+                assert row["image_id"] in oracle(engine.world.embed_query(row["query"]))
+
+    def test_memos_stay_within_bounds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_QUERY_MEMO_SIZE", 5)
+        monkeypatch.setattr(orchestrator, "_TEXT_PAIR_MEMO_SIZE", 7)
+        world_engine = build_engine(small_cfg(tmp_path))
+
+        class FreshQueries(StubSearcher):
+            """Every sample is a text never seen before."""
+
+            def sample(self, category, g, rng):
+                self.applied.append(None)
+                n = len(self.applied)
+                return [Sample(text=f"<query>{category} probe {n} {i}</query>") for i in range(g)]
+
+        engine = Engine(
+            world_engine.cfg,
+            index=world_engine.index,
+            searcher=FreshQueries([]),
+            questioner=world_engine.questioner,
+            solver=world_engine.solver,
+            embedder=ScriptedEmbeddingBackend(dimension=32, seed=3),
+        )
+        rng = np.random.default_rng(33)
+        rows = [row for step in range(4) for row in engine.stage1_step(step, rng).rows]
+        assert len({row["query"] for row in rows}) > 5
+        oracle = brute_force_top1(engine.index)
+        for row in rows:
+            assert row["image_id"] in oracle(engine.embedder.embed(row["query"]))
+        assert engine._top1.cache_info().currsize == 5
+        # The first step's queries were evicted, so they are retrieved anew.
+        misses = engine._top1.cache_info().misses
+        assert engine._top1(rows[0]["query"])[0].id == rows[0]["image_id"]
+        assert engine._top1.cache_info().misses == misses + 1
+        assert engine._text_distance.cache_info().currsize <= 7
+
+    def test_failed_lookup_is_not_memoized(self, engine):
+        query = engine.world.templates[0].text
+        embed = engine.embedder.embed
+        replies = iter([RuntimeError("transport down"), np.zeros(5)])
+
+        def flaky(text):
+            reply = next(replies, None)
+            if isinstance(reply, Exception):
+                raise reply
+            return embed(text) if reply is None else reply
+
+        engine.embedder.embed = flaky
+        with pytest.raises(RuntimeError):
+            engine._top1(query)
+        with pytest.raises(DimensionMismatch):
+            engine._top1(query)
+        assert engine._top1.cache_info().currsize == 0
+        assert engine._top1(query) == engine.index.retrieve(embed(query), 1)[0]
 
 
 class TestStage2:

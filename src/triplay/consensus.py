@@ -13,6 +13,7 @@ from .backends import (
     PromptTemplate,
     render_prompt,
 )
+from .diversity import components
 from .errors import EmptyAnswers, JudgeFailure, MalformedResponse, Transport
 
 logger = logging.getLogger(__name__)
@@ -163,8 +164,8 @@ class ConsensusResult:
 
 
 def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
-    """Group answers into equivalence classes (union-find closure over the
-    pairwise judge) and pick the largest class.
+    """Group answers into equivalence classes (diversity.components, the
+    closure of the pairwise judge) and pick the largest class.
 
     The label is the lexicographically smallest normalized member of the
     winning class; ties between equal-size classes go to the smaller label.
@@ -172,25 +173,10 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
     if not answers:
         raise EmptyAnswers("majority vote needs at least one answer")
     k = len(answers)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            if judge.equivalent(answers[i], answers[j]):
-                parent[max(ri, rj)] = min(ri, rj)
-
+    roots = components(k, lambda i, j: judge.equivalent(answers[i], answers[j]))
     classes: dict[int, list[int]] = {}
-    for i in range(k):
-        classes.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots):
+        classes.setdefault(root, []).append(i)
     ranked = sorted(
         (
             (-len(members), min(normalize_answer(answers[m]) for m in members))

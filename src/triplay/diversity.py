@@ -4,7 +4,8 @@ threshold clustering, and the neighborhood-density repetition penalty.
 Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine.
 A batch is clustered per modality by connecting every pair at distance <= tau
 (single linkage), and each item is penalized by the relative size of its text
-and visual clusters.
+and visual clusters. The clustering and consensus.majority_vote share one
+union-find, components.
 
 The penalties take the text distance as an argument. A caller that scores the
 same texts batch after batch passes memoized_text_distance, which computes
@@ -120,25 +121,29 @@ class Clustering:
         return self.sizes[self.assignment[item]]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+def components(n: int, linked) -> list[int]:
+    """Connected components of items 0..n-1 under the symmetric predicate
+    linked(i, j); each item's id is the smallest index in its component.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    Pairs i < j are visited in order, and linked is not asked about a pair
+    whose items are already joined.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ri, rj = find(i), find(j)
+            if ri != rj and linked(i, j):
+                # The smaller root wins, so every root is its component's
+                # smallest index.
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
 
 
 def threshold_cluster(distances, tau: float) -> Clustering:
@@ -151,20 +156,9 @@ def threshold_cluster(distances, tau: float) -> Clustering:
         raise AsymmetricMatrix(f"distance matrix must be square, got {mat.shape}")
     if not np.array_equal(mat, mat.T):
         raise AsymmetricMatrix("distance matrix is not symmetric")
-    n = mat.shape[0]
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i, j] <= tau:
-                uf.union(i, j)
-    # Canonical cluster id: the smallest index in the component.
-    canonical: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        canonical.setdefault(root, i)
-    assignment = [canonical[uf.find(i)] for i in range(n)]
-    sizes = Counter(assignment)
-    return Clustering(assignment=assignment, sizes=dict(sizes))
+    rows = mat.tolist()
+    assignment = components(len(rows), lambda i, j: rows[i][j] <= tau)
+    return Clustering(assignment=assignment, sizes=dict(Counter(assignment)))
 
 
 @dataclass

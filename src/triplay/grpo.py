@@ -12,7 +12,7 @@ the engine only exports batches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -230,18 +230,9 @@ class BatchRecord:
     tokens: list
     reward: float
     advantage: float
-    extra: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
-        row = {
-            "prompt_id": self.prompt_id,
-            "domain": self.domain,
-            "tokens": self.tokens,
-            "reward": self.reward,
-            "advantage": self.advantage,
-        }
-        row.update(self.extra)
-        return row
+        return dict(vars(self))
 
 
 def write_training_batch(records: list[BatchRecord], path: str | Path) -> None:

@@ -2,6 +2,10 @@
 construction, questioner optimization, training-set construction with
 majority-vote pseudo-labels and difficulty filtering, and solver batches.
 
+Stages 1 and 2 and the training-set build score a question one way
+(Engine._score), every stage step returns a StepResult of artifact rows and
+training batches, and _batch_records makes every exported batch.
+
 Runs are journaled at stage boundaries and every stage derives its RNG from
 (seed, cycle, stage), so a killed run resumes to byte-identical artifacts
 whenever its backends are deterministic.
@@ -47,7 +51,6 @@ from .consensus import (
     RemoteJudge,
     extract_boxed,
     extract_tagged,
-    majority_vote,
 )
 from .diversity import (
     DiversityBatch,
@@ -68,6 +71,7 @@ from .grpo import (
     write_training_batch,
 )
 from .rewards import (
+    ProbeResult,
     RewardRecord,
     difficulty_filter,
     probe_from_answers,
@@ -103,6 +107,11 @@ class Sample:
     action: int | None = None
     logp_old: float | None = None
 
+    @property
+    def token(self):
+        """What a training batch exports: the toy action, else the raw text."""
+        return self.text if self.action is None else self.action
+
 
 @dataclass
 class CurriculumItem:
@@ -114,25 +123,11 @@ class CurriculumItem:
     accuracy: float
 
     def to_row(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "question": self.question,
-            "question_type": self.question_type,
-            "pseudo_label": self.pseudo_label,
-            "consensus_score": self.consensus_score,
-            "accuracy": self.accuracy,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_row(cls, row: dict) -> "CurriculumItem":
-        return cls(
-            image_id=row["image_id"],
-            question=row["question"],
-            question_type=row["question_type"],
-            pseudo_label=row["pseudo_label"],
-            consensus_score=row["consensus_score"],
-            accuracy=row["accuracy"],
-        )
+        return cls(**row)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +338,34 @@ def _map_ordered(fn, items, workers: int) -> list:
 
 @dataclass
 class StepResult:
-    """One searcher (stage 1) or questioner (stage 2) optimization step."""
+    """One optimization step of any stage: its artifact rows and the training
+    batches it exports."""
 
     rows: list[dict]
-    records: list[RewardRecord]
     batches: list[BatchRecord]
 
 
-@dataclass
-class Stage3Result:
-    rows: list[dict]
-    batches: list[BatchRecord]
+# The reward columns of a stage-1 or stage-2 row whose sample was not scored:
+# an unparsable output earns reward 0 and stays in its group.
+_UNSCORED = {"acc": None, "r_chal": 0.0, "p_rep": 0.0, "r_final": 0.0}
+
+
+def _record_reward(row: dict, acc: float, reward: RewardRecord) -> None:
+    row.update(acc=acc, r_chal=reward.challenge, p_rep=reward.penalty, r_final=reward.final)
+
+
+def _batch_records(stage, step, key, domain, tokens, rewards, advantages) -> list[BatchRecord]:
+    """One group's exported training rows, one per sample in group order."""
+    return [
+        BatchRecord(
+            prompt_id=f"{stage}:s{step}:{key}:{i}",
+            domain=domain,
+            tokens=[token],
+            reward=float(reward),
+            advantage=advantage,
+        )
+        for i, (token, reward, advantage) in enumerate(zip(tokens, rewards, advantages))
+    ]
 
 
 class Engine:
@@ -399,8 +411,15 @@ class Engine:
             )
         return ExactNormalizedJudge()
 
-    def _probe_accuracy(self, image: ImageRecord, rng: np.random.Generator):
-        """One probe question on the image, m solver rollouts, voted accuracy."""
+    def _score(self, image: ImageRecord, question: str, n: int, rng) -> ProbeResult:
+        """n solver rollouts on the question, their boxed answers voted (an
+        unboxed rollout answers "")."""
+        raw = self.solver.solve(image, question, n, rng)
+        answers = [extract_boxed(text) or "" for text in raw]
+        return probe_from_answers(answers, self.judge_for(question))
+
+    def _probes(self, image: ImageRecord, rng: np.random.Generator) -> list[ProbeResult]:
+        """Stage 1's probe questions on an image, each scored by m rollouts."""
         it = self.cfg.iteration
         probes = []
         for _ in range(it.probe_questions_per_image):
@@ -408,24 +427,23 @@ class Engine:
             question = extract_tagged(probe_sample.text, "question")
             if question is None:
                 logger.warning("probe question unparsable for image %s", image.id)
-                continue
-            raw = self.solver.solve(image, question, it.probe_rollouts, rng)
-            answers = [extract_boxed(text) or "" for text in raw]
-            probes.append(probe_from_answers(answers, self.judge_for(question)))
+            else:
+                probes.append(self._score(image, question, it.probe_rollouts, rng))
         return probes
 
     def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
         """One searcher optimization step across every domain."""
         it = self.cfg.iteration
-        rows: list[dict] = []
-        reward_records: list[RewardRecord] = []
-        batches: list[BatchRecord] = []
-        per_domain: list[dict] = []
+        groups = []  # (domain, samples, rows)
         for domain in it.domains:
             samples = self.searcher.sample(domain.category, it.group_size, rng)
-            parsed = [extract_tagged(s.text, "query") for s in samples]
-            kept = []  # (position, query, image, probes)
-            for pos, query in enumerate(parsed):
+            rows = [
+                dict(step=step, domain=domain.category, query=None, image_id=None, **_UNSCORED)
+                for _ in samples
+            ]
+            kept = []  # (row, query, image, probes)
+            for sample, row in zip(samples, rows):
+                query = extract_tagged(sample.text, "query")
                 if not query:
                     logger.warning(
                         "stage1 step %d domain %s: query tag missing, reward 0",
@@ -434,11 +452,9 @@ class Engine:
                     )
                     continue
                 record, _ = self._top1(query)
-                probes = self._probe_accuracy(record, rng)
-                if not probes:
-                    continue
-                kept.append((pos, query, record, probes))
-            penalties = [0.0] * len(kept)
+                probes = self._probes(record, rng)
+                if probes:
+                    kept.append((row, query, record, probes))
             if kept:
                 batch = DiversityBatch(
                     items=[(q, rec.embedding) for _, q, rec, _ in kept]
@@ -446,68 +462,26 @@ class Engine:
                 penalties = repetition_penalty(
                     batch, it.tau_txt, it.tau_vis, self._text_distance
                 )
-            records = [RewardRecord(0.0, 0.0, 0.0, "searcher")] * len(samples)
-            row_data: list[dict] = [
-                {
-                    "step": step,
-                    "domain": domain.category,
-                    "query": None,
-                    "image_id": None,
-                    "acc": None,
-                    "r_chal": 0.0,
-                    "p_rep": 0.0,
-                    "r_final": 0.0,
-                }
-                for _ in samples
-            ]
-            for (pos, query, record, probes), penalty in zip(kept, penalties):
-                rec = searcher_reward(probes, penalty)
-                records[pos] = rec
-                row_data[pos].update(
-                    {
-                        "query": query,
-                        "image_id": record.id,
-                        "acc": float(np.mean([p.accuracy for p in probes])),
-                        "r_chal": rec.challenge,
-                        "p_rep": rec.penalty,
-                        "r_final": rec.final,
-                    }
-                )
-            per_domain.append(
-                {
-                    "domain": domain.category,
-                    "samples": samples,
-                    "records": records,
-                    "rows": row_data,
-                }
+                for (row, query, record, probes), penalty in zip(kept, penalties):
+                    row.update(query=query, image_id=record.id)
+                    acc = float(np.mean([p.accuracy for p in probes]))
+                    _record_reward(row, acc, searcher_reward(probes, penalty))
+            groups.append((domain.category, samples, rows))
+        result = StepResult(rows=[row for _, _, rows in groups for row in rows], batches=[])
+        advantages = iter(
+            domain_advantages(
+                [(row["r_final"], row["domain"]) for row in result.rows],
+                std_epsilon=self.cfg.grpo.std_epsilon,
             )
-        flat = [
-            (rec.final, entry["domain"])
-            for entry in per_domain
-            for rec in entry["records"]
-        ]
-        advantages = domain_advantages(flat, std_epsilon=self.cfg.grpo.std_epsilon)
-        cursor = 0
-        for entry in per_domain:
-            g = len(entry["samples"])
-            domain_adv = advantages[cursor : cursor + g]
-            cursor += g
-            self.searcher.apply(entry["domain"], entry["samples"], domain_adv)
-            for i, (sample, rec, adv) in enumerate(
-                zip(entry["samples"], entry["records"], domain_adv)
-            ):
-                batches.append(
-                    BatchRecord(
-                        prompt_id=f"stage1:s{step}:{entry['domain']}:{i}",
-                        domain=entry["domain"],
-                        tokens=[sample.text] if sample.action is None else [sample.action],
-                        reward=rec.final,
-                        advantage=adv,
-                    )
-                )
-            reward_records.extend(entry["records"])
-            rows.extend(entry["rows"])
-        return StepResult(rows=rows, records=reward_records, batches=batches)
+        )
+        for category, samples, rows in groups:
+            group_adv = [next(advantages) for _ in samples]
+            self.searcher.apply(category, samples, group_adv)
+            result.batches += _batch_records(
+                "stage1", step, category, category, [s.token for s in samples],
+                [row["r_final"] for row in rows], group_adv,
+            )
+        return result
 
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
         """Sample queries from the searcher, retrieve top-k per query, dedup by id.
@@ -568,16 +542,14 @@ class Engine:
         it = self.cfg.iteration
         if not d_active:
             raise EmptyIndex("stage2 requires a nonempty active dataset")
-        rows: list[dict] = []
-        reward_records: list[RewardRecord] = []
-        batches: list[BatchRecord] = []
+        result = StepResult(rows=[], batches=[])
         n_images = min(it.stage2_images_per_step, len(d_active))
         picks = rng.choice(len(d_active), size=n_images, replace=False)
         for pick in picks:
             image_id = d_active[int(pick)]["image_id"]
             image = self.index.get(image_id)
             samples = self.questioner.sample(image, it.group_size, rng)
-            parsed: list[tuple[str, str] | None] = []
+            rows = []
             for s in samples:
                 question = extract_tagged(s.text, "question")
                 qtype = extract_tagged(s.text, "type")
@@ -588,52 +560,25 @@ class Engine:
                         step,
                         image_id,
                     )
-                    parsed.append(None)
-                else:
-                    parsed.append((question, qtype))
-            kept = [(i, p[0]) for i, p in enumerate(parsed) if p is not None]
-            penalties = (
-                text_repetition_penalty(
-                    [q for _, q in kept], it.tau_txt, self._text_distance
+                    question = None
+                rows.append(dict(step=step, image_id=image_id, question=question, **_UNSCORED))
+            kept = [row for row in rows if row["question"] is not None]
+            if kept:
+                penalties = text_repetition_penalty(
+                    [row["question"] for row in kept], it.tau_txt, self._text_distance
                 )
-                if kept
-                else []
-            )
-            records = [RewardRecord(0.0, 0.0, 0.0, "questioner")] * len(samples)
-            accuracies: list[float | None] = [None] * len(samples)
-            for (pos, question), penalty in zip(kept, penalties):
-                raw = self.solver.solve(image, question, it.probe_rollouts, rng)
-                answers = [extract_boxed(text) or "" for text in raw]
-                probe = probe_from_answers(answers, self.judge_for(question))
-                records[pos] = questioner_reward(probe.accuracy, penalty)
-                accuracies[pos] = probe.accuracy
-            finals = [rec.final for rec in records]
+                for row, penalty in zip(kept, penalties):
+                    acc = self._score(image, row["question"], it.probe_rollouts, rng).accuracy
+                    _record_reward(row, acc, questioner_reward(acc, penalty))
+            finals = [row["r_final"] for row in rows]
             advantages = group_advantages(finals, std_epsilon=self.cfg.grpo.std_epsilon)
             self.questioner.apply(samples, advantages)
-            for i, (sample, rec, adv) in enumerate(zip(samples, records, advantages)):
-                question = parsed[i][0] if parsed[i] else None
-                rows.append(
-                    {
-                        "step": step,
-                        "image_id": image_id,
-                        "question": question,
-                        "acc": accuracies[i],
-                        "r_chal": rec.challenge,
-                        "p_rep": rec.penalty,
-                        "r_final": rec.final,
-                    }
-                )
-                batches.append(
-                    BatchRecord(
-                        prompt_id=f"stage2:s{step}:{image_id}:{i}",
-                        domain=image.category,
-                        tokens=[sample.text] if sample.action is None else [sample.action],
-                        reward=rec.final,
-                        advantage=adv,
-                    )
-                )
-            reward_records.extend(records)
-        return StepResult(rows=rows, records=reward_records, batches=batches)
+            result.rows += rows
+            result.batches += _batch_records(
+                "stage2", step, image_id, image.category, [s.token for s in samples],
+                finals, advantages,
+            )
+        return result
 
     def _rollout_workers(self) -> int:
         # Synthetic roles consume the shared RNG, so they must stay serial;
@@ -657,53 +602,49 @@ class Engine:
             question = extract_tagged(sample.text, "question")
             qtype = extract_tagged(sample.text, "type")
             if not question or qtype not in VALID_QUESTION_TYPES:
-                return image.id, None, None, None, None
-            raw = self.solver.solve(image, question, it.vote_trajectories, rng)
-            answers = [extract_boxed(text) or "" for text in raw]
-            judge = self.judge_for(question)
+                return image.id, None, None, None
             try:
-                vote = majority_vote(answers, judge)
-                hits = sum(judge.equivalent(a, vote.label) for a in answers) if vote.label else 0
+                return image.id, question, qtype, self._score(
+                    image, question, it.vote_trajectories, rng
+                )
             except JudgeFailure as exc:
-                return image.id, question, qtype, exc, None
-            return image.id, question, qtype, vote, hits / len(answers)
+                return image.id, question, qtype, exc
 
         d_train: list[CurriculumItem] = []
         d_star: list[CurriculumItem] = []
-        for image_id, question, qtype, vote, accuracy in _map_ordered(
+        for image_id, question, qtype, probe in _map_ordered(
             harvest, d_active, self._rollout_workers()
         ):
             if question is None:
                 logger.warning("build_training: dropping %s (malformed question)", image_id)
                 continue
-            if isinstance(vote, JudgeFailure):
-                logger.warning("build_training: vote aborted for %s: %s", image_id, vote)
+            if isinstance(probe, JudgeFailure):
+                logger.warning("build_training: vote aborted for %s: %s", image_id, probe)
                 continue
-            if not vote.label:
+            if not probe.vote.label:
                 logger.warning("build_training: dropping %s (empty consensus)", image_id)
                 continue
             item = CurriculumItem(
                 image_id=image_id,
                 question=question,
                 question_type=qtype,
-                pseudo_label=vote.label,
-                consensus_score=vote.score,
-                accuracy=accuracy,
+                pseudo_label=probe.vote.label,
+                consensus_score=probe.vote.score,
+                accuracy=probe.accuracy,
             )
             d_train.append(item)
-            if difficulty_filter(accuracy, it.tau_low, it.tau_high):
+            if difficulty_filter(item.accuracy, it.tau_low, it.tau_high):
                 d_star.append(item)
         return d_train, d_star
 
     def stage3_step(
         self, step: int, d_train_star: list[CurriculumItem], rng: np.random.Generator
-    ) -> Stage3Result:
+    ) -> StepResult:
         """One solver optimization step: G rollouts per item, binary rewards."""
         it = self.cfg.iteration
-        rows: list[dict] = []
-        batches: list[BatchRecord] = []
+        result = StepResult(rows=[], batches=[])
         if not d_train_star:
-            return Stage3Result(rows=rows, batches=batches)
+            return result
         n_items = min(it.stage3_items_per_step, len(d_train_star))
         picks = rng.choice(len(d_train_star), size=n_items, replace=False)
         all_rewards: list[int] = []
@@ -720,17 +661,10 @@ class Engine:
                 else:
                     rewards.append(solver_reward(boxed, item.pseudo_label, judge))
             advantages = group_advantages(rewards, std_epsilon=self.cfg.grpo.std_epsilon)
-            for i, (text, reward, adv) in enumerate(zip(raw, rewards, advantages)):
-                batches.append(
-                    BatchRecord(
-                        prompt_id=f"stage3:s{step}:{item.image_id}:{i}",
-                        domain=image.category,
-                        tokens=[text],
-                        reward=float(reward),
-                        advantage=adv,
-                    )
-                )
-            rows.append(
+            result.batches += _batch_records(
+                "stage3", step, item.image_id, image.category, raw, rewards, advantages
+            )
+            result.rows.append(
                 {
                     "step": step,
                     "image_id": item.image_id,
@@ -740,7 +674,7 @@ class Engine:
             all_rewards.extend(rewards)
         if all_rewards:
             self.solver.apply(float(np.mean(all_rewards)))
-        return Stage3Result(rows=rows, batches=batches)
+        return result
 
     def snapshot(self) -> dict:
         return {

@@ -1,32 +1,33 @@
-"""Reward formulas for the three agent roles and the difficulty window."""
+"""Reward formulas for the three agent roles and the difficulty window, and
+probe_from_answers, the one rule that scores a question from its rollouts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
 
-from .consensus import AnswerJudge, ExactNormalizedJudge, majority_vote
+from .consensus import AnswerJudge, ConsensusResult, ExactNormalizedJudge, majority_vote
 from .errors import EmptyProbes, InvalidWindow, OutOfRange
 
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Answers from m solver rollouts on one task, with the voted consensus."""
+    """The vote over m solver rollouts on one task, and the share of rollouts
+    that agree with its label (0.0 when the label is empty)."""
 
-    answers: tuple[str, ...]
-    consensus: str
+    vote: ConsensusResult
     accuracy: float
-    m: int
 
 
 def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> ProbeResult:
-    """Vote over rollout answers and measure agreement with the winner."""
+    """Vote over rollout answers and measure agreement with the winner. An
+    empty winning label (unanswered rollouts) scores 0.0, with no recount."""
     judge = judge if judge is not None else ExactNormalizedJudge()
     vote = majority_vote(answers, judge)
+    if not vote.label:
+        return ProbeResult(vote=vote, accuracy=0.0)
     acc = sum(judge.equivalent(a, vote.label) for a in answers) / len(answers)
-    return ProbeResult(
-        answers=tuple(answers), consensus=vote.label, accuracy=acc, m=len(answers)
-    )
+    return ProbeResult(vote=vote, accuracy=acc)
 
 
 def challenge_reward(acc: float) -> float:

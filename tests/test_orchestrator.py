@@ -70,12 +70,11 @@ class TestStage1:
         result = engine.stage1_step(0, rng)
         g = engine.cfg.iteration.group_size
         n_domains = len(engine.cfg.iteration.domains)
-        assert len(result.records) == g * n_domains
         assert len(result.rows) == g * n_domains
         assert len(result.batches) == g * n_domains
-        for rec in result.records:
-            assert 0.0 <= rec.final <= 1.0
-            assert rec.role == "searcher"
+        for row in result.rows:
+            assert 0.0 <= row["r_final"] <= 1.0
+            assert row["r_final"] == max(0.0, row["r_chal"] - row["p_rep"])
 
     def test_batches_have_group_size_per_domain(self, engine):
         result = engine.stage1_step(0, np.random.default_rng(1))
@@ -130,7 +129,7 @@ class TestStage1FailurePaths:
         raw = f"<type>charts</type>\n<query>{template.text}</query>"
         engine.searcher = StubSearcher([raw] * 4)
         result = engine.stage1_step(0, np.random.default_rng(4))
-        finals = [r.final for r in result.records]
+        finals = [row["r_final"] for row in result.rows]
         # Identical queries hit the same image: identical rewards, no signal.
         per_domain = len(cfg.iteration.domains)
         for d in range(per_domain):
@@ -145,7 +144,7 @@ class TestStage1FailurePaths:
         good = f"<type>charts</type>\n<query>{template.text}</query>"
         engine.searcher = StubSearcher([good, "no tags at all", good, "<query>broken"])
         result = engine.stage1_step(0, np.random.default_rng(5))
-        assert len(result.records) == 4 * len(cfg.iteration.domains)
+        assert len(result.rows) == 4 * len(cfg.iteration.domains)
         for d in range(len(cfg.iteration.domains)):
             segment = result.rows[d * 4 : (d + 1) * 4]
             assert segment[1]["query"] is None
@@ -316,6 +315,16 @@ class TestDistinctWorkOnce:
         assert engine._top1(query) == engine.index.retrieve(embed(query), 1)[0]
 
 
+class NoBoxSolver:
+    """A solver whose rollouts never box an answer."""
+
+    def solve(self, image, question, n, rng):
+        return ["no boxed answer here"] * n
+
+    def apply(self, mean_reward):
+        pass
+
+
 class TestStage2:
     def test_rows_and_batches(self, engine):
         d_active = engine.build_active_dataset(np.random.default_rng(11))
@@ -382,6 +391,15 @@ class TestStage2:
         assert result.rows[2]["r_final"] == 0.0
         assert len(result.rows) == 3
 
+    def test_unboxed_rollouts_score_zero(self, engine):
+        # An empty consensus is no answer at all: accuracy 0, no challenge.
+        engine.solver = NoBoxSolver()
+        d_active = engine.build_active_dataset(np.random.default_rng(11))
+        result = engine.stage2_step(0, d_active, np.random.default_rng(12))
+        scored = [row for row in result.rows if row["question"] is not None]
+        assert scored
+        assert all(row["acc"] == 0.0 and row["r_chal"] == 0.0 for row in scored)
+
 
 class TestBuildTraining:
     def test_window_membership(self, engine):
@@ -439,13 +457,6 @@ class TestStage3:
             assert np.mean(advantages) == pytest.approx(0.0, abs=1e-9)
 
     def test_unboxed_answer_scores_zero(self, engine, star_items):
-        class NoBoxSolver:
-            def solve(self, image, question, n, rng):
-                return ["no boxed answer here"] * n
-
-            def apply(self, mean_reward):
-                pass
-
         engine.solver = NoBoxSolver()
         result = engine.stage3_step(0, star_items, np.random.default_rng(26))
         assert all(b.reward == 0.0 for b in result.batches)
@@ -543,6 +554,38 @@ class TestRunAndResume:
             run(cfg_b)
         run(cfg_b)
         assert crashed == [crash_key]
+        assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
+
+    @pytest.mark.parametrize("crash_at", range(1, 10))
+    def test_kill_at_every_write_resumes_byte_identical(
+        self, tmp_path, monkeypatch, crash_at
+    ):
+        # A one-cycle run makes 9 artifact writes; the process dies at write
+        # number crash_at, before that artifact lands, and the rerun resumes.
+        writes = []
+        crash = {"at": None}
+
+        def counted(write):
+            def wrapper(path, payload):
+                writes.append(path.name)
+                if len(writes) == crash["at"]:
+                    raise RuntimeError(f"killed writing {path.name}")
+                return write(path, payload)
+
+            return wrapper
+
+        monkeypatch.setattr(orchestrator, "write_jsonl", counted(orchestrator.write_jsonl))
+        monkeypatch.setattr(orchestrator, "_write_batches", counted(orchestrator._write_batches))
+        cfg_a = small_cfg(tmp_path / "a")
+        run(cfg_a)
+        assert len(writes) == 9
+        writes.clear()
+        crash["at"] = crash_at
+        cfg_b = small_cfg(tmp_path / "b")
+        with pytest.raises(RuntimeError, match="killed writing"):
+            run(cfg_b)
+        crash["at"] = None
+        run(cfg_b)
         assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
 
     def test_resume_skips_completed_stages(self, tmp_path):

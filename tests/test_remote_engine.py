@@ -134,7 +134,7 @@ class TestRemoteWiring:
         engine = role_engine(cfg, RolePlayBackend())
         result = engine.stage1_step(0, np.random.default_rng(0))
         g = cfg.iteration.group_size
-        assert len(result.records) == g * len(cfg.iteration.domains)
+        assert len(result.rows) == g * len(cfg.iteration.domains)
         assert any(row["image_id"] is not None for row in result.rows)
         # exported batches carry the raw completion text for the trainer
         assert all(isinstance(b.tokens[0], str) for b in result.batches)
@@ -144,8 +144,8 @@ class TestRemoteWiring:
         cfg = remote_cfg(manifest_path)
         engine = role_engine(cfg, ScriptedBackend(seed=2))
         result = engine.stage1_step(0, np.random.default_rng(0))
-        assert len(result.records) == cfg.iteration.group_size * len(cfg.iteration.domains)
-        assert all(rec.final == 0.0 for rec in result.records)
+        assert len(result.rows) == cfg.iteration.group_size * len(cfg.iteration.domains)
+        assert all(row["r_final"] == 0.0 for row in result.rows)
         assert all(b.advantage == 0.0 for b in result.batches)
 
     def test_full_dataset_path(self, manifest_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triplay.consensus import ExactNormalizedJudge
+from triplay.consensus import ConsensusResult, ExactNormalizedJudge
 from triplay.errors import EmptyProbes, InvalidWindow, OutOfRange
 from triplay.rewards import (
     ProbeResult,
@@ -16,8 +16,9 @@ from triplay.rewards import (
 
 def probe(acc: float, m: int = 10) -> ProbeResult:
     hits = round(acc * m)
-    answers = tuple(["1"] * hits + [str(i + 2) for i in range(m - hits)])
-    return ProbeResult(answers=answers, consensus="1", accuracy=hits / m, m=m)
+    sizes = tuple(sorted([hits] + [1] * (m - hits), reverse=True))
+    vote = ConsensusResult(label="1", class_sizes=sizes, score=max(sizes) / m)
+    return ProbeResult(vote=vote, accuracy=hits / m)
 
 
 class TestChallengeReward:
@@ -52,8 +53,16 @@ class TestEmpiricalAccuracy:
 
     def test_two_thirds(self):
         p = probe_from_answers(["4", "4", "5"])
-        assert p.consensus == "4"
+        assert p.vote.label == "4"
         assert p.accuracy == pytest.approx(2 / 3)
+
+    def test_empty_consensus_scores_zero(self):
+        # Six of ten rollouts gave no boxed answer: the empty string wins the
+        # vote, and an empty label earns no accuracy.
+        p = probe_from_answers(["", "", "", "", "", "", "7", "7", "8", "9"])
+        assert p.vote.label == ""
+        assert p.vote.class_sizes == (6, 2, 1, 1)
+        assert p.accuracy == 0.0
 
     def test_accuracy_is_quantized(self):
         rng = np.random.default_rng(0)

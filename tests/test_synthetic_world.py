@@ -120,7 +120,7 @@ class TestSolver:
         p = solve_probability(solver, image.difficulty)
         se = (p * (1 - p) / 1000) ** 0.5
         assert probe.accuracy == pytest.approx(p, abs=3 * se)
-        assert probe.consensus == image.answer
+        assert probe.vote.label == image.answer
 
     def test_question_delta_markers(self):
         for marker, delta, question in QUESTION_FORMS:

@@ -1,7 +1,15 @@
-"""Answer extraction, normalization, equivalence judging, and majority voting."""
+"""Answer extraction, normalization, equivalence judging, and majority voting.
+
+normalize_answer is memoized process-wide in a bounded LRU
+(_NORMALIZE_MEMO_SIZE entries). A vote compares every pair of its answers, so
+without the memo each answer would be normalized once per comparison. The
+function is pure over an immutable str, so the memo cannot change a result or
+carry state between runs, and lru_cache is safe to share between threads.
+"""
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -54,8 +62,10 @@ def extract_tagged(text: str, tag: str) -> str | None:
 
 _THOUSANDS_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d+)?$")
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+_NORMALIZE_MEMO_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=_NORMALIZE_MEMO_SIZE)
 def normalize_answer(s: str) -> str:
     """Canonical answer form: collapsed whitespace, lowercase, no trailing
     periods; numeric strings lose thousands separators, a leading "+", and

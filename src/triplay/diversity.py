@@ -1,7 +1,8 @@
 """Batch diversity control: smoothed sentence BLEU, dual-modality distances,
 threshold clustering, and the neighborhood-density repetition penalty.
 
-Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine.
+Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine,
+computed for a whole batch as one product of its unit embeddings.
 A batch is clustered per modality by connecting every pair at distance <= tau
 (single linkage), and each item is penalized by the relative size of its text
 and visual clusters. The clustering and consensus.majority_vote share one
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_index import cosine_similarity
-from .errors import AsymmetricMatrix
+from .errors import AsymmetricMatrix, DimensionMismatch, ZeroVector
 
 _MAX_ORDER = 4
 
@@ -83,11 +83,6 @@ def memoized_text_distance(maxsize: int):
     return distance
 
 
-def visual_distance(ei, ej) -> float:
-    """1 - cosine similarity; 0 for parallel, 1 for orthogonal, 2 for antipodal."""
-    return 1.0 - cosine_similarity(ei, ej)
-
-
 def text_distance_matrix(texts: list[str], distance=text_distance) -> np.ndarray:
     n = len(texts)
     mat = np.zeros((n, n))
@@ -100,14 +95,23 @@ def text_distance_matrix(texts: list[str], distance=text_distance) -> np.ndarray
 
 
 def visual_distance_matrix(embeddings) -> np.ndarray:
-    n = len(embeddings)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = visual_distance(embeddings[i], embeddings[j])
-            mat[i, j] = d
-            mat[j, i] = d
-    return mat
+    """1 - cosine similarity of every pair, from one product of the unit rows.
+
+    The strict upper triangle is mirrored, so the matrix is exactly symmetric
+    with a zero diagonal: 0 for parallel, 1 for orthogonal, 2 for antipodal.
+    """
+    try:
+        mat = np.asarray(embeddings, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatch("embeddings differ in dimension") from exc
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"embeddings must stack to 2-D, got {mat.shape}")
+    norms = np.linalg.norm(mat, axis=1)
+    if not norms.all():
+        raise ZeroVector("cosine similarity is undefined for the zero vector")
+    unit = mat / norms[:, None]
+    upper = np.triu(1.0 - np.clip(unit @ unit.T, -1.0, 1.0), 1)
+    return upper + upper.T
 
 
 @dataclass

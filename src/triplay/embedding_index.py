@@ -20,19 +20,6 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyIndex, ManifestError, ZeroVector
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two nonzero vectors, clipped into [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector dimensions differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity is undefined for the zero vector")
-    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
-
-
 @dataclass(eq=False)
 class ImageRecord:
     """One environment image: identity, embedding, domain label, locator."""

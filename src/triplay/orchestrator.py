@@ -441,7 +441,7 @@ class Engine:
                 dict(step=step, domain=domain.category, query=None, image_id=None, **_UNSCORED)
                 for _ in samples
             ]
-            kept = []  # (row, query, image, probes)
+            kept = []  # (row, image, probes)
             for sample, row in zip(samples, rows):
                 query = extract_tagged(sample.text, "query")
                 if not query:
@@ -452,18 +452,18 @@ class Engine:
                     )
                     continue
                 record, _ = self._top1(query)
+                row.update(query=query, image_id=record.id)
                 probes = self._probes(record, rng)
                 if probes:
-                    kept.append((row, query, record, probes))
+                    kept.append((row, record, probes))
             if kept:
                 batch = DiversityBatch(
-                    items=[(q, rec.embedding) for _, q, rec, _ in kept]
+                    items=[(row["query"], rec.embedding) for row, rec, _ in kept]
                 )
                 penalties = repetition_penalty(
                     batch, it.tau_txt, it.tau_vis, self._text_distance
                 )
-                for (row, query, record, probes), penalty in zip(kept, penalties):
-                    row.update(query=query, image_id=record.id)
+                for (row, _, probes), penalty in zip(kept, penalties):
                     acc = float(np.mean([p.accuracy for p in probes]))
                     _record_reward(row, acc, searcher_reward(probes, penalty))
             groups.append((domain.category, samples, rows))

@@ -145,19 +145,16 @@ def gen_corpus(
         vec = vec + noise * rng.normal(size=dim)
         vec = vec / np.linalg.norm(vec)
         image_id = f"{category}-{i:06d}"
+        answer = canonical_answer(image_id)
         record = ImageRecord(
             id=image_id,
             embedding=vec,
             category=category,
             uri=f"synth://{image_id}",
             source="synthetic",
-            meta={"difficulty": difficulty, "answer": canonical_answer(image_id)},
+            meta={"difficulty": difficulty, "answer": answer},
         )
-        images.append(
-            SyntheticImage(
-                record=record, difficulty=difficulty, answer=canonical_answer(image_id)
-            )
-        )
+        images.append(SyntheticImage(record=record, difficulty=difficulty, answer=answer))
     return images
 
 

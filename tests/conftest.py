@@ -1,5 +1,5 @@
-"""Test helpers: deterministic stand-in backends, and helpers that drive and
-measure stage 1 through Engine.stage1_step."""
+"""Test helpers: deterministic stand-in backends, helpers that drive and
+measure stage 1 through Engine.stage1_step, and a pairwise cosine oracle."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ import json
 import numpy as np
 
 from triplay.backends import GenerationRequest
+from triplay.errors import DimensionMismatch, ZeroVector
 from triplay.grpo import ToyPolicy, sample_actions
 from triplay.orchestrator import Sample
 from triplay.synthetic_world import SyntheticWorld
@@ -27,6 +28,20 @@ def request_fingerprint(request: GenerationRequest, extra: str = "") -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two nonzero vectors, clipped into [-1, 1];
+    the one-pair oracle for the index scores and the visual distance matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"vector dimensions differ: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVector("cosine similarity is undefined for the zero vector")
+    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
 
 
 class ScriptedBackend:

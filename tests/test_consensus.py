@@ -95,6 +95,19 @@ class TestNormalizeAnswer:
             once = normalize_answer(s)
             assert normalize_answer(once) == once
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t\n+-.,0123456789abcXYZ√", max_size=12))
+    def test_memo_equals_unmemoized(self, raw):
+        # Asked twice, so the second answer comes from the memo.
+        assert normalize_answer(raw) == normalize_answer.__wrapped__(raw)
+        assert normalize_answer(raw) == normalize_answer.__wrapped__(raw)
+
+    def test_memo_is_bounded(self):
+        bound = normalize_answer.cache_info().maxsize
+        for i in range(bound + 100):
+            normalize_answer(f"{i},000.50")
+        assert normalize_answer.cache_info().currsize <= bound
+
 
 def vote_oracle(answers: list[str]) -> tuple[str, float]:
     counts = Counter(normalize_answer(a) for a in answers)

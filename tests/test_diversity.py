@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triplay.diversity import (
@@ -15,9 +15,11 @@ from triplay.diversity import (
     text_distance_matrix,
     text_repetition_penalty,
     threshold_cluster,
-    visual_distance,
+    visual_distance_matrix,
 )
 from triplay.errors import AsymmetricMatrix, DimensionMismatch, ZeroVector
+
+from conftest import cosine_similarity
 
 
 class TestSentenceBleu:
@@ -80,19 +82,91 @@ class TestTextDistance:
 class TestVisualDistance:
     def test_same_vector(self):
         e = np.array([0.6, 0.8])
-        assert visual_distance(e, e) == pytest.approx(0.0, abs=1e-12)
+        assert visual_distance_matrix([e, e])[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert visual_distance([1, 0], [0, 1]) == pytest.approx(1.0)
+        assert visual_distance_matrix([[1, 0], [0, 1]])[0, 1] == pytest.approx(1.0)
 
     def test_antipodal(self):
-        assert visual_distance([1, 0], [-1, 0]) == pytest.approx(2.0)
+        assert visual_distance_matrix([[1, 0], [-1, 0]])[0, 1] == pytest.approx(2.0)
 
     def test_errors_propagate(self):
         with pytest.raises(ZeroVector):
-            visual_distance([0, 0], [1, 0])
+            visual_distance_matrix([[0, 0], [1, 0]])
         with pytest.raises(DimensionMismatch):
-            visual_distance([1, 0], [1, 0, 0])
+            visual_distance_matrix([[1, 0], [1, 0, 0]])
+
+
+def pairwise_visual_distances(embeddings) -> np.ndarray:
+    """Reference matrix: 1 - cosine, one pair at a time."""
+    n = len(embeddings)
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = 1.0 - cosine_similarity(embeddings[i], embeddings[j])
+    return mat
+
+
+def partition(clustering: Clustering) -> list[list[int]]:
+    groups: dict[int, list[int]] = {}
+    for i, cluster in enumerate(clustering.assignment):
+        groups.setdefault(cluster, []).append(i)
+    return sorted(groups.values())
+
+
+@st.composite
+def unit_batches(draw):
+    """Random unit vectors, some rows repeated, in a shuffled order."""
+    dim = draw(st.integers(2, 8))
+    distinct = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    vectors = np.random.default_rng(seed).normal(size=(distinct, dim))
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=10))
+    return [vectors[p] for p in picks]
+
+
+class TestVisualDistanceMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(unit_batches())
+    def test_matches_pairwise_reference(self, embeddings):
+        mat = visual_distance_matrix(embeddings)
+        assert np.abs(mat - pairwise_visual_distances(embeddings)).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_batches())
+    def test_exactly_symmetric_zero_diagonal(self, embeddings):
+        mat = visual_distance_matrix(embeddings)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.diag(mat) == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_batches(), st.floats(0.0, 2.0))
+    def test_same_partition_as_reference(self, embeddings, tau):
+        # Distances within 1e-12 of tau could fall either side of it in the
+        # two computations; such draws say nothing about the partition.
+        reference = pairwise_visual_distances(embeddings)
+        off_diagonal = reference[~np.eye(len(embeddings), dtype=bool)]
+        assume(np.all(np.abs(off_diagonal - tau) > 1e-9))
+        assert partition(threshold_cluster(visual_distance_matrix(embeddings), tau)) == (
+            partition(threshold_cluster(reference, tau))
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(unit_batches(), st.data())
+    def test_zero_row_and_ragged_rows_raise(self, embeddings, data):
+        position = data.draw(st.integers(0, len(embeddings)))
+        dim = len(embeddings[0])
+        with pytest.raises(ZeroVector):
+            visual_distance_matrix(embeddings[:position] + [np.zeros(dim)] + embeddings[position:])
+        with pytest.raises(DimensionMismatch):
+            visual_distance_matrix(embeddings[:position] + [np.ones(dim + 1)] + embeddings[position:])
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(DimensionMismatch):
+            visual_distance_matrix([1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            visual_distance_matrix(np.ones((2, 2, 2)))
 
 
 def closure_oracle(mat: np.ndarray, tau: float) -> list[set[int]]:

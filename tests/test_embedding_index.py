@@ -10,7 +10,6 @@ from triplay.embedding_index import (
     EmbeddingIndex,
     ImageRecord,
     IndexManifest,
-    cosine_similarity,
     load_manifest,
     save_manifest,
 )
@@ -20,6 +19,8 @@ from triplay.errors import (
     ManifestError,
     ZeroVector,
 )
+
+from conftest import cosine_similarity
 
 
 def make_index(vectors: dict[str, list[float]]) -> EmbeddingIndex:
@@ -32,6 +33,8 @@ def make_index(vectors: dict[str, list[float]]) -> EmbeddingIndex:
 
 
 class TestCosineSimilarity:
+    """The pairwise oracle that brute_force and the world tests score with."""
+
     def test_identical_unit_vectors(self):
         assert cosine_similarity([1, 0], [1, 0]) == 1.0
 

@@ -152,6 +152,19 @@ class TestStage1FailurePaths:
             assert segment[3]["query"] is None
             assert segment[0]["image_id"] is not None
 
+    def test_unparsable_probes_keep_query_and_image(self, tmp_path):
+        cfg = small_cfg(tmp_path, group_size=4)
+        engine = build_engine(cfg)
+        engine.questioner.probe = lambda image, rng: Sample(text="no question tag")
+        result = engine.stage1_step(0, np.random.default_rng(6))
+        assert len(result.rows) == 4 * len(cfg.iteration.domains)
+        for row in result.rows:
+            assert row["query"]
+            record, _ = engine.index.retrieve(embed_text(engine.embedder, row["query"]), 1)[0]
+            assert row["image_id"] == record.id
+            assert row["acc"] is None
+            assert row["r_final"] == 0.0
+
 
 class TestBuildActive:
     def test_dedup_and_provenance(self, engine):

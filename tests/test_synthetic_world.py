@@ -3,8 +3,7 @@ import pytest
 
 from triplay.config import RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, extract_boxed
-from triplay.diversity import text_distance, visual_distance
-from triplay.embedding_index import cosine_similarity
+from triplay.diversity import text_distance
 from triplay.grpo import ToyPolicy
 from triplay.orchestrator import build_engine
 from triplay.rewards import probe_from_answers
@@ -12,6 +11,7 @@ from triplay.synthetic_world import (
     QUESTION_FORMS,
     SyntheticSolver,
     SyntheticWorld,
+    canonical_answer,
     gen_corpus,
     logistic,
     question_delta,
@@ -20,6 +20,7 @@ from triplay.synthetic_world import (
 )
 
 from conftest import (
+    cosine_similarity,
     ks_statistic_uniform,
     neutral_probe,
     selected_difficulties,
@@ -80,6 +81,10 @@ class TestGenCorpus:
         img = gen_corpus(1, 4, 16, CATEGORIES)[0]
         assert img.record.meta["difficulty"] == img.difficulty
         assert img.record.meta["answer"] == img.answer
+
+    def test_answer_is_canonical(self):
+        for img in gen_corpus(3, 40, 16, CATEGORIES):
+            assert img.answer == img.record.meta["answer"] == canonical_answer(img.record.id)
 
 
 class TestSolver:
@@ -148,7 +153,7 @@ class TestWorldStructure:
     def test_adjacent_bands_visually_separate(self, world):
         templates = [world.templates[i] for i in world.template_indices("charts")]
         for a, b in zip(templates, templates[1:]):
-            assert visual_distance(a.embedding, b.embedding) > 0.1
+            assert 1.0 - cosine_similarity(a.embedding, b.embedding) > 0.1
 
     def test_retrieval_targets_band_difficulty(self, world):
         for template in world.templates[::9]:

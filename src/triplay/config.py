@@ -131,6 +131,17 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             )
         if not cfg.manifest_path:
             raise ConfigError("remote mode requires manifest_path")
+        backend = cfg.backend
+        for name, ok, need in (
+            ("in_flight", backend.in_flight >= 1, ">= 1"),
+            ("max_retries", backend.max_retries >= 0, ">= 0"),
+            ("backoff_base", backend.backoff_base >= 0, ">= 0"),
+            ("timeout", backend.timeout > 0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"backend.{name} must be {need}, got {getattr(backend, name)}"
+                )
     if cfg.mode == "synthetic" and cfg.world.dim < 2 * len(cfg.iteration.domains):
         raise ConfigError(
             f"world dim {cfg.world.dim} too small for {len(cfg.iteration.domains)} "

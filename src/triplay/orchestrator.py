@@ -10,6 +10,14 @@ Runs are journaled at stage boundaries and every stage derives its RNG from
 (seed, cycle, stage), so a killed run resumes to byte-identical artifacts
 whenever its backends are deterministic.
 
+In remote mode each stage fans its per-item requests out over
+backend.in_flight workers (Engine._fan_out): stage 1's probes per domain
+group, stage 2's question scores per image, the training-set harvest, stage
+3's rollouts and rewards per step, and the active set's query embeddings.
+Results are consumed, and drop warnings logged, in input order from the
+calling thread. Synthetic roles draw from the stage's shared RNG, so
+synthetic mode runs all of it serially.
+
 Each distinct piece of work is done once. build_active_dataset embeds and
 retrieves each distinct query of a domain once. An Engine memoizes, per
 engine and within fixed bounds, the stage-1 top-1 hit of each query text and
@@ -327,15 +335,6 @@ def stage_seed(seed: int, cycle: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _map_ordered(fn, items, workers: int) -> list:
-    """Apply fn to items, results in input order; fans out when workers > 1."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
 class StepResult:
     """One optimization step of any stage: its artifact rows and the training
@@ -418,17 +417,28 @@ class Engine:
         answers = [extract_boxed(text) or "" for text in raw]
         return probe_from_answers(answers, self.judge_for(question))
 
-    def _probes(self, image: ImageRecord, rng: np.random.Generator) -> list[ProbeResult]:
-        """Stage 1's probe questions on an image, each scored by m rollouts."""
+    def _fan_out(self, fn, items) -> list:
+        """fn applied to each item, results in input order. Remote roles are
+        stateless per request, so up to backend.in_flight calls run at once;
+        synthetic roles consume the shared RNG, so they run serially."""
+        items = list(items)
+        workers = self.cfg.backend.in_flight if self.cfg.mode == "remote" else 1
+        if workers <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+
+    def _probes(self, image: ImageRecord, rng: np.random.Generator) -> list[ProbeResult | None]:
+        """Stage 1's probe questions on an image, each scored by m rollouts;
+        None stands for an unparsable probe question."""
         it = self.cfg.iteration
         probes = []
         for _ in range(it.probe_questions_per_image):
-            probe_sample = self.questioner.probe(image, rng)
-            question = extract_tagged(probe_sample.text, "question")
-            if question is None:
-                logger.warning("probe question unparsable for image %s", image.id)
-            else:
-                probes.append(self._score(image, question, it.probe_rollouts, rng))
+            question = extract_tagged(self.questioner.probe(image, rng).text, "question")
+            probes.append(
+                None if question is None
+                else self._score(image, question, it.probe_rollouts, rng)
+            )
         return probes
 
     def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
@@ -441,19 +451,26 @@ class Engine:
                 dict(step=step, domain=domain.category, query=None, image_id=None, **_UNSCORED)
                 for _ in samples
             ]
+            # Top-1 hits resolve in sample order in this thread, so the memo
+            # and the embedding requests do not depend on the fan-out.
+            queries = [extract_tagged(s.text, "query") for s in samples]
+            records = [self._top1(q)[0] if q else None for q in queries]
+            scored = self._fan_out(
+                lambda record: self._probes(record, rng) if record is not None else [], records
+            )
             kept = []  # (row, image, probes)
-            for sample, row in zip(samples, rows):
-                query = extract_tagged(sample.text, "query")
-                if not query:
+            for row, query, record, probes in zip(rows, queries, records, scored):
+                if record is None:
                     logger.warning(
                         "stage1 step %d domain %s: query tag missing, reward 0",
                         step,
                         domain.category,
                     )
                     continue
-                record, _ = self._top1(query)
                 row.update(query=query, image_id=record.id)
-                probes = self._probes(record, rng)
+                for _ in range(probes.count(None)):
+                    logger.warning("probe question unparsable for image %s", record.id)
+                probes = [p for p in probes if p is not None]
                 if probes:
                     kept.append((row, record, probes))
             if kept:
@@ -509,7 +526,7 @@ class Engine:
             if not queries:
                 continue
             distinct = list(dict.fromkeys(queries))
-            embeddings = [embed_text(self.embedder, q) for q in distinct]
+            embeddings = self._fan_out(functools.partial(embed_text, self.embedder), distinct)
             results = self.index.retrieve_batch(embeddings, it.top_k)
             for query, ranked in zip(distinct, results):
                 for rank, (record, score) in enumerate(ranked, start=1):
@@ -567,9 +584,12 @@ class Engine:
                 penalties = text_repetition_penalty(
                     [row["question"] for row in kept], it.tau_txt, self._text_distance
                 )
-                for row, penalty in zip(kept, penalties):
-                    acc = self._score(image, row["question"], it.probe_rollouts, rng).accuracy
-                    _record_reward(row, acc, questioner_reward(acc, penalty))
+                probes = self._fan_out(
+                    lambda row: self._score(image, row["question"], it.probe_rollouts, rng),
+                    kept,
+                )
+                for row, probe, penalty in zip(kept, probes, penalties):
+                    _record_reward(row, probe.accuracy, questioner_reward(probe.accuracy, penalty))
             finals = [row["r_final"] for row in rows]
             advantages = group_advantages(finals, std_epsilon=self.cfg.grpo.std_epsilon)
             self.questioner.apply(samples, advantages)
@@ -579,13 +599,6 @@ class Engine:
                 finals, advantages,
             )
         return result
-
-    def _rollout_workers(self) -> int:
-        # Synthetic roles consume the shared RNG, so they must stay serial;
-        # remote roles are stateless per request and may fan out.
-        if self.cfg.mode == "remote":
-            return max(1, self.cfg.backend.in_flight)
-        return 1
 
     def build_training_set(
         self, d_active: list[dict], rng: np.random.Generator
@@ -612,9 +625,7 @@ class Engine:
 
         d_train: list[CurriculumItem] = []
         d_star: list[CurriculumItem] = []
-        for image_id, question, qtype, probe in _map_ordered(
-            harvest, d_active, self._rollout_workers()
-        ):
+        for image_id, question, qtype, probe in self._fan_out(harvest, d_active):
             if question is None:
                 logger.warning("build_training: dropping %s (malformed question)", image_id)
                 continue
@@ -647,19 +658,20 @@ class Engine:
             return result
         n_items = min(it.stage3_items_per_step, len(d_train_star))
         picks = rng.choice(len(d_train_star), size=n_items, replace=False)
-        all_rewards: list[int] = []
-        for pick in picks:
-            item = d_train_star[int(pick)]
+        items = [d_train_star[int(pick)] for pick in picks]
+
+        def rollout(item: CurriculumItem):
+            # G rollouts and their judged rewards; an unboxed rollout earns 0.
             image = self.index.get(item.image_id)
             raw = self.solver.solve(image, item.question, it.group_size, rng)
             judge = self.judge_for(item.question)
-            rewards = []
-            for text in raw:
-                boxed = extract_boxed(text)
-                if boxed is None:
-                    rewards.append(0)
-                else:
-                    rewards.append(solver_reward(boxed, item.pseudo_label, judge))
+            boxed = [extract_boxed(text) for text in raw]
+            return image, raw, [
+                0 if b is None else solver_reward(b, item.pseudo_label, judge) for b in boxed
+            ]
+
+        all_rewards: list[int] = []
+        for item, (image, raw, rewards) in zip(items, self._fan_out(rollout, items)):
             advantages = group_advantages(rewards, std_epsilon=self.cfg.grpo.std_epsilon)
             result.batches += _batch_records(
                 "stage3", step, item.image_id, image.category, raw, rewards, advantages

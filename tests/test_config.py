@@ -77,6 +77,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="manifest_path"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "name, value, need, edge",
+        [
+            ("in_flight", 0, ">= 1", 1),
+            ("max_retries", -1, ">= 0", 0),
+            ("backoff_base", -0.5, ">= 0", 0.0),
+            ("timeout", 0, "> 0", 0.01),
+        ],
+    )
+    def test_remote_backend_bounds(self, name, value, need, edge):
+        # A negative backoff would surface as a raw ValueError from
+        # time.sleep at the first retry; in_flight 0 would silently run serial.
+        backend = {
+            "endpoint": "https://x/chat",
+            "model": "m",
+            "embedding_endpoint": "https://x/embed",
+            "embedding_model": "e",
+        }
+        data = {"mode": "remote", "manifest_path": "x.jsonl", "backend": backend}
+        with pytest.raises(ConfigError, match=re.escape(f"backend.{name} must be {need}, got {value}")):
+            config_from_dict(deep_merge(data, {"backend": {name: value}}))
+        cfg = config_from_dict(deep_merge(data, {"backend": {name: edge}}))
+        assert getattr(cfg.backend, name) == edge
+
     def test_group_size_floor(self):
         with pytest.raises(ConfigError, match="group_size"):
             config_from_dict({"iteration": {"group_size": 1}})

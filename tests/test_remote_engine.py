@@ -1,10 +1,14 @@
 """Remote-mode wiring: role adapters over generative backends, parse-failure
 handling for free-form completions, and concurrent rollouts and votes that
-match a serial run.
+match a serial run in every stage.
 """
 
 import hashlib
+import logging
+import sys
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 from triplay.backends import GenerationRequest
 from triplay.config import IterationConfig, RunConfig
 from triplay.embedding_index import EmbeddingIndex, IndexManifest
-from triplay.errors import ConfigError
+from triplay.errors import ConfigError, Transport
 from triplay.orchestrator import (
     Engine,
     RemoteQuestionerRole,
@@ -50,6 +54,52 @@ class RolePlayBackend:
                 value = self._pick(request, i, 3) + 3
                 out.append(f"Working through it, \\boxed{{{value}}}")
         return out
+
+
+class CountingRolePlayBackend(RolePlayBackend):
+    """RolePlayBackend that counts its requests per role (thread-safe) and
+    records the peak number of generate calls in progress at once; each call
+    holds its slot for `hold_s` so concurrent calls overlap."""
+
+    def __init__(self, hold_s: float = 0.0):
+        self.hold_s = hold_s
+        self.requests: Counter = Counter()
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def role(request: GenerationRequest) -> str:
+        if "Target Category:" in request.prompt:
+            return "searcher"
+        return "questioner" if "Analysis Phase" in request.prompt else "solver"
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        with self._lock:
+            self.requests[self.role(request)] += 1
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.hold_s)
+            return self.complete(request)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def complete(self, request: GenerationRequest) -> list[str]:
+        return super().generate(request)
+
+
+class CountingEmbeddingBackend(ScriptedEmbeddingBackend):
+    def __init__(self):
+        super().__init__(dimension=16, seed=1)
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def embed(self, text: str) -> np.ndarray:
+        with self._lock:
+            self.requests += 1
+        return super().embed(text)
 
 
 def remote_cfg(manifest_path: str) -> RunConfig:
@@ -100,7 +150,7 @@ class CountingVerdictBackend:
         return ["correct" if digest[0] % 3 == 0 else "incorrect"]
 
 
-def role_engine(cfg: RunConfig, backend, judge_backend=None) -> Engine:
+def role_engine(cfg: RunConfig, backend, judge_backend=None, embedder=None) -> Engine:
     from triplay.embedding_index import load_manifest
 
     index = EmbeddingIndex(load_manifest(cfg.manifest_path))
@@ -111,9 +161,38 @@ def role_engine(cfg: RunConfig, backend, judge_backend=None) -> Engine:
         searcher=RemoteSearcherRole(backend, exemplars),
         questioner=RemoteQuestionerRole(backend),
         solver=RemoteSolverRole(backend),
-        embedder=ScriptedEmbeddingBackend(dimension=16, seed=1),
+        embedder=embedder or ScriptedEmbeddingBackend(dimension=16, seed=1),
         judge_backend=judge_backend,
     )
+
+
+# Each stage call on a fresh engine; d_active and d_train are fixed inputs.
+STAGE_CALLS = {
+    "build_active": lambda engine, data: engine.build_active_dataset(np.random.default_rng(1)),
+    "stage1": lambda engine, data: engine.stage1_step(0, np.random.default_rng(0)),
+    "stage2": lambda engine, data: engine.stage2_step(
+        0, data["d_active"], np.random.default_rng(3)
+    ),
+    "stage3": lambda engine, data: engine.stage3_step(
+        0, data["d_train"], np.random.default_rng(4)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(manifest_path):
+    engine = role_engine(remote_cfg(manifest_path), RolePlayBackend())
+    d_active = engine.build_active_dataset(np.random.default_rng(1))
+    d_train, _ = engine.build_training_set(d_active, np.random.default_rng(2))
+    assert d_active and len(d_train) >= 4
+    return {"d_active": d_active, "d_train": d_train}
+
+
+def fan_out_cfg(manifest_path: str, in_flight: int, judge: str = "exact") -> RunConfig:
+    cfg = remote_cfg(manifest_path)
+    cfg.backend.in_flight = in_flight
+    cfg.judge.kind = judge
+    return cfg
 
 
 class TestRemoteWiring:
@@ -197,3 +276,91 @@ class TestRemoteWiring:
         assert parallel == serial
         assert 0 < parallel_requests <= serial_requests
 
+
+
+class TestStageFanOut:
+    """Stages 1, 2 and 3 and the active-set embeddings fan their remote
+    requests out over backend.in_flight workers; results, request counts and
+    drop warnings match a serial run."""
+
+    @pytest.fixture
+    def frequent_switches(self):
+        # More thread switches, so more interleavings of the workers.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_CALLS))
+    def test_fan_out_matches_serial(self, manifest_path, stage_inputs, stage, frequent_switches):
+        runs = {}
+        for in_flight in (1, 4):
+            backend = CountingRolePlayBackend()
+            judge_backend = CountingVerdictBackend()
+            embedder = CountingEmbeddingBackend()
+            engine = role_engine(
+                fan_out_cfg(manifest_path, in_flight, judge="remote"),
+                backend, judge_backend, embedder,
+            )
+            result = STAGE_CALLS[stage](engine, stage_inputs)
+            counts = dict(backend.requests, judge=judge_backend.requests,
+                          embed=embedder.requests)
+            runs[in_flight] = (result, counts)
+        (serial, serial_counts), (parallel, parallel_counts) = runs[1], runs[4]
+        assert serial
+        assert parallel == serial
+        assert parallel_counts == serial_counts
+        if stage != "build_active":
+            assert serial_counts["judge"] > 0
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "stage3"])
+    def test_stage_requests_overlap(self, manifest_path, stage_inputs, stage):
+        # Guards the fan-out itself: a serial stage never has two requests
+        # in progress at once.
+        backend = CountingRolePlayBackend(hold_s=0.002)
+        engine = role_engine(fan_out_cfg(manifest_path, 4), backend)
+        STAGE_CALLS[stage](engine, stage_inputs)
+        assert backend.peak >= 2
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_transport_failure_in_probe_propagates(self, manifest_path, in_flight):
+        class FailingSolver(CountingRolePlayBackend):
+            def complete(self, request):
+                if self.role(request) == "solver" and self.requests["solver"] >= 3:
+                    raise Transport("endpoint returned 503")
+                return super().complete(request)
+
+        engine = role_engine(fan_out_cfg(manifest_path, in_flight), FailingSolver())
+        with pytest.raises(Transport, match="503"):
+            engine.stage1_step(0, np.random.default_rng(0))
+
+    def test_drop_warnings_in_serial_order(self, manifest_path, stage_inputs, caplog):
+        class SometimesMalformed(CountingRolePlayBackend):
+            # Drops about a third of the questioner's completions and of the
+            # searcher's query tags, keyed by request content.
+            def complete(self, request):
+                out = super().complete(request)
+                if self.role(request) == "solver":
+                    return out
+                return [
+                    "no tags here" if self._pick(request, i + 100, 3) == 0 else text
+                    for i, text in enumerate(out)
+                ]
+
+        logs = {}
+        for in_flight in (1, 4):
+            engine = role_engine(fan_out_cfg(manifest_path, in_flight), SometimesMalformed())
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="triplay.orchestrator"):
+                for stage in ("stage1", "stage2"):
+                    STAGE_CALLS[stage](engine, stage_inputs)
+            # Drop warnings come from the thread that called the stage.
+            assert {r.thread for r in caplog.records} <= {threading.get_ident()}
+            logs[in_flight] = [r.getMessage() for r in caplog.records]
+        serial = logs[1]
+        assert any("probe question unparsable" in m for m in serial)
+        assert any("malformed question output" in m for m in serial)
+        assert any("query tag missing" in m for m in serial)
+        assert logs[4] == serial

@@ -48,7 +48,6 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-high", type=float, help="difficulty window upper bound")
     parser.add_argument("--world-count", type=int, help="synthetic corpus size")
     parser.add_argument("--world-dim", type=int, help="synthetic embedding dimension")
-    parser.add_argument("--stop-after", help="journal key to stop after (testing aid)")
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
@@ -238,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute the full three-stage loop")
     _add_run_overrides(run_p)
+    run_p.add_argument("--stop-after", help="journal key to stop after (testing aid)")
     run_p.set_defaults(func=_cmd_run)
 
     dataset = sub.add_parser("dataset", help="dataset utilities")

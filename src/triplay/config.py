@@ -142,11 +142,20 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 raise ConfigError(
                     f"backend.{name} must be {need}, got {getattr(backend, name)}"
                 )
+    if cfg.judge.kind == "remote" and cfg.judge.retries < 1:
+        raise ConfigError(f"judge.retries must be >= 1, got {cfg.judge.retries}")
     if cfg.mode == "synthetic" and cfg.world.dim < 2 * len(cfg.iteration.domains):
         raise ConfigError(
             f"world dim {cfg.world.dim} too small for {len(cfg.iteration.domains)} "
             f"domains (need at least 2 per domain)"
         )
+    world = cfg.world
+    for name, ok, need in (
+        ("bands_per_category", world.bands_per_category >= 1, ">= 1"),
+        ("solver_noise_temperature", world.solver_noise_temperature > 0, "> 0"),
+    ):
+        if cfg.mode == "synthetic" and not ok:
+            raise ConfigError(f"world.{name} must be {need}, got {getattr(world, name)}")
     return cfg
 
 

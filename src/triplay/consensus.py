@@ -119,7 +119,7 @@ def remote_judge(backend, question: str, gold: str, pred: str, retries: int = 3)
         prompt=prompt, system=JUDGE_SYSTEM_MESSAGE, n=1, temperature=0.0, max_tokens=16
     )
     last_error: Exception | None = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(retries):
         try:
             reply = backend.generate(request)[0]
         except Transport as exc:

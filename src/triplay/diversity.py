@@ -165,32 +165,22 @@ def threshold_cluster(distances, tau: float) -> Clustering:
     return Clustering(assignment=assignment, sizes=dict(Counter(assignment)))
 
 
-@dataclass
-class DiversityBatch:
-    """Paired (query text, image embedding) items scored as one batch."""
-
-    items: list[tuple[str, np.ndarray]]
-
-    @property
-    def n(self) -> int:
-        return len(self.items)
-
-
 def repetition_penalty(
-    batch: DiversityBatch, tau_txt: float, tau_vis: float, distance=text_distance
+    items: list[tuple[str, np.ndarray]], tau_txt: float, tau_vis: float, distance=text_distance
 ) -> list[float]:
-    """Per-item density penalty: text-cluster share plus visual-cluster share.
+    """Per-item density penalty of a batch of (query text, image embedding)
+    pairs: text-cluster share plus visual-cluster share.
 
     Each term lies in [1/n, 1], so the total lies in [2/n, 2]. distance is the
     text distance, text_distance or a memoized equal of it.
     """
-    if batch.n < 1:
+    if not items:
         raise ValueError("batch must contain at least one item")
-    texts = [t for t, _ in batch.items]
-    embeds = [e for _, e in batch.items]
+    texts = [t for t, _ in items]
+    embeds = [e for _, e in items]
     txt_clusters = threshold_cluster(text_distance_matrix(texts, distance), tau_txt)
     vis_clusters = threshold_cluster(visual_distance_matrix(embeds), tau_vis)
-    n = batch.n
+    n = len(items)
     return [
         txt_clusters.size_of(i) / n + vis_clusters.size_of(i) / n for i in range(n)
     ]

@@ -3,8 +3,10 @@ construction, questioner optimization, training-set construction with
 majority-vote pseudo-labels and difficulty filtering, and solver batches.
 
 Stages 1 and 2 and the training-set build score a question one way
-(Engine._score), every stage step returns a StepResult of artifact rows and
-training batches, and _batch_records makes every exported batch.
+(Engine._score), and every stage step returns a StepResult of artifact rows and
+training batches. A step builds its Groups once (one per prompt: its samples,
+rewards and advantages), and they feed both the role update, through the one
+role protocol apply(groups), and the export, through _batch_records.
 
 Runs are journaled at stage boundaries and every stage derives its RNG from
 (seed, cycle, stage), so a killed run resumes to byte-identical artifacts
@@ -61,7 +63,6 @@ from .consensus import (
     extract_tagged,
 )
 from .diversity import (
-    DiversityBatch,
     memoized_text_distance,
     repetition_penalty,
     text_repetition_penalty,
@@ -122,6 +123,18 @@ class Sample:
 
 
 @dataclass
+class Group:
+    """One prompt's samples with their rewards and advantages, in sample order:
+    what a role learns from and what a training batch exports."""
+
+    key: str
+    domain: str
+    samples: list[Sample]
+    rewards: list[float]
+    advantages: list[float]
+
+
+@dataclass
 class CurriculumItem:
     image_id: str
     question: str
@@ -163,17 +176,19 @@ class SyntheticSearcherRole:
             out.append(Sample(text=text, action=int(a), logp_old=float(logp[a])))
         return out
 
-    def apply(self, category: str, samples: list[Sample], advantages: list[float]) -> None:
-        if not any(advantages):
-            return
-        indices = self.world.template_indices(category)
-        sub = ToyPolicy(self.policy.logits[indices], self.policy.temperature)
-        actions = np.asarray([s.action for s in samples])
-        logp_old = np.asarray([s.logp_old for s in samples])
-        updated = toy_policy_update(
-            sub, actions, logp_old, advantages, self.cfg, self.learning_rate
-        )
-        self.policy.logits[indices] = updated.logits
+    def apply(self, groups: list[Group]) -> None:
+        """One update per group, on the templates of the group's domain."""
+        for group in groups:
+            if not any(group.advantages):
+                continue
+            indices = self.world.template_indices(group.domain)
+            sub = ToyPolicy(self.policy.logits[indices], self.policy.temperature)
+            actions = np.asarray([s.action for s in group.samples])
+            logp_old = np.asarray([s.logp_old for s in group.samples])
+            updated = toy_policy_update(
+                sub, actions, logp_old, group.advantages, self.cfg, self.learning_rate
+            )
+            self.policy.logits[indices] = updated.logits
 
     def snapshot(self) -> dict:
         return {"logits": [float(x) for x in self.policy.logits]}
@@ -219,14 +234,15 @@ class SyntheticQuestionerRole:
     def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
         return self.sample(image, 1, rng)[0]
 
-    def apply(self, samples: list[Sample], advantages: list[float]) -> None:
-        if not any(advantages):
-            return
-        actions = np.asarray([s.action for s in samples])
-        logp_old = np.asarray([s.logp_old for s in samples])
-        self.policy = toy_policy_update(
-            self.policy, actions, logp_old, advantages, self.cfg, self.learning_rate
-        )
+    def apply(self, groups: list[Group]) -> None:
+        for group in groups:
+            if not any(group.advantages):
+                continue
+            actions = np.asarray([s.action for s in group.samples])
+            logp_old = np.asarray([s.logp_old for s in group.samples])
+            self.policy = toy_policy_update(
+                self.policy, actions, logp_old, group.advantages, self.cfg, self.learning_rate
+            )
 
     def snapshot(self) -> dict:
         return {"logits": [float(x) for x in self.policy.logits]}
@@ -248,8 +264,11 @@ class SyntheticSolverRole:
         delta = question_delta(question)
         return [synthetic_solve(self.solver, synth, rng, delta=delta) for _ in range(n)]
 
-    def apply(self, mean_reward: float) -> None:
-        self.solver.skill += self.gain * mean_reward
+    def apply(self, groups: list[Group]) -> None:
+        """Skill moves by the mean reward over every rollout of the groups."""
+        rewards = [r for group in groups for r in group.rewards]
+        if rewards:
+            self.solver.skill += self.gain * float(np.mean(rewards))
 
     def snapshot(self) -> dict:
         return {"skill": self.solver.skill}
@@ -266,7 +285,7 @@ class RemoteRole:
         self.backend = backend
         self.temperature = temperature
 
-    def apply(self, *args) -> None:
+    def apply(self, groups: list[Group]) -> None:
         pass
 
     def snapshot(self) -> dict:
@@ -353,17 +372,20 @@ def _record_reward(row: dict, acc: float, reward: RewardRecord) -> None:
     row.update(acc=acc, r_chal=reward.challenge, p_rep=reward.penalty, r_final=reward.final)
 
 
-def _batch_records(stage, step, key, domain, tokens, rewards, advantages) -> list[BatchRecord]:
-    """One group's exported training rows, one per sample in group order."""
+def _batch_records(stage: str, step: int, groups: list[Group]) -> list[BatchRecord]:
+    """The step's exported training rows, one per sample, in group order."""
     return [
         BatchRecord(
-            prompt_id=f"{stage}:s{step}:{key}:{i}",
-            domain=domain,
-            tokens=[token],
+            prompt_id=f"{stage}:s{step}:{group.key}:{i}",
+            domain=group.domain,
+            tokens=[sample.token],
             reward=float(reward),
             advantage=advantage,
         )
-        for i, (token, reward, advantage) in enumerate(zip(tokens, rewards, advantages))
+        for group in groups
+        for i, (sample, reward, advantage) in enumerate(
+            zip(group.samples, group.rewards, group.advantages)
+        )
     ]
 
 
@@ -444,7 +466,8 @@ class Engine:
     def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
         """One searcher optimization step across every domain."""
         it = self.cfg.iteration
-        groups = []  # (domain, samples, rows)
+        result = StepResult(rows=[], batches=[])
+        groups: list[Group] = []
         for domain in it.domains:
             samples = self.searcher.sample(domain.category, it.group_size, rng)
             rows = [
@@ -474,30 +497,27 @@ class Engine:
                 if probes:
                     kept.append((row, record, probes))
             if kept:
-                batch = DiversityBatch(
-                    items=[(row["query"], rec.embedding) for row, rec, _ in kept]
-                )
                 penalties = repetition_penalty(
-                    batch, it.tau_txt, it.tau_vis, self._text_distance
+                    [(row["query"], rec.embedding) for row, rec, _ in kept],
+                    it.tau_txt, it.tau_vis, self._text_distance,
                 )
                 for (row, _, probes), penalty in zip(kept, penalties):
                     acc = float(np.mean([p.accuracy for p in probes]))
                     _record_reward(row, acc, searcher_reward(probes, penalty))
-            groups.append((domain.category, samples, rows))
-        result = StepResult(rows=[row for _, _, rows in groups for row in rows], batches=[])
+            result.rows += rows
+            rewards = [row["r_final"] for row in rows]
+            groups.append(Group(domain.category, domain.category, samples, rewards, []))
+        # domain_advantages takes the whole step at once, so groups get theirs here.
         advantages = iter(
             domain_advantages(
                 [(row["r_final"], row["domain"]) for row in result.rows],
                 std_epsilon=self.cfg.grpo.std_epsilon,
             )
         )
-        for category, samples, rows in groups:
-            group_adv = [next(advantages) for _ in samples]
-            self.searcher.apply(category, samples, group_adv)
-            result.batches += _batch_records(
-                "stage1", step, category, category, [s.token for s in samples],
-                [row["r_final"] for row in rows], group_adv,
-            )
+        for group in groups:
+            group.advantages = [next(advantages) for _ in group.samples]
+        self.searcher.apply(groups)
+        result.batches = _batch_records("stage1", step, groups)
         return result
 
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
@@ -543,15 +563,6 @@ class Engine:
                     )
         return rows
 
-    def build_random_active(self, count: int, rng: np.random.Generator) -> list[dict]:
-        """Uniform-sampling baseline with the same row shape as build_active_dataset."""
-        records = self.index.records
-        picks = rng.choice(len(records), size=min(count, len(records)), replace=False)
-        return [
-            {"image_id": records[i].id, "query": "", "rank": 1, "score": 0.0}
-            for i in sorted(int(i) for i in picks)
-        ]
-
     def stage2_step(
         self, step: int, d_active: list[dict], rng: np.random.Generator
     ) -> StepResult:
@@ -560,6 +571,7 @@ class Engine:
         if not d_active:
             raise EmptyIndex("stage2 requires a nonempty active dataset")
         result = StepResult(rows=[], batches=[])
+        groups: list[Group] = []
         n_images = min(it.stage2_images_per_step, len(d_active))
         picks = rng.choice(len(d_active), size=n_images, replace=False)
         for pick in picks:
@@ -591,13 +603,18 @@ class Engine:
                 for row, probe, penalty in zip(kept, probes, penalties):
                     _record_reward(row, probe.accuracy, questioner_reward(probe.accuracy, penalty))
             finals = [row["r_final"] for row in rows]
-            advantages = group_advantages(finals, std_epsilon=self.cfg.grpo.std_epsilon)
-            self.questioner.apply(samples, advantages)
-            result.rows += rows
-            result.batches += _batch_records(
-                "stage2", step, image_id, image.category, [s.token for s in samples],
-                finals, advantages,
+            group = Group(
+                key=image_id,
+                domain=image.category,
+                samples=samples,
+                rewards=finals,
+                advantages=group_advantages(finals, std_epsilon=self.cfg.grpo.std_epsilon),
             )
+            # The next image's questions come from the updated policy.
+            self.questioner.apply([group])
+            groups.append(group)
+            result.rows += rows
+        result.batches = _batch_records("stage2", step, groups)
         return result
 
     def build_training_set(
@@ -653,9 +670,8 @@ class Engine:
     ) -> StepResult:
         """One solver optimization step: G rollouts per item, binary rewards."""
         it = self.cfg.iteration
-        result = StepResult(rows=[], batches=[])
         if not d_train_star:
-            return result
+            return StepResult(rows=[], batches=[])
         n_items = min(it.stage3_items_per_step, len(d_train_star))
         picks = rng.choice(len(d_train_star), size=n_items, replace=False)
         items = [d_train_star[int(pick)] for pick in picks]
@@ -670,23 +686,22 @@ class Engine:
                 0 if b is None else solver_reward(b, item.pseudo_label, judge) for b in boxed
             ]
 
-        all_rewards: list[int] = []
-        for item, (image, raw, rewards) in zip(items, self._fan_out(rollout, items)):
-            advantages = group_advantages(rewards, std_epsilon=self.cfg.grpo.std_epsilon)
-            result.batches += _batch_records(
-                "stage3", step, item.image_id, image.category, raw, rewards, advantages
+        groups = [
+            Group(
+                key=item.image_id,
+                domain=image.category,
+                samples=[Sample(text=text) for text in raw],
+                rewards=rewards,
+                advantages=group_advantages(rewards, std_epsilon=self.cfg.grpo.std_epsilon),
             )
-            result.rows.append(
-                {
-                    "step": step,
-                    "image_id": item.image_id,
-                    "mean_reward": float(np.mean(rewards)),
-                }
-            )
-            all_rewards.extend(rewards)
-        if all_rewards:
-            self.solver.apply(float(np.mean(all_rewards)))
-        return result
+            for item, (image, raw, rewards) in zip(items, self._fan_out(rollout, items))
+        ]
+        self.solver.apply(groups)
+        rows = [
+            {"step": step, "image_id": g.key, "mean_reward": float(np.mean(g.rewards))}
+            for g in groups
+        ]
+        return StepResult(rows=rows, batches=_batch_records("stage3", step, groups))
 
     def snapshot(self) -> dict:
         return {

@@ -42,7 +42,6 @@ class RewardRecord:
     challenge: float
     penalty: float
     final: float
-    role: str  # "searcher" | "questioner" | "solver"
 
 
 def searcher_reward(probes: list[ProbeResult], penalty: float) -> RewardRecord:
@@ -55,7 +54,6 @@ def searcher_reward(probes: list[ProbeResult], penalty: float) -> RewardRecord:
         challenge=challenge,
         penalty=penalty,
         final=max(0.0, challenge - penalty),
-        role="searcher",
     )
 
 
@@ -65,7 +63,6 @@ def questioner_reward(acc: float, text_penalty: float) -> RewardRecord:
         challenge=challenge,
         penalty=text_penalty,
         final=max(0.0, challenge - text_penalty),
-        role="questioner",
     )
 
 

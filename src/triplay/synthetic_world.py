@@ -221,25 +221,6 @@ class SyntheticWorld:
         images = gen_corpus(seed, count, dim, list(categories), noise=noise)
         return cls(images, list(categories), dim, bands_per_category)
 
-    @classmethod
-    def from_manifest(
-        cls, manifest: IndexManifest, bands_per_category: int = 16
-    ) -> "SyntheticWorld":
-        """Rebuild a world from a manifest whose meta rows carry the latents."""
-        images = []
-        categories: list[str] = []
-        for rec in manifest.records:
-            if rec.category not in categories:
-                categories.append(rec.category)
-            images.append(
-                SyntheticImage(
-                    record=rec,
-                    difficulty=float(rec.meta.get("difficulty", 0.5)),
-                    answer=str(rec.meta.get("answer", canonical_answer(rec.id))),
-                )
-            )
-        return cls(images, sorted(categories), manifest.dimension, bands_per_category)
-
     def image(self, image_id: str) -> SyntheticImage:
         return self._by_id[image_id]
 

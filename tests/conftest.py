@@ -1,5 +1,6 @@
 """Test helpers: deterministic stand-in backends, helpers that drive and
-measure stage 1 through Engine.stage1_step, and a pairwise cosine oracle."""
+measure stage 1 through Engine.stage1_step, a uniform active-set baseline, and
+a pairwise cosine oracle."""
 
 import hashlib
 import json
@@ -93,6 +94,17 @@ def stage1_stats(engine, steps: int, seed: int) -> list[dict]:
             }
         )
     return stats
+
+
+def random_active(engine, count: int, rng: np.random.Generator) -> list[dict]:
+    """Uniform-sampling baseline with the same row shape as
+    Engine.build_active_dataset."""
+    records = engine.index.records
+    picks = rng.choice(len(records), size=min(count, len(records)), replace=False)
+    return [
+        {"image_id": records[i].id, "query": "", "rank": 1, "score": 0.0}
+        for i in sorted(int(i) for i in picks)
+    ]
 
 
 def selected_difficulties(

@@ -17,13 +17,13 @@ import pytest
 from triplay.cli import main as cli_main
 from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, majority_vote, normalize_answer
-from triplay.diversity import DiversityBatch, repetition_penalty, threshold_cluster
+from triplay.diversity import repetition_penalty, threshold_cluster
 from triplay.embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
 from triplay.grpo import domain_advantages, gradient_check, group_advantages
 from triplay.orchestrator import build_engine, consensus_histogram, read_jsonl
 from triplay.rewards import challenge_reward, difficulty_filter
 
-from conftest import neutral_probe, stage1_stats
+from conftest import neutral_probe, random_active, stage1_stats
 
 
 @contextmanager
@@ -74,7 +74,7 @@ def trained_pipeline():
     for e in (engine, baseline_engine):
         e.questioner.probe = neutral_probe
     # The untrained baseline samples from its initial policy throughout.
-    baseline_engine.searcher.apply = lambda category, samples, advantages: None
+    baseline_engine.searcher.apply = lambda groups: None
     start = time.perf_counter()
     trained_stats = stage1_stats(engine, steps=200, seed=11)
     baseline_stats = stage1_stats(baseline_engine, steps=200, seed=11)
@@ -121,9 +121,7 @@ def _closure_components(mat: np.ndarray, tau: float) -> list[list[int]]:
 
 def test_criterion_02_repetition_penalty():
     with criterion(2, "repetition penalty extremes and clustering oracle", budget=5.0):
-        identical = DiversityBatch(
-            items=[("same query text", np.array([1.0, 0.0]))] * 4
-        )
+        identical = [("same query text", np.array([1.0, 0.0]))] * 4
         assert repetition_penalty(identical, 0.5, 0.1) == [2.0] * 4
 
         texts = ["alpha omicron", "beta sigma", "gamma tau", "delta upsilon"]
@@ -132,7 +130,7 @@ def test_criterion_02_repetition_penalty():
             e = np.zeros(4)
             e[i] = 1.0
             items.append((text, e))
-        assert repetition_penalty(DiversityBatch(items=items), 0.5, 0.1) == [0.5] * 4
+        assert repetition_penalty(items, 0.5, 0.1) == [0.5] * 4
 
         rng = np.random.default_rng(2024)
         for _ in range(500):
@@ -268,7 +266,7 @@ def test_criterion_09_consensus_shift(trained_pipeline):
         d_train, _ = engine.build_training_set(d_active, np.random.default_rng(22))
         hist_trained = consensus_histogram([i.to_row() for i in d_train], k)
 
-        d_random = engine.build_random_active(len(d_active), np.random.default_rng(23))
+        d_random = random_active(engine, len(d_active), np.random.default_rng(23))
         d_train_random, _ = engine.build_training_set(
             d_random, np.random.default_rng(22)
         )

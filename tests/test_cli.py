@@ -307,6 +307,14 @@ class TestUsage:
             main(["run", "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_dataset_build_has_no_stop_after(self, capsys):
+        # --stop-after stops a journaled run; dataset build keeps no journal.
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset", "build", "--synthetic", "--d-active", "d.jsonl",
+                  "--out-dir", "out", "--stop-after", "x"])
+        assert exc.value.code == 2
+        assert "--stop-after" in capsys.readouterr().err
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -24,6 +24,17 @@ from triplay.config import (
 from triplay.errors import ConfigError
 from triplay.grpo import GrpoConfig
 
+REMOTE = {
+    "mode": "remote",
+    "manifest_path": "x.jsonl",
+    "backend": {
+        "endpoint": "https://x/chat",
+        "model": "m",
+        "embedding_endpoint": "https://x/embed",
+        "embedding_model": "e",
+    },
+}
+
 
 class TestDefaults:
     def test_iteration_defaults_pinned(self):
@@ -89,17 +100,29 @@ class TestValidation:
     def test_remote_backend_bounds(self, name, value, need, edge):
         # A negative backoff would surface as a raw ValueError from
         # time.sleep at the first retry; in_flight 0 would silently run serial.
-        backend = {
-            "endpoint": "https://x/chat",
-            "model": "m",
-            "embedding_endpoint": "https://x/embed",
-            "embedding_model": "e",
-        }
-        data = {"mode": "remote", "manifest_path": "x.jsonl", "backend": backend}
         with pytest.raises(ConfigError, match=re.escape(f"backend.{name} must be {need}, got {value}")):
-            config_from_dict(deep_merge(data, {"backend": {name: value}}))
-        cfg = config_from_dict(deep_merge(data, {"backend": {name: edge}}))
+            config_from_dict(deep_merge(REMOTE, {"backend": {name: value}}))
+        cfg = config_from_dict(deep_merge(REMOTE, {"backend": {name: edge}}))
         assert getattr(cfg.backend, name) == edge
+
+    @pytest.mark.parametrize(
+        "base, section, name, value, need, edge",
+        [
+            ({}, "world", "bands_per_category", 0, ">= 1", 1),
+            ({}, "world", "solver_noise_temperature", 0.0, "> 0", 0.01),
+            (REMOTE, "judge", "retries", 0, ">= 1", 1),
+        ],
+        ids=("bands_per_category", "solver_noise_temperature", "judge_retries"),
+    )
+    def test_world_and_judge_bounds(self, base, section, name, value, need, edge):
+        # Unchecked, zero bands failed in numpy on a zero-size array, a zero
+        # noise temperature divided by zero, and zero judge retries ran one
+        # request and then reported "judge failed after 0 attempt(s)".
+        extra = {"kind": "remote"} if section == "judge" else {}
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{name} must be {need}, got {value}")):
+            config_from_dict(deep_merge(base, {section: {**extra, name: value}}))
+        cfg = config_from_dict(deep_merge(base, {section: {**extra, name: edge}}))
+        assert getattr(getattr(cfg, section), name) == edge
 
     def test_group_size_floor(self):
         with pytest.raises(ConfigError, match="group_size"):
@@ -195,9 +218,11 @@ class TestNoDeadKeys:
 class TestNoDeadCode:
     def test_every_public_name_is_used_in_the_package(self):
         # A public name that no module of the package refers to is code that
-        # only tests reach; it belongs in tests/ or nowhere.
+        # only tests reach; it belongs in tests/ or nowhere. That holds for
+        # public methods of public classes too, matched by attribute name;
+        # dunder methods are called by the language, not by name.
         package = Path(triplay.__file__).parent
-        defined: dict[str, str] = {}
+        defined: list[tuple[str, str]] = []  # (module:qualified name, name)
         used: set[str] = set()
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -210,9 +235,15 @@ class TestNoDeadCode:
                     names = [node.target.id]
                 else:
                     names = []
-                for name in names:
-                    if not name.startswith("_"):
-                        defined[name] = path.name
+                defined += [
+                    (f"{path.name}:{name}", name) for name in names if not name.startswith("_")
+                ]
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    defined += [
+                        (f"{path.name}:{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    ]
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
@@ -220,5 +251,5 @@ class TestNoDeadCode:
                     used.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     used.update(alias.name for alias in node.names)
-        unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+        unused = sorted(where for where, name in defined if name not in used)
         assert unused == []

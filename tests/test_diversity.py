@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from triplay.diversity import (
     Clustering,
-    DiversityBatch,
     memoized_text_distance,
     repetition_penalty,
     sentence_bleu,
@@ -274,19 +273,19 @@ class TestThresholdCluster:
         assert sum(clustering.sizes.values()) == 10
 
 
-def orthogonal_batch(n: int, texts: list[str]) -> DiversityBatch:
+def orthogonal_batch(n: int, texts: list[str]) -> list[tuple[str, np.ndarray]]:
     items = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
         items.append((texts[i], e))
-    return DiversityBatch(items=items)
+    return items
 
 
 class TestRepetitionPenalty:
     def test_identical_batch(self):
         e = np.array([1.0, 0.0])
-        batch = DiversityBatch(items=[("same query text", e)] * 4)
+        batch = [("same query text", e)] * 4
         assert repetition_penalty(batch, 0.5, 0.1) == [2.0] * 4
 
     def test_mutually_distant_batch(self):
@@ -295,7 +294,7 @@ class TestRepetitionPenalty:
         assert repetition_penalty(batch, 0.5, 0.1) == [0.5] * 4
 
     def test_singleton_batch(self):
-        batch = DiversityBatch(items=[("only one", np.array([1.0, 0.0]))])
+        batch = [("only one", np.array([1.0, 0.0]))]
         assert repetition_penalty(batch, 0.5, 0.1) == [2.0]
 
     def test_range(self):
@@ -310,7 +309,7 @@ class TestRepetitionPenalty:
                 )
                 for _ in range(n)
             ]
-            penalties = repetition_penalty(DiversityBatch(items=items), 0.5, 0.1)
+            penalties = repetition_penalty(items, 0.5, 0.1)
             for p in penalties:
                 assert 2.0 / n - 1e-12 <= p <= 2.0 + 1e-12
 
@@ -321,11 +320,9 @@ class TestRepetitionPenalty:
             (" ".join(rng.choice(words, size=3)), rng.normal(size=4))
             for _ in range(6)
         ]
-        base = repetition_penalty(DiversityBatch(items=items), 0.5, 0.1)
+        base = repetition_penalty(items, 0.5, 0.1)
         perm = [3, 0, 5, 1, 4, 2]
-        shuffled = repetition_penalty(
-            DiversityBatch(items=[items[i] for i in perm]), 0.5, 0.1
-        )
+        shuffled = repetition_penalty([items[i] for i in perm], 0.5, 0.1)
         for new_pos, old_pos in enumerate(perm):
             assert shuffled[new_pos] == pytest.approx(base[old_pos], abs=1e-12)
 
@@ -337,9 +334,8 @@ class TestRepetitionPenalty:
             (" ".join(rng.choice(words, size=3)), rng.normal(size=4))
             for _ in range(6)
         ]
-        batch = DiversityBatch(items=items)
-        low = repetition_penalty(batch, 0.3, 0.1)
-        high = repetition_penalty(batch, 0.9, 0.1)
+        low = repetition_penalty(items, 0.3, 0.1)
+        high = repetition_penalty(items, 0.9, 0.1)
         assert all(h >= l - 1e-12 for l, h in zip(low, high))
 
     def test_text_only_penalty(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ScriptedEmbeddingBackend
+from conftest import ScriptedEmbeddingBackend, random_active
 
 from triplay import orchestrator
 from triplay.backends import embed_text
@@ -111,8 +111,8 @@ class StubSearcher:
         assert g == len(self.texts)
         return [Sample(text=t) for t in self.texts]
 
-    def apply(self, category, samples, advantages):
-        self.applied.append((category, list(advantages)))
+    def apply(self, groups):
+        self.applied.extend((g.domain, list(g.advantages)) for g in groups)
 
     def snapshot(self):
         return {}
@@ -187,7 +187,7 @@ class TestBuildActive:
         assert rows_a == rows_b
 
     def test_random_baseline_shape(self, engine):
-        rows = engine.build_random_active(40, np.random.default_rng(10))
+        rows = random_active(engine, 40, np.random.default_rng(10))
         assert len(rows) == 40
         assert len({r["image_id"] for r in rows}) == 40
         assert all(r["rank"] == 1 for r in rows)
@@ -334,7 +334,7 @@ class NoBoxSolver:
     def solve(self, image, question, n, rng):
         return ["no boxed answer here"] * n
 
-    def apply(self, mean_reward):
+    def apply(self, groups):
         pass
 
 
@@ -371,7 +371,7 @@ class TestStage2:
             def probe(self, image, rng):
                 return Sample(text=raw)
 
-            def apply(self, samples, advantages):
+            def apply(self, groups):
                 pass
 
         engine.questioner = OneQuestionStub([])
@@ -394,7 +394,7 @@ class TestStage2:
                     Sample(text="<type>bogus_kind</type><question>q</question><answer>1</answer>"),
                 ]
 
-            def apply(self, samples, advantages):
+            def apply(self, groups):
                 pass
 
         engine.questioner = MixedStub([])
@@ -474,6 +474,32 @@ class TestStage3:
         result = engine.stage3_step(0, star_items, np.random.default_rng(26))
         assert all(b.reward == 0.0 for b in result.batches)
         assert all(b.advantage == 0.0 for b in result.batches)
+
+    def test_solver_learns_from_one_group_per_picked_item(self, engine, star_items):
+        class RecordingSolver:
+            def __init__(self, inner):
+                self.inner = inner
+                self.applied = []
+
+            def solve(self, image, question, n, rng):
+                return self.inner.solve(image, question, n, rng)
+
+            def apply(self, groups):
+                self.applied.append(groups)
+
+        engine.solver = RecordingSolver(engine.solver)
+        result = engine.stage3_step(0, star_items, np.random.default_rng(28))
+        # The step's first draw picks its items.
+        n_items = min(engine.cfg.iteration.stage3_items_per_step, len(star_items))
+        picks = np.random.default_rng(28).choice(len(star_items), size=n_items, replace=False)
+        [groups] = engine.solver.applied
+        assert [g.key for g in groups] == [star_items[int(p)].image_id for p in picks]
+        size = engine.cfg.iteration.group_size
+        assert len(result.batches) == size * len(groups)
+        for i, group in enumerate(groups):
+            batches = result.batches[i * size : (i + 1) * size]
+            assert {b.prompt_id.rsplit(":", 1)[0] for b in batches} == {f"stage3:s0:{group.key}"}
+            assert [b.reward for b in batches] == list(group.rewards)
 
     def test_empty_star_set_is_noop(self, engine):
         result = engine.stage3_step(0, [], np.random.default_rng(27))
@@ -666,7 +692,7 @@ class TestStats:
         assert sum(hist["counts"]) == 5
 
     def test_category_distribution(self, engine):
-        rows = engine.build_random_active(30, np.random.default_rng(1))
+        rows = random_active(engine, 30, np.random.default_rng(1))
         shares = category_distribution(engine.index, rows)
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
         assert set(shares) <= {d.category for d in engine.cfg.iteration.domains}

@@ -77,7 +77,6 @@ class TestSearcherReward:
     def test_single_probe(self):
         rec = searcher_reward([probe(0.5)], penalty=0.5)
         assert rec.final == pytest.approx(0.5)
-        assert rec.role == "searcher"
 
     def test_clamp_at_zero(self):
         rec = searcher_reward([probe(1.0)], penalty=0.7)
@@ -109,7 +108,6 @@ class TestQuestionerReward:
         rec = questioner_reward(0.7, 0.1)
         assert rec.challenge == pytest.approx(0.6, abs=1e-12)
         assert rec.final == pytest.approx(0.5, abs=1e-12)
-        assert rec.role == "questioner"
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):

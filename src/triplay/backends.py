@@ -1,9 +1,10 @@
 """Pluggable generation and embedding backends plus role prompt templates.
 
 All three agent roles and the judge share one backend interface; the role is
-purely a prompt-level distinction. Remote backends speak JSON-over-HTTP chat
-completions and embeddings. Synthetic mode calls no backend: its roles and
-query embedder come from the synthetic world.
+purely a prompt-level distinction, and render_prompt fills a template by role
+name. Remote backends speak JSON-over-HTTP chat completions and embeddings,
+both POSTed through one retrying path. Synthetic mode calls no backend: its
+roles and query embedder come from the synthetic world.
 """
 
 from __future__ import annotations
@@ -126,32 +127,15 @@ _ROLE_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    role: str
-    category: str | None = None
-    sample_query: str | None = None
-
-    def __post_init__(self):
-        if self.role not in _ROLE_TEXT:
-            raise ConfigError(f"unknown prompt role {self.role!r}")
-
-
-def render_prompt(template: PromptTemplate, slots: dict | None = None) -> str:
-    """Substitute slot values into the role template; byte-stable across runs."""
-    merged: dict[str, str] = {}
-    if template.category is not None:
-        merged["category"] = template.category
-    if template.sample_query is not None:
-        merged["sample_query"] = template.sample_query
-    merged.update(slots or {})
-    required = _ROLE_SLOTS[template.role]
-    missing = [name for name in required if merged.get(name) is None]
+def render_prompt(role: str, **slots: str) -> str:
+    """The role's template with its slots filled; byte-stable across runs."""
+    if role not in _ROLE_TEXT:
+        raise ConfigError(f"unknown prompt role {role!r}")
+    required = _ROLE_SLOTS[role]
+    missing = [name for name in required if slots.get(name) is None]
     if missing:
-        raise MissingSlot(
-            f"role {template.role!r} is missing slot(s): {', '.join(missing)}"
-        )
-    return _ROLE_TEXT[template.role].format(**{k: merged[k] for k in required})
+        raise MissingSlot(f"role {role!r} is missing slot(s): {', '.join(missing)}")
+    return _ROLE_TEXT[role].format(**{k: slots[k] for k in required})
 
 
 @dataclass(frozen=True)
@@ -255,23 +239,30 @@ def _image_content(image_ref: str) -> dict:
     return {"type": "image_url", "image_url": {"url": url}}
 
 
-def _headers(config: HttpBackendConfig) -> dict:
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(config.auth_env, "") if config.auth_env else ""
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
+class _HttpClient:
+    """POSTs JSON through _post_with_retry, with a bearer token read from the
+    environment variable named by config.auth_env when it is set."""
+
+    def __init__(self, config: HttpBackendConfig, transport=None, sleep=time.sleep):
+        self.config = config
+        self._transport = transport or _requests_transport
+        self._sleep = sleep
+
+    def _post(self, url: str, payload: dict) -> dict:
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(self.config.auth_env, "") if self.config.auth_env else ""
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        return _post_with_retry(self._transport, url, payload, headers, self.config, self._sleep)
 
 
-class HttpChatBackend:
+class HttpChatBackend(_HttpClient):
     """JSON-over-HTTP chat-completion client with exponential-backoff retry."""
 
     def __init__(self, config: HttpBackendConfig, transport=None, sleep=time.sleep):
         if not config.endpoint or not config.model:
             raise ConfigError("remote backend requires endpoint and model")
-        self.config = config
-        self._transport = transport or _requests_transport
-        self._sleep = sleep
+        super().__init__(config, transport, sleep)
 
     def generate(self, request: GenerationRequest) -> list[str]:
         messages = []
@@ -292,15 +283,7 @@ class HttpChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        body = _post_with_retry(
-            self._transport,
-            self.config.endpoint,
-            payload,
-            _headers(self.config),
-            self.config,
-            self._sleep,
-        )
-        choices = body.get("choices")
+        choices = self._post(self.config.endpoint, payload).get("choices")
         if not isinstance(choices, list) or len(choices) < request.n:
             raise MalformedResponse(
                 f"expected {request.n} choices, got {choices if choices is None else len(choices)}"
@@ -314,7 +297,7 @@ class HttpChatBackend:
         return out
 
 
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(_HttpClient):
     """JSON-over-HTTP embedding client sharing the chat client's retry policy."""
 
     def __init__(self, config: HttpBackendConfig, transport=None, sleep=time.sleep):
@@ -322,25 +305,15 @@ class HttpEmbeddingBackend:
             raise ConfigError(
                 "remote embedding backend requires embedding_endpoint and embedding_model"
             )
-        self.config = config
-        self._transport = transport or _requests_transport
-        self._sleep = sleep
+        super().__init__(config, transport, sleep)
         self.dimension: int | None = None
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.config.embedding_model, "input": text}
-        body = _post_with_retry(
-            self._transport,
-            self.config.embedding_endpoint,
-            payload,
-            _headers(self.config),
-            self.config,
-            self._sleep,
-        )
+        body = self._post(self.config.embedding_endpoint, payload)
         try:
             vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
         except (TypeError, KeyError, IndexError) as exc:
             raise MalformedResponse("embedding response missing data[0].embedding") from exc
         self.dimension = int(vec.shape[0])
         return vec
-

@@ -153,7 +153,7 @@ def _cmd_synth_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides_from_args(args))
-    report = orchestrator.run(cfg, stop_after=args.stop_after)
+    report = orchestrator.run(cfg)
     print(json.dumps(report))
     return 0
 
@@ -237,12 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute the full three-stage loop")
     _add_run_overrides(run_p)
-    run_p.add_argument("--stop-after", help="journal key to stop after (testing aid)")
     run_p.set_defaults(func=_cmd_run)
 
     dataset = sub.add_parser("dataset", help="dataset utilities")
     dataset_sub = dataset.add_subparsers(dest="dataset_command", required=True)
-    dbuild = dataset_sub.add_parser("build", help="build training sets from an active set")
+    dbuild = dataset_sub.add_parser(
+        "build",
+        help="build training sets from an active set",
+        description="Build d_train and d_train_star from an active set with fresh, untrained "
+        "agents and an RNG seeded by --seed. A run builds its own training sets with its "
+        "trained agents and per-stage RNG streams, so this does not reproduce a run's "
+        "d_train.jsonl.",
+    )
     _add_run_overrides(dbuild)
     dbuild.add_argument("--d-active", required=True, help="d_active.jsonl path")
     dbuild.add_argument("--out-dir", required=True)

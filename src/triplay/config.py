@@ -110,6 +110,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{name} must be >= {floor}, got {getattr(it, name)}")
     if not it.domains:
         raise ConfigError("at least one domain is required")
+    categories = [d.category for d in it.domains]
+    if len(set(categories)) < len(categories):
+        raise ConfigError(f"iteration.domains repeat a category: {', '.join(categories)}")
     if cfg.mode not in ("synthetic", "remote"):
         raise ConfigError(f"mode must be 'synthetic' or 'remote', got {cfg.mode!r}")
     if cfg.judge.kind not in ("exact", "remote"):

@@ -15,12 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Protocol
 
-from .backends import (
-    JUDGE_SYSTEM_MESSAGE,
-    GenerationRequest,
-    PromptTemplate,
-    render_prompt,
-)
+from .backends import JUDGE_SYSTEM_MESSAGE, GenerationRequest, render_prompt
 from .diversity import components
 from .errors import EmptyAnswers, JudgeFailure, MalformedResponse, Transport
 
@@ -112,8 +107,7 @@ def remote_judge(backend, question: str, gold: str, pred: str, retries: int = 3)
     unparsable replies.
     """
     prompt = render_prompt(
-        PromptTemplate(role="judge"),
-        {"question": question, "ground_truth_answer": gold, "predicted_answer": pred},
+        "judge", question=question, ground_truth_answer=gold, predicted_answer=pred
     )
     request = GenerationRequest(
         prompt=prompt, system=JUDGE_SYSTEM_MESSAGE, n=1, temperature=0.0, max_tokens=16

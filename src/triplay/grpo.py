@@ -236,8 +236,12 @@ class BatchRecord:
 
 
 def write_training_batch(records: list[BatchRecord], path: str | Path) -> None:
-    """Append newline-delimited JSON rows consumable by an external trainer."""
+    """Write newline-delimited JSON rows consumable by an external trainer.
+    The rows go to a temporary file that then replaces path, so a kill
+    leaves either the old file or the whole new one."""
     path = Path(path)
-    with open(path, "a", encoding="utf-8") as fh:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_row(), sort_keys=True) + "\n")
+    tmp.replace(path)

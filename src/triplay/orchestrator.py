@@ -45,7 +45,6 @@ from .backends import (
     GenerationRequest,
     HttpChatBackend,
     HttpEmbeddingBackend,
-    PromptTemplate,
     embed_text,
     generate,
     render_prompt,
@@ -107,6 +106,10 @@ VALID_QUESTION_TYPES = ("short_answer", "numeric_value")
 _QUERY_MEMO_SIZE = 4096
 _TEXT_PAIR_MEMO_SIZE = 16384
 
+# Most completions one remote request asks for; a role needing more sends
+# several requests.
+_MAX_COMPLETIONS = 16
+
 
 @dataclass
 class Sample:
@@ -155,40 +158,42 @@ class CurriculumItem:
 # Role adapters
 
 
-class SyntheticSearcherRole:
-    """Toy query policy over the world's templates, masked per domain."""
+class _ToyPolicyRole:
+    """A toy softmax policy whose samples and updates each touch only the
+    rows of its logits that the subclass's _rows(domain) names."""
 
-    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, learning_rate: float):
+    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, lr: float, size: int):
         self.world = world
         self.cfg = grpo_cfg
-        self.learning_rate = learning_rate
-        self.policy = ToyPolicy(np.zeros(len(world.templates)))
+        self.learning_rate = lr
+        self.policy = ToyPolicy(np.zeros(size))
 
-    def sample(self, category: str, g: int, rng: np.random.Generator) -> list[Sample]:
-        indices = self.world.template_indices(category)
-        sub = ToyPolicy(self.policy.logits[indices], self.policy.temperature)
+    def _sub_policy(self, rows) -> ToyPolicy:
+        return ToyPolicy(self.policy.logits[rows], self.policy.temperature)
+
+    def _draw(self, domain: str, g: int, rng: np.random.Generator, render) -> list[Sample]:
+        """g samples from the domain's rows; render(row) is a sample's text."""
+        rows = self._rows(domain)
+        sub = self._sub_policy(rows)
         actions = sample_actions(sub, g, rng)
         logp = sub.log_probabilities()
-        out = []
-        for a in actions:
-            template = self.world.templates[indices[a]]
-            text = f"<type>{category}</type>\n<query>{template.text}</query>"
-            out.append(Sample(text=text, action=int(a), logp_old=float(logp[a])))
-        return out
+        return [
+            Sample(text=render(rows[a]), action=int(a), logp_old=float(logp[a])) for a in actions
+        ]
 
     def apply(self, groups: list[Group]) -> None:
-        """One update per group, on the templates of the group's domain."""
+        """One update per group, on the rows of the group's domain."""
         for group in groups:
             if not any(group.advantages):
                 continue
-            indices = self.world.template_indices(group.domain)
-            sub = ToyPolicy(self.policy.logits[indices], self.policy.temperature)
+            rows = self._rows(group.domain)
             actions = np.asarray([s.action for s in group.samples])
             logp_old = np.asarray([s.logp_old for s in group.samples])
             updated = toy_policy_update(
-                sub, actions, logp_old, group.advantages, self.cfg, self.learning_rate
+                self._sub_policy(rows), actions, logp_old, group.advantages, self.cfg,
+                self.learning_rate,
             )
-            self.policy.logits[indices] = updated.logits
+            self.policy.logits[rows] = updated.logits
 
     def snapshot(self) -> dict:
         return {"logits": [float(x) for x in self.policy.logits]}
@@ -197,14 +202,31 @@ class SyntheticSearcherRole:
         self.policy = ToyPolicy(np.asarray(state["logits"]), self.policy.temperature)
 
 
-class SyntheticQuestionerRole:
-    """Toy question policy over the fixed phrasing forms."""
+class SyntheticSearcherRole(_ToyPolicyRole):
+    """Toy query policy over the world's templates, masked per domain."""
 
     def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, learning_rate: float):
-        self.world = world
-        self.cfg = grpo_cfg
-        self.learning_rate = learning_rate
-        self.policy = ToyPolicy(np.zeros(len(QUESTION_FORMS)))
+        super().__init__(world, grpo_cfg, learning_rate, len(world.templates))
+
+    def _rows(self, domain: str) -> list[int]:
+        return self.world.template_indices(domain)
+
+    def sample(self, category: str, g: int, rng: np.random.Generator) -> list[Sample]:
+        def render(row: int) -> str:
+            return f"<type>{category}</type>\n<query>{self.world.templates[row].text}</query>"
+
+        return self._draw(category, g, rng, render)
+
+
+class SyntheticQuestionerRole(_ToyPolicyRole):
+    """Toy question policy over the fixed phrasing forms, shared by every domain."""
+
+    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, learning_rate: float):
+        super().__init__(world, grpo_cfg, learning_rate, len(QUESTION_FORMS))
+        self._forms = np.arange(len(QUESTION_FORMS))
+
+    def _rows(self, domain: str) -> np.ndarray:
+        return self._forms
 
     def _render(self, image_id: str, form_index: int) -> str:
         _, _, question = QUESTION_FORMS[form_index]
@@ -220,35 +242,10 @@ class SyntheticQuestionerRole:
         )
 
     def sample(self, image: ImageRecord, g: int, rng: np.random.Generator) -> list[Sample]:
-        actions = sample_actions(self.policy, g, rng)
-        logp = self.policy.log_probabilities()
-        return [
-            Sample(
-                text=self._render(image.id, int(a)),
-                action=int(a),
-                logp_old=float(logp[a]),
-            )
-            for a in actions
-        ]
+        return self._draw(image.category, g, rng, lambda form: self._render(image.id, form))
 
     def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
         return self.sample(image, 1, rng)[0]
-
-    def apply(self, groups: list[Group]) -> None:
-        for group in groups:
-            if not any(group.advantages):
-                continue
-            actions = np.asarray([s.action for s in group.samples])
-            logp_old = np.asarray([s.logp_old for s in group.samples])
-            self.policy = toy_policy_update(
-                self.policy, actions, logp_old, group.advantages, self.cfg, self.learning_rate
-            )
-
-    def snapshot(self) -> dict:
-        return {"logits": [float(x) for x in self.policy.logits]}
-
-    def restore(self, state: dict) -> None:
-        self.policy = ToyPolicy(np.asarray(state["logits"]), self.policy.temperature)
 
 
 class SyntheticSolverRole:
@@ -281,9 +278,20 @@ class RemoteRole:
     """A role served by a chat backend. It keeps no trainable state: its
     batches are exported for an external trainer, not applied here."""
 
-    def __init__(self, backend, temperature: float = 1.0):
+    def __init__(self, backend):
         self.backend = backend
-        self.temperature = temperature
+
+    def _generate(self, role: str, n: int, image: ImageRecord | None = None, **slots) -> list[str]:
+        """n completions of the role's prompt (on the image, if given), asked
+        for in requests of at most _MAX_COMPLETIONS each."""
+        prompt = render_prompt(role, **slots)
+        image_ref = (image.uri or None) if image is not None else None
+        out: list[str] = []
+        for start in range(0, n, _MAX_COMPLETIONS):
+            n_request = min(_MAX_COMPLETIONS, n - start)
+            request = GenerationRequest(prompt=prompt, image_ref=image_ref, n=n_request)
+            out += generate(self.backend, request)
+        return out
 
     def apply(self, groups: list[Group]) -> None:
         pass
@@ -296,39 +304,20 @@ class RemoteRole:
 
 
 class RemoteSearcherRole(RemoteRole):
-    def __init__(self, backend, exemplars: dict[str, str], temperature: float = 1.0):
-        super().__init__(backend, temperature)
+    def __init__(self, backend, exemplars: dict[str, str]):
+        super().__init__(backend)
         self.exemplars = exemplars
 
     def sample(self, category: str, g: int, rng: np.random.Generator) -> list[Sample]:
-        prompt = render_prompt(
-            PromptTemplate(
-                role="searcher",
-                category=category,
-                sample_query=self.exemplars[category],
-            )
+        texts = self._generate(
+            "searcher", g, category=category, sample_query=self.exemplars[category]
         )
-        out: list[Sample] = []
-        remaining = g
-        while remaining > 0:
-            n = min(remaining, 16)
-            request = GenerationRequest(prompt=prompt, n=n, temperature=self.temperature)
-            out.extend(Sample(text=t) for t in generate(self.backend, request))
-            remaining -= n
-        return out
+        return [Sample(text=t) for t in texts]
 
 
 class RemoteQuestionerRole(RemoteRole):
-    def _request(self, image: ImageRecord, n: int) -> GenerationRequest:
-        return GenerationRequest(
-            prompt=render_prompt(PromptTemplate(role="questioner")),
-            image_ref=image.uri or None,
-            n=n,
-            temperature=self.temperature,
-        )
-
     def sample(self, image: ImageRecord, g: int, rng: np.random.Generator) -> list[Sample]:
-        return [Sample(text=t) for t in generate(self.backend, self._request(image, g))]
+        return [Sample(text=t) for t in self._generate("questioner", g, image)]
 
     def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
         return self.sample(image, 1, rng)[0]
@@ -336,13 +325,7 @@ class RemoteQuestionerRole(RemoteRole):
 
 class RemoteSolverRole(RemoteRole):
     def solve(self, image: ImageRecord, question: str, n: int, rng: np.random.Generator) -> list[str]:
-        request = GenerationRequest(
-            prompt=render_prompt(PromptTemplate(role="solver"), {"question": question}),
-            image_ref=image.uri or None,
-            n=n,
-            temperature=self.temperature,
-        )
-        return generate(self.backend, request)
+        return self._generate("solver", n, image, question=question)
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +804,6 @@ class Journal:
         self.entries.append(entry)
 
 
-def _write_batches(path: Path, batches: list[BatchRecord]) -> None:
-    if path.exists():
-        path.unlink()
-    write_training_batch(batches, path)
-
-
 def _run_steps(steps: int, step_fn, *args) -> tuple[list[dict], list[BatchRecord]]:
     """Call step_fn(step, *args) for each step; concatenated rows and batches."""
     rows: list[dict] = []
@@ -838,14 +815,13 @@ def _run_steps(steps: int, step_fn, *args) -> tuple[list[dict], list[BatchRecord
     return rows, batches
 
 
-def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
+def run(cfg: RunConfig) -> dict:
     """Execute cycles x (stage1 -> build_active -> stage2 -> build_training ->
     stage3), journaling at stage boundaries; reruns resume from the journal.
 
-    stop_after names a journal key like "cycle1:stage2" and makes the run
-    return after committing that stage, which simulates a kill between stages.
-    A run directory with journal entries is resumed only under the config it
-    was started with; any other config raises ConfigError.
+    config.json is written only while the journal is empty. A run directory
+    with journal entries is resumed only under the config it was started
+    with; any other config raises ConfigError.
     """
     cfg = validate_config(cfg)
     run_dir = resolve_run_dir(cfg)
@@ -853,12 +829,13 @@ def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
     config_path = run_dir / "config.json"
     config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     journal = Journal(run_dir / "journal.json")
-    if journal.entries and config_path.read_text() != config_text:
+    if not journal.entries:
+        config_path.write_text(config_text)
+    elif config_path.read_text() != config_text:
         raise ConfigError(
             f"{run_dir} holds a run started under a different config; resume it "
             f"with that config or choose another run directory"
         )
-    config_path.write_text(config_text)
     engine = build_engine(cfg)
     if journal.entries:
         engine.restore(journal.entries[-1]["state"])
@@ -905,11 +882,11 @@ def run(cfg: RunConfig, stop_after: str | None = None) -> dict:
             if not journal.done(key):
                 rng = np.random.default_rng(stage_seed(cfg.seed, cycle, name))
                 for artifact, payload in zip(artifacts, stage(rng, cycle_dir)):
-                    write = _write_batches if artifact.endswith("_batches.jsonl") else write_jsonl
-                    write(cycle_dir / artifact, payload)
+                    if artifact.endswith("_batches.jsonl"):
+                        write_training_batch(payload, cycle_dir / artifact)
+                    else:
+                        write_jsonl(cycle_dir / artifact, payload)
                 journal.mark(key, list(artifacts), engine.snapshot())
-            if stop_after == key:
-                return {"run_dir": str(run_dir), "stopped_after": key}
 
     report = compute_stats(cfg, run_dir, engine.index)
     stats_path = run_dir / "stats.json"

@@ -1,6 +1,6 @@
 """Test helpers: deterministic stand-in backends, helpers that drive and
-measure stage 1 through Engine.stage1_step, a uniform active-set baseline, and
-a pairwise cosine oracle."""
+measure stage 1 through Engine.stage1_step, a uniform active-set baseline, a
+pairwise cosine oracle, and a way to end a run right after a stage commits."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ import numpy as np
 from triplay.backends import GenerationRequest
 from triplay.errors import DimensionMismatch, ZeroVector
 from triplay.grpo import ToyPolicy, sample_actions
-from triplay.orchestrator import Sample
+from triplay.orchestrator import Journal, Sample
 from triplay.synthetic_world import SyntheticWorld
 
 
@@ -29,6 +29,24 @@ def request_fingerprint(request: GenerationRequest, extra: str = "") -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class Stopped(Exception):
+    """Raised by a run that end_run_after ended."""
+
+
+def end_run_after(monkeypatch, key: str) -> None:
+    """End the next run that commits journal key `key` right after that
+    commit, by raising Stopped, as a kill between two stages would."""
+    mark = Journal.mark
+
+    def mark_then_stop(self, entry_key, *args, **kwargs):
+        mark(self, entry_key, *args, **kwargs)
+        if entry_key == key:
+            monkeypatch.setattr(Journal, "mark", mark)
+            raise Stopped(key)
+
+    monkeypatch.setattr(Journal, "mark", mark_then_stop)
 
 
 def cosine_similarity(a, b) -> float:

@@ -23,7 +23,7 @@ from triplay.grpo import domain_advantages, gradient_check, group_advantages
 from triplay.orchestrator import build_engine, consensus_histogram, read_jsonl
 from triplay.rewards import challenge_reward, difficulty_filter
 
-from conftest import neutral_probe, random_active, stage1_stats
+from conftest import Stopped, end_run_after, neutral_probe, random_active, stage1_stats
 
 
 @contextmanager
@@ -277,7 +277,7 @@ def test_criterion_09_consensus_shift(trained_pipeline):
         assert mass_trained < mass_random, (mass_trained, mass_random)
 
 
-def test_criterion_10_full_pipeline_smoke(default_run, tmp_path):
+def test_criterion_10_full_pipeline_smoke(default_run, tmp_path, monkeypatch):
     with criterion(10, "full synthetic run with kill-and-resume", budget=300.0):
         saved_cfg = json.loads((default_run.run_dir / "config.json").read_text())
         assert saved_cfg["iteration"]["group_size"] == 8
@@ -292,7 +292,9 @@ def test_criterion_10_full_pipeline_smoke(default_run, tmp_path):
 
         resumed_dir = tmp_path / "resumed"
         args = ["run", "--synthetic", "--seed", "7", "--cycles", "1", "--run-dir", str(resumed_dir)]
-        assert cli_main(args + ["--stop-after", "cycle1:stage2"]) == 0
+        end_run_after(monkeypatch, "cycle1:stage2")
+        with pytest.raises(Stopped):
+            cli_main(args)
         assert not (resumed_dir / "cycle1" / "d_train.jsonl").exists()
         start = time.perf_counter()
         assert cli_main(args) == 0

@@ -9,7 +9,6 @@ from triplay.backends import (
     HttpBackendConfig,
     HttpChatBackend,
     HttpEmbeddingBackend,
-    PromptTemplate,
     embed_text,
     generate,
     render_prompt,
@@ -28,58 +27,52 @@ from conftest import ScriptedBackend, ScriptedEmbeddingBackend
 class TestRenderPrompt:
     def test_searcher_substitutions(self):
         prompt = render_prompt(
-            PromptTemplate(
-                role="searcher",
-                category="Diagrams",
-                sample_query="parallel circuit schematic",
-            )
+            "searcher", category="Diagrams", sample_query="parallel circuit schematic"
         )
         assert "Target Category: Diagrams" in prompt
         assert "parallel circuit schematic" in prompt
         assert "<query>" in prompt
 
     def test_solver_contains_question_and_box_instruction(self):
-        prompt = render_prompt(PromptTemplate(role="solver"), {"question": "Find y."})
+        prompt = render_prompt("solver", question="Find y.")
         assert "Find y." in prompt
         assert "\\boxed{}" in prompt
         assert "considered incorrect" in prompt
 
     def test_judge_contains_all_slots_verbatim(self):
         prompt = render_prompt(
-            PromptTemplate(role="judge"),
-            {
-                "question": "What is the area?",
-                "ground_truth_answer": "12 cm^2",
-                "predicted_answer": "twelve",
-            },
+            "judge",
+            question="What is the area?",
+            ground_truth_answer="12 cm^2",
+            predicted_answer="twelve",
         )
         assert "What is the area?" in prompt
         assert "12 cm^2" in prompt
         assert "twelve" in prompt
 
     def test_questioner_has_no_slots(self):
-        prompt = render_prompt(PromptTemplate(role="questioner"))
+        prompt = render_prompt("questioner")
         assert "<question>" in prompt
         assert "short_answer" in prompt and "numeric_value" in prompt
 
     def test_missing_slot(self):
         with pytest.raises(MissingSlot):
-            render_prompt(PromptTemplate(role="solver"))
+            render_prompt("solver")
         with pytest.raises(MissingSlot):
-            render_prompt(PromptTemplate(role="searcher", category="Charts"))
+            render_prompt("searcher", category="Charts")
 
     def test_unknown_role(self):
         with pytest.raises(ConfigError):
-            PromptTemplate(role="editor")
+            render_prompt("editor")
 
     def test_injective_in_question(self):
-        a = render_prompt(PromptTemplate(role="solver"), {"question": "Find x."})
-        b = render_prompt(PromptTemplate(role="solver"), {"question": "Find y."})
+        a = render_prompt("solver", question="Find x.")
+        b = render_prompt("solver", question="Find y.")
         assert a != b
 
     def test_byte_stable(self):
-        tpl = PromptTemplate(role="searcher", category="c", sample_query="s")
-        assert render_prompt(tpl) == render_prompt(tpl)
+        slots = {"category": "c", "sample_query": "s"}
+        assert render_prompt("searcher", **slots) == render_prompt("searcher", **slots)
 
 
 class TestScriptedBackends:

@@ -7,6 +7,8 @@ import pytest
 from triplay.cli import main
 from triplay.orchestrator import Sample, SyntheticSearcherRole, read_jsonl
 
+from conftest import Stopped, end_run_after
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -160,11 +162,12 @@ class TestRunCommand:
         assert saved["seed"] == 12  # flag wins
         assert saved["iteration"]["group_size"] == 4  # file value kept
 
-    def test_resume_under_changed_config_refused(self, tmp_path, capsys):
+    def test_resume_under_changed_config_refused(self, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
         argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
-        code, _, _ = run_cli(capsys, argv + ["--stop-after", "cycle1:stage1"])
-        assert code == 0
+        end_run_after(monkeypatch, "cycle1:stage1")
+        with pytest.raises(Stopped):
+            main(argv)
         config_before = (run_dir / "config.json").read_bytes()
         code, _, err = run_cli(capsys, argv + ["--group-size", "4"])
         assert code == 1
@@ -212,19 +215,21 @@ class TestLogLevel:
             return [Sample(text="no query tag")] + sample(self, category, g, rng)[1:]
 
         monkeypatch.setattr(SyntheticSearcherRole, "sample", one_untagged)
-        argv = ["--log-level", level, "run", "--run-dir", str(tmp_path / "run"),
-                "--stop-after", "cycle1:build_active"] + RUN_ARGS + ["--searcher-steps", "0"]
+        end_run_after(monkeypatch, "cycle1:build_active")
+        argv = ["--log-level", level, "run", "--run-dir", str(tmp_path / "run")]
+        argv += RUN_ARGS + ["--searcher-steps", "0"]
         # basicConfig configures only a root logger without handlers, and the
         # test runner has put its own there; set them aside for the call.
         root = logging.getLogger()
         handlers, root_level = root.handlers[:], root.level
         root.handlers.clear()
         try:
-            code, _, err = run_cli(capsys, argv)
+            with pytest.raises(Stopped):
+                main(argv)
         finally:
             root.handlers[:] = handlers
             root.setLevel(root_level)
-        assert code == 0
+        err = capsys.readouterr().err
         assert ("build_active: dropping unparsable query" in err) == shown
 
 
@@ -306,14 +311,6 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--frobnicate"])
         assert exc.value.code == 2
-
-    def test_dataset_build_has_no_stop_after(self, capsys):
-        # --stop-after stops a journaled run; dataset build keeps no journal.
-        with pytest.raises(SystemExit) as exc:
-            main(["dataset", "build", "--synthetic", "--d-active", "d.jsonl",
-                  "--out-dir", "out", "--stop-after", "x"])
-        assert exc.value.code == 2
-        assert "--stop-after" in capsys.readouterr().err
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

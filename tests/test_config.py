@@ -147,6 +147,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau_mid"):
             config_from_dict({"iteration": {"tau_mid": 0.5}})
 
+    def test_duplicate_domain_category(self):
+        # Two domains of one category share stage-1 prompt ids and have their
+        # advantages normalized together, as one domain.
+        domains = [{"category": "charts", "exemplar": "a"}, {"category": "charts", "exemplar": "b"}]
+        with pytest.raises(ConfigError, match="repeat a category: charts, charts"):
+            config_from_dict({"iteration": {"domains": domains}})
+
 
 class TestLoadingAndHash:
     def test_overrides_win(self, tmp_path):

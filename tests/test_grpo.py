@@ -258,7 +258,9 @@ class TestBatchExport:
             ),
         ]
         write_training_batch(records, path)
+        write_training_batch(records, path)  # replaces the file, not appends
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["batch.jsonl"]
         assert rows[0]["prompt_id"] == "stage1:s0:charts:0"
         assert set(rows[0]) == {"prompt_id", "domain", "tokens", "reward", "advantage"}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ScriptedEmbeddingBackend, random_active
+from conftest import ScriptedEmbeddingBackend, Stopped, end_run_after, random_active
 
 from triplay import orchestrator
 from triplay.backends import embed_text
@@ -552,12 +552,13 @@ class TestRunAndResume:
             assert cfg.iteration.tau_low < row["accuracy"] < cfg.iteration.tau_high
 
     @pytest.mark.parametrize("stop_key", ["cycle1:stage1", "cycle1:build_training"])
-    def test_resume_is_byte_identical(self, tmp_path, stop_key):
+    def test_resume_is_byte_identical(self, tmp_path, monkeypatch, stop_key):
         cfg_a = small_cfg(tmp_path / "a")
         run(cfg_a)
         cfg_b = small_cfg(tmp_path / "b")
-        partial = run(cfg_b, stop_after=stop_key)
-        assert partial["stopped_after"] == stop_key
+        end_run_after(monkeypatch, stop_key)
+        with pytest.raises(Stopped, match=stop_key):
+            run(cfg_b)
         run(cfg_b)
         assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
 
@@ -604,17 +605,20 @@ class TestRunAndResume:
         writes = []
         crash = {"at": None}
 
-        def counted(write):
-            def wrapper(path, payload):
+        def counted(write, path_arg):
+            def wrapper(*args):
+                path = args[path_arg]
                 writes.append(path.name)
                 if len(writes) == crash["at"]:
                     raise RuntimeError(f"killed writing {path.name}")
-                return write(path, payload)
+                return write(*args)
 
             return wrapper
 
-        monkeypatch.setattr(orchestrator, "write_jsonl", counted(orchestrator.write_jsonl))
-        monkeypatch.setattr(orchestrator, "_write_batches", counted(orchestrator._write_batches))
+        monkeypatch.setattr(orchestrator, "write_jsonl", counted(orchestrator.write_jsonl, 0))
+        monkeypatch.setattr(
+            orchestrator, "write_training_batch", counted(orchestrator.write_training_batch, 1)
+        )
         cfg_a = small_cfg(tmp_path / "a")
         run(cfg_a)
         assert len(writes) == 9
@@ -627,9 +631,11 @@ class TestRunAndResume:
         run(cfg_b)
         assert_same_artifacts(Path(cfg_a.run_dir), Path(cfg_b.run_dir))
 
-    def test_resume_skips_completed_stages(self, tmp_path):
+    def test_resume_skips_completed_stages(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path)
-        run(cfg, stop_after="cycle1:build_active")
+        end_run_after(monkeypatch, "cycle1:build_active")
+        with pytest.raises(Stopped):
+            run(cfg)
         journal = json.loads((Path(cfg.run_dir) / "journal.json").read_text())
         assert [e["key"] for e in journal["entries"]] == [
             "cycle1:stage1",
@@ -639,6 +645,25 @@ class TestRunAndResume:
         journal = json.loads((Path(cfg.run_dir) / "journal.json").read_text())
         keys = [e["key"] for e in journal["entries"]]
         assert keys.count("cycle1:stage1") == 1
+
+    def test_resume_does_not_write_config(self, tmp_path, monkeypatch):
+        # A kill while config.json is rewritten would leave it truncated and
+        # every later resume refused, so a resume only reads it.
+        cfg = small_cfg(tmp_path)
+        end_run_after(monkeypatch, "cycle1:stage1")
+        with pytest.raises(Stopped):
+            run(cfg)
+        written = []
+        write_text = Path.write_text
+
+        def recording_write_text(self, *args, **kwargs):
+            written.append(self.name)
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", recording_write_text)
+        run(cfg)
+        assert "stats.json" in written
+        assert "config.json" not in written
 
     def test_two_cycles_and_reinit_toggle(self, tmp_path):
         cfg = small_cfg(

@@ -1,9 +1,10 @@
 """Remote-mode wiring: role adapters over generative backends, parse-failure
-handling for free-form completions, and concurrent rollouts and votes that
-match a serial run in every stage.
+handling for free-form completions, concurrent rollouts and votes that match
+a serial run in every stage, and the exact bytes of every request payload.
 """
 
 import hashlib
+import json
 import logging
 import sys
 import threading
@@ -13,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from triplay import backends
 from triplay.backends import GenerationRequest
 from triplay.config import IterationConfig, RunConfig
 from triplay.embedding_index import EmbeddingIndex, IndexManifest
@@ -23,6 +25,7 @@ from triplay.orchestrator import (
     RemoteSearcherRole,
     RemoteSolverRole,
     build_engine,
+    run,
 )
 from triplay.synthetic_world import SyntheticWorld
 
@@ -364,3 +367,79 @@ class TestStageFanOut:
         assert any("malformed question output" in m for m in serial)
         assert any("query tag missing" in m for m in serial)
         assert logs[4] == serial
+
+
+def payload_role(payload: dict) -> str:
+    """Which role sent a request payload, read from the payload alone."""
+    if "input" in payload:
+        return "embed"
+    messages = payload["messages"]
+    if messages[0]["role"] == "system":
+        return "judge"
+    content = messages[-1]["content"]
+    text = content if isinstance(content, str) else content[0]["text"]
+    if "Target Category:" in text:
+        return "searcher"
+    return "questioner" if "Analysis Phase" in text else "solver"
+
+
+class RecordingTransport:
+    """HTTP transport stand-in: records each payload as the bytes it would
+    be sent as, and answers with well-formed completions (or a unit
+    embedding) that are a pure function of those bytes."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.bodies: dict[str, list[str]] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        body = json.dumps(payload)
+        role = payload_role(payload)
+        with self._lock:
+            self.bodies.setdefault(role, []).append(body)
+        digest = hashlib.sha256(body.encode()).digest()
+        if role == "embed":
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+            vec = rng.normal(size=self.dimension)
+            return 200, json.dumps({"data": [{"embedding": (vec / np.linalg.norm(vec)).tolist()}]})
+        words = RolePlayBackend.WORDS
+        replies = {
+            "searcher": lambda b: f"<type>cat</type>\n<query>{words[b % 10]} panel</query>",
+            "questioner": lambda b: (
+                "<think>analysis</think>\n<type>numeric_value</type>\n"
+                f"<question>How many {words[b % 10]} marks?</question>\n<answer>4</answer>"
+            ),
+            "solver": lambda b: f"Working through it, \\boxed{{{b % 3 + 3}}}",
+            "judge": lambda b: "correct" if b % 3 == 0 else "incorrect",
+        }
+        texts = [replies[role](digest[i]) for i in range(payload["n"])]
+        return 200, json.dumps({"choices": [{"message": {"content": t}} for t in texts]})
+
+
+# Per role: (request count, sha256 of the sorted request bodies), recorded
+# for one remote cycle of remote_cfg with a remote judge and 20 queries per
+# domain (so the active set's searcher requests split 16 + 4). A change to
+# the bytes of any prompt or payload changes these.
+PAYLOAD_GOLDEN = {
+    "embed": (46, "55bbd88a08e355495b0c484f0796ad4defdacdc667d0f040d93d11faddcfd17a"),
+    "judge": (484, "c6cb0a6630cbc5e9a1f81c65febae3fb76b99b2d1a9ed20260b1275f3e41a2d0"),
+    "questioner": (77, "3339c7bb816547457ae86d7cc9d0c07aee7cdeb7fdf3c5628b86636b3f670784"),
+    "searcher": (12, "d920a7964d464b835a86e57ed5e3b93159ba75e15e3b3226fc24ec8e2a8e71a8"),
+    "solver": (109, "4b84775375c0e4660d817dc3861cef0032752ac03a24cf2641a1ae5f268b02a5"),
+}
+
+
+def test_remote_cycle_payloads_are_byte_stable(manifest_path, tmp_path, monkeypatch):
+    transport = RecordingTransport(dimension=16)
+    monkeypatch.setattr(backends, "_requests_transport", transport)
+    cfg = remote_cfg(manifest_path)
+    cfg.judge.kind = "remote"
+    cfg.iteration.queries_per_iteration = 80
+    cfg.run_dir = str(tmp_path / "run")
+    run(cfg)
+    observed = {
+        role: (len(bodies), hashlib.sha256("\n".join(sorted(bodies)).encode()).hexdigest())
+        for role, bodies in sorted(transport.bodies.items())
+    }
+    assert observed == PAYLOAD_GOLDEN

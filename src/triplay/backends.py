@@ -154,23 +154,6 @@ class GenerationRequest:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
 
 
-def generate(backend, request: GenerationRequest) -> list[str]:
-    """Run one generation call and enforce the exactly-n-completions contract."""
-    completions = backend.generate(request)
-    if len(completions) < request.n:
-        raise MalformedResponse(
-            f"backend returned {len(completions)} completions, expected {request.n}"
-        )
-    return completions[: request.n]
-
-
-def embed_text(backend, text: str) -> np.ndarray:
-    vec = np.asarray(backend.embed(text), dtype=np.float64)
-    if vec.ndim != 1:
-        raise MalformedResponse(f"embedding must be a vector, got shape {vec.shape}")
-    return vec
-
-
 @dataclass
 class HttpBackendConfig:
     endpoint: str = ""
@@ -195,6 +178,7 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
 
 
 def _post_with_retry(transport, url, payload, headers, config, sleep) -> dict:
+    """The package's one retry loop, over transport errors, 429s and 5xx."""
     attempts = max(1, config.max_retries + 1)
     last: Exception | None = None
     for attempt in range(attempts):
@@ -283,17 +267,19 @@ class HttpChatBackend(_HttpClient):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        choices = self._post(self.config.endpoint, payload).get("choices")
+        body = self._post(self.config.endpoint, payload)
+        choices = body.get("choices") if isinstance(body, dict) else None
         if not isinstance(choices, list) or len(choices) < request.n:
-            raise MalformedResponse(
-                f"expected {request.n} choices, got {choices if choices is None else len(choices)}"
-            )
+            raise MalformedResponse(f"expected {request.n} choices in reply {str(body)[:200]}")
         out = []
         for choice in choices[: request.n]:
             try:
-                out.append(choice["message"]["content"])
+                content = choice["message"]["content"]
             except (TypeError, KeyError) as exc:
                 raise MalformedResponse("choice missing message content") from exc
+            if not isinstance(content, str):
+                raise MalformedResponse(f"choice content is {content!r}, not a string")
+            out.append(content)
         return out
 
 
@@ -313,7 +299,9 @@ class HttpEmbeddingBackend(_HttpClient):
         body = self._post(self.config.embedding_endpoint, payload)
         try:
             vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        except (TypeError, KeyError, IndexError) as exc:
-            raise MalformedResponse("embedding response missing data[0].embedding") from exc
+        except (TypeError, KeyError, IndexError, ValueError) as exc:
+            raise MalformedResponse("embedding response has no numeric data[0].embedding") from exc
+        if vec.ndim != 1:
+            raise MalformedResponse(f"embedding must be a vector, got shape {vec.shape}")
         self.dimension = int(vec.shape[0])
         return vec

@@ -28,6 +28,13 @@ from .synthetic_world import SyntheticWorld
 GRADIENT_TOLERANCE = 1e-4
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="run seed (flag wins over config)")
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = index_sub.add_parser("search", help="top-k cosine search")
     search.add_argument("--manifest", required=True)
     search.add_argument("--query-file", required=True, help="JSONL of embeddings")
-    search.add_argument("--k", type=int, required=True)
+    search.add_argument("--k", type=_positive_int, required=True)
     search.set_defaults(func=_cmd_index_search)
 
     synth = sub.add_parser("synth", help="synthetic world utilities")
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     gcheck = check_sub.add_parser(
         "check", help="analytic vs finite-difference gradient validation"
     )
-    gcheck.add_argument("--trials", type=int, default=100)
+    gcheck.add_argument("--trials", type=_positive_int, default=100)
     gcheck.add_argument("--seed", type=int, default=0)
     gcheck.set_defaults(func=_cmd_grpo_check)
 

@@ -64,7 +64,6 @@ class WorldConfig:
 @dataclass
 class JudgeConfig:
     kind: str = "exact"  # "exact" or "remote"
-    retries: int = 3
 
 
 @dataclass
@@ -145,8 +144,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 raise ConfigError(
                     f"backend.{name} must be {need}, got {getattr(backend, name)}"
                 )
-    if cfg.judge.kind == "remote" and cfg.judge.retries < 1:
-        raise ConfigError(f"judge.retries must be >= 1, got {cfg.judge.retries}")
     if cfg.mode == "synthetic" and cfg.world.dim < 2 * len(cfg.iteration.domains):
         raise ConfigError(
             f"world dim {cfg.world.dim} too small for {len(cfg.iteration.domains)} "

@@ -10,16 +10,13 @@ carry state between runs, and lru_cache is safe to share between threads.
 from __future__ import annotations
 
 import functools
-import logging
 import re
 from dataclasses import dataclass
 from typing import Protocol
 
 from .backends import JUDGE_SYSTEM_MESSAGE, GenerationRequest, render_prompt
 from .diversity import components
-from .errors import EmptyAnswers, JudgeFailure, MalformedResponse, Transport
-
-logger = logging.getLogger(__name__)
+from .errors import EmptyAnswers, JudgeFailure
 
 _BOX = "\\boxed{"
 
@@ -99,12 +96,12 @@ def _parse_verdict(reply: str) -> bool | None:
     return None
 
 
-def remote_judge(backend, question: str, gold: str, pred: str, retries: int = 3) -> bool:
+def remote_judge(backend, question: str, gold: str, pred: str) -> bool:
     """One equivalence verdict from a generative backend.
 
-    Renders the judge template, requests a single completion, and parses the
-    leading correct/incorrect token, retrying on transport errors and on
-    unparsable replies.
+    Renders the judge template, sends one request for a single completion, and
+    parses its leading correct/incorrect token. An unparsable reply raises
+    JudgeFailure: at temperature 0, asking again would get the same reply.
     """
     prompt = render_prompt(
         "judge", question=question, ground_truth_answer=gold, predicted_answer=pred
@@ -112,20 +109,11 @@ def remote_judge(backend, question: str, gold: str, pred: str, retries: int = 3)
     request = GenerationRequest(
         prompt=prompt, system=JUDGE_SYSTEM_MESSAGE, n=1, temperature=0.0, max_tokens=16
     )
-    last_error: Exception | None = None
-    for attempt in range(retries):
-        try:
-            reply = backend.generate(request)[0]
-        except Transport as exc:
-            last_error = exc
-            continue
-        verdict = _parse_verdict(reply)
-        if verdict is None:
-            logger.warning("unparsable judge reply (attempt %d): %.80r", attempt, reply)
-            last_error = MalformedResponse(f"judge replied {reply!r}")
-            continue
-        return verdict
-    raise JudgeFailure(f"judge failed after {retries} attempt(s)") from last_error
+    reply = backend.generate(request)[0]
+    verdict = _parse_verdict(reply)
+    if verdict is None:
+        raise JudgeFailure(f"unparsable judge reply {reply[:200]!r}")
+    return verdict
 
 
 class RemoteJudge:
@@ -139,10 +127,9 @@ class RemoteJudge:
     not memoized, so the pair is asked again on the next call.
     """
 
-    def __init__(self, backend, question: str = "", retries: int = 3):
+    def __init__(self, backend, question: str = ""):
         self.backend = backend
         self.question = question
-        self.retries = retries
         self._verdicts: dict[frozenset[str], bool] = {}
 
     def equivalent(self, a: str, b: str) -> bool:
@@ -151,9 +138,9 @@ class RemoteJudge:
         pair = frozenset((a, b))
         verdict = self._verdicts.get(pair)
         if verdict is None:
-            verdict = remote_judge(
-                self.backend, self.question, a, b, retries=self.retries
-            ) or remote_judge(self.backend, self.question, b, a, retries=self.retries)
+            verdict = remote_judge(self.backend, self.question, a, b) or remote_judge(
+                self.backend, self.question, b, a
+            )
             self._verdicts[pair] = verdict
         return verdict
 

@@ -45,8 +45,6 @@ from .backends import (
     GenerationRequest,
     HttpChatBackend,
     HttpEmbeddingBackend,
-    embed_text,
-    generate,
     render_prompt,
 )
 from .config import (
@@ -290,7 +288,7 @@ class RemoteRole:
         for start in range(0, n, _MAX_COMPLETIONS):
             n_request = min(_MAX_COMPLETIONS, n - start)
             request = GenerationRequest(prompt=prompt, image_ref=image_ref, n=n_request)
-            out += generate(self.backend, request)
+            out += self.backend.generate(request)
         return out
 
     def apply(self, groups: list[Group]) -> None:
@@ -406,13 +404,11 @@ class Engine:
         self._text_distance = memoized_text_distance(_TEXT_PAIR_MEMO_SIZE)
 
     def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
-        return self.index.retrieve(embed_text(self.embedder, query), 1)[0]
+        return self.index.retrieve(self.embedder.embed(query), 1)[0]
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
-            return RemoteJudge(
-                self.judge_backend, question=question, retries=self.cfg.judge.retries
-            )
+            return RemoteJudge(self.judge_backend, question=question)
         return ExactNormalizedJudge()
 
     def _score(self, image: ImageRecord, question: str, n: int, rng) -> ProbeResult:
@@ -529,7 +525,7 @@ class Engine:
             if not queries:
                 continue
             distinct = list(dict.fromkeys(queries))
-            embeddings = self._fan_out(functools.partial(embed_text, self.embedder), distinct)
+            embeddings = self._fan_out(self.embedder.embed, distinct)
             results = self.index.retrieve_batch(embeddings, it.top_k)
             for query, ranked in zip(distinct, results):
                 for rank, (record, score) in enumerate(ranked, start=1):

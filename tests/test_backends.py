@@ -9,8 +9,6 @@ from triplay.backends import (
     HttpBackendConfig,
     HttpChatBackend,
     HttpEmbeddingBackend,
-    embed_text,
-    generate,
     render_prompt,
 )
 from triplay.errors import (
@@ -90,15 +88,15 @@ class TestScriptedBackends:
 
     def test_n_completions(self):
         request = GenerationRequest(prompt="p", n=8)
-        assert len(generate(ScriptedBackend(), request)) == 8
+        assert len(ScriptedBackend().generate(request)) == 8
 
     def test_embedding_deterministic_unit(self):
         backend = ScriptedEmbeddingBackend(dimension=16, seed=3)
-        a = embed_text(backend, "bar chart")
-        b = embed_text(backend, "bar chart")
+        a = backend.embed("bar chart")
+        b = backend.embed("bar chart")
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
-        c = embed_text(backend, "line chart")
+        c = backend.embed("line chart")
         assert not np.array_equal(a, c)
 
     def test_request_validation(self):
@@ -230,6 +228,21 @@ class TestHttpChatBackend:
         with pytest.raises(MalformedResponse):
             backend.generate(GenerationRequest(prompt="p", n=2))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": {"content": None}}]},
+            [{"message": {"content": "ok"}}],
+        ],
+        ids=("null_content", "list_body"),
+    )
+    def test_malformed_reply_is_malformed_response(self, body):
+        # Valid JSON of the wrong shape; each once escaped as a raw builtin
+        # exception (AttributeError in the judge or in the client).
+        backend, _ = make_backend([(200, json.dumps(body))])
+        with pytest.raises(MalformedResponse):
+            backend.generate(GenerationRequest(prompt="p"))
+
     def test_auth_header_from_env(self, monkeypatch):
         monkeypatch.setenv("TEST_API_TOKEN", "sekrit")
         config = HttpBackendConfig(
@@ -247,13 +260,13 @@ class TestHttpChatBackend:
             HttpChatBackend(HttpBackendConfig())
 
 
-def make_embedding_backend(auth_env=""):
+def make_embedding_backend(auth_env="", embedding=(0.1, 0.2, 0.3)):
     config = HttpBackendConfig(
         embedding_endpoint="https://api.example/v1/embed",
         embedding_model="emb",
         auth_env=auth_env,
     )
-    body = json.dumps({"data": [{"embedding": [0.1, 0.2, 0.3]}]})
+    body = json.dumps({"data": [{"embedding": list(embedding)}]})
     transport = FakeTransport([(200, body)])
     backend = HttpEmbeddingBackend(config, transport=transport, sleep=lambda _t: None)
     return backend, transport
@@ -262,7 +275,7 @@ def make_embedding_backend(auth_env=""):
 class TestHttpEmbeddingBackend:
     def test_happy_path(self):
         backend, _ = make_embedding_backend()
-        vec = embed_text(backend, "query")
+        vec = backend.embed("query")
         np.testing.assert_allclose(vec, [0.1, 0.2, 0.3])
         assert backend.dimension == 3
 
@@ -288,3 +301,14 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(MalformedResponse):
             backend.embed("query")
 
+    @pytest.mark.parametrize(
+        "embedding",
+        [[0.1, "x"], [[0.1, 0.2], [0.3]], [[0.1, 0.2]]],
+        ids=("non_numeric", "ragged", "matrix"),
+    )
+    def test_malformed_embedding(self, embedding):
+        # A non-numeric or ragged embedding once escaped as a raw ValueError.
+        backend, _ = make_embedding_backend(embedding=embedding)
+        with pytest.raises(MalformedResponse):
+            backend.embed("query")
+        assert backend.dimension is None

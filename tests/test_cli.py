@@ -312,6 +312,23 @@ class TestUsage:
             main(["run", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grpo", "check", "--trials", "0"],
+            ["grpo", "check", "--trials", "-5"],
+            ["index", "search", "--manifest", "m.jsonl", "--query-file", "q.jsonl", "--k", "0"],
+        ],
+        ids=("trials_zero", "trials_negative", "k_zero"),
+    )
+    def test_count_below_one_is_usage_error(self, argv, capsys):
+        # Unchecked, zero trials checked nothing and passed, and --k 0 ended
+        # in a raw ValueError traceback from the index.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -106,23 +106,26 @@ class TestValidation:
         assert getattr(cfg.backend, name) == edge
 
     @pytest.mark.parametrize(
-        "base, section, name, value, need, edge",
+        "name, value, need, edge",
         [
-            ({}, "world", "bands_per_category", 0, ">= 1", 1),
-            ({}, "world", "solver_noise_temperature", 0.0, "> 0", 0.01),
-            (REMOTE, "judge", "retries", 0, ">= 1", 1),
+            ("bands_per_category", 0, ">= 1", 1),
+            ("solver_noise_temperature", 0.0, "> 0", 0.01),
         ],
-        ids=("bands_per_category", "solver_noise_temperature", "judge_retries"),
+        ids=("bands_per_category", "solver_noise_temperature"),
     )
-    def test_world_and_judge_bounds(self, base, section, name, value, need, edge):
-        # Unchecked, zero bands failed in numpy on a zero-size array, a zero
-        # noise temperature divided by zero, and zero judge retries ran one
-        # request and then reported "judge failed after 0 attempt(s)".
-        extra = {"kind": "remote"} if section == "judge" else {}
-        with pytest.raises(ConfigError, match=re.escape(f"{section}.{name} must be {need}, got {value}")):
-            config_from_dict(deep_merge(base, {section: {**extra, name: value}}))
-        cfg = config_from_dict(deep_merge(base, {section: {**extra, name: edge}}))
-        assert getattr(getattr(cfg, section), name) == edge
+    def test_world_and_judge_bounds(self, name, value, need, edge):
+        # Unchecked, zero bands failed in numpy on a zero-size array, and a
+        # zero noise temperature divided by zero.
+        with pytest.raises(ConfigError, match=re.escape(f"world.{name} must be {need}, got {value}")):
+            config_from_dict({"world": {name: value}})
+        cfg = config_from_dict({"world": {name: edge}})
+        assert getattr(cfg.world, name) == edge
+
+    def test_judge_retries_is_an_unknown_key(self):
+        # Transport retries belong to backend.max_retries alone; a config
+        # written before judge.retries was removed is refused, not migrated.
+        with pytest.raises(ConfigError, match="unknown key.*'judge': retries"):
+            config_from_dict(deep_merge(REMOTE, {"judge": {"kind": "remote", "retries": 3}}))
 
     def test_group_size_floor(self):
         with pytest.raises(ConfigError, match="group_size"):

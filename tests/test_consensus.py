@@ -192,15 +192,19 @@ class TestRemoteJudge:
         backend = FakeJudgeBackend(["Incorrect."])
         assert remote_judge(backend, "q", "4", "5") is False
 
-    def test_unparsable_retries_then_fails(self):
-        backend = FakeJudgeBackend(["maybe", "dunno", "shrug"])
-        with pytest.raises(JudgeFailure):
-            remote_judge(backend, "q", "4", "5", retries=3)
-        assert len(backend.requests) == 3
+    def test_unparsable_fails_after_one_request(self):
+        # At temperature 0 a second identical request would get the same reply.
+        backend = FakeJudgeBackend(["maybe", "correct"])
+        with pytest.raises(JudgeFailure, match="'maybe'"):
+            remote_judge(backend, "q", "4", "5")
+        assert len(backend.requests) == 1
 
-    def test_transport_retry_then_success(self):
+    def test_transport_error_propagates_after_one_request(self):
+        # The backend's HTTP client is the one retry layer; the judge adds none.
         backend = FakeJudgeBackend([Transport("boom"), "correct"])
-        assert remote_judge(backend, "q", "a", "b", retries=2) is True
+        with pytest.raises(Transport, match="boom"):
+            remote_judge(backend, "q", "a", "b")
+        assert len(backend.requests) == 1
 
     def test_prompt_carries_all_three_slots(self):
         backend = FakeJudgeBackend(["correct"])
@@ -299,7 +303,7 @@ class TestRemoteJudgeMemo:
 
     def test_judge_failure_is_not_memoized(self):
         backend = FakeJudgeBackend(["maybe", "correct"])
-        judge = RemoteJudge(backend, question="q", retries=1)
+        judge = RemoteJudge(backend, question="q")
         with pytest.raises(JudgeFailure):
             judge.equivalent("left", "right")
         assert judge.equivalent("right", "left") is True

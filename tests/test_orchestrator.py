@@ -8,7 +8,6 @@ import pytest
 from conftest import ScriptedEmbeddingBackend, Stopped, end_run_after, random_active
 
 from triplay import orchestrator
-from triplay.backends import embed_text
 from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import extract_tagged
 from triplay.errors import ConfigError, DimensionMismatch
@@ -160,7 +159,7 @@ class TestStage1FailurePaths:
         assert len(result.rows) == 4 * len(cfg.iteration.domains)
         for row in result.rows:
             assert row["query"]
-            record, _ = engine.index.retrieve(embed_text(engine.embedder, row["query"]), 1)[0]
+            record, _ = engine.index.retrieve(engine.embedder.embed(row["query"]), 1)[0]
             assert row["image_id"] == record.id
             assert row["acc"] is None
             assert row["r_final"] == 0.0
@@ -209,7 +208,7 @@ def build_active_reference(engine, rng) -> list[dict]:
         queries = [q for q in (extract_tagged(s.text, "query") for s in samples) if q]
         if not queries:
             continue
-        embeddings = [embed_text(engine.embedder, q) for q in queries]
+        embeddings = [engine.embedder.embed(q) for q in queries]
         for query, ranked in zip(queries, engine.index.retrieve_batch(embeddings, it.top_k)):
             for rank, (record, score) in enumerate(ranked, start=1):
                 if record.id in seen:

@@ -369,6 +369,67 @@ class TestStageFanOut:
         assert logs[4] == serial
 
 
+class FailOnceVerdictBackend(CountingVerdictBackend):
+    """CountingVerdictBackend whose first reply, in whichever worker asks
+    first, is unparsable."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = False
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        verdict = super().generate(request)
+        with self._lock:
+            fail, self.failed = not self.failed, True
+        return ["maybe"] if fail else verdict
+
+
+class TestJudgeFailure:
+    """The judge asks once; the HTTP client under it is the one retry layer."""
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [(Transport("connection refused"), Transport), ((429, ""), backends.RateLimited)],
+        ids=("transport", "rate_limited"),
+    )
+    def test_dead_judge_ends_build_training(self, manifest_path, stage_inputs, reply, error):
+        cfg = fan_out_cfg(manifest_path, 1, judge="remote")
+        posts: Counter = Counter()
+        sleeps: list[float] = []
+
+        def dead_endpoint(url, payload, headers, timeout):
+            posts[json.dumps(payload, sort_keys=True)] += 1
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        judge_backend = backends.HttpChatBackend(cfg.backend, dead_endpoint, sleeps.append)
+        engine = role_engine(cfg, RolePlayBackend(), judge_backend)
+        with pytest.raises(error):
+            engine.build_training_set(stage_inputs["d_active"], np.random.default_rng(2))
+        # One judge request, sent max_retries + 1 times by the client alone.
+        assert list(posts.values()) == [cfg.backend.max_retries + 1]
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_unparsable_verdict_drops_only_its_item(self, manifest_path, stage_inputs, caplog):
+        cfg = fan_out_cfg(manifest_path, 4, judge="remote")
+        d_active = stage_inputs["d_active"]
+        clean, _ = role_engine(cfg, RolePlayBackend(), CountingVerdictBackend()).build_training_set(
+            d_active, np.random.default_rng(2)
+        )
+        engine = role_engine(cfg, RolePlayBackend(), FailOnceVerdictBackend())
+        with caplog.at_level(logging.WARNING):
+            d_train, _ = engine.build_training_set(d_active, np.random.default_rng(2))
+        aborted = [r for r in caplog.records if "vote aborted" in r.getMessage()]
+        assert len(aborted) == 1
+        assert aborted[0].thread == threading.get_ident()
+        assert "'maybe'" in aborted[0].getMessage()
+        dropped = [item for item in clean if item not in d_train]
+        assert len(dropped) == 1
+        assert dropped[0].image_id in aborted[0].getMessage()
+        assert d_train == [item for item in clean if item is not dropped[0]]
+
+
 def payload_role(payload: dict) -> str:
     """Which role sent a request payload, read from the payload alone."""
     if "input" in payload:

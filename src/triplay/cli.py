@@ -35,6 +35,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _category_list(text: str) -> list[str]:
+    categories = [c.strip() for c in text.split(",") if c.strip()]
+    if not categories:
+        raise argparse.ArgumentTypeError("needs at least one category")
+    if len(set(categories)) < len(categories):
+        raise argparse.ArgumentTypeError(f"lists a category twice: {text!r}")
+    return categories
+
+
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="run seed (flag wins over config)")
@@ -142,12 +151,11 @@ def _cmd_index_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_gen(args: argparse.Namespace) -> int:
-    categories = [c.strip() for c in args.categories.split(",") if c.strip()]
     world = SyntheticWorld.generate(
         seed=args.seed,
         count=args.count,
         dim=args.dim,
-        categories=categories,
+        categories=args.categories,
         bands_per_category=args.bands,
     )
     manifest = IndexManifest(
@@ -236,10 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = synth_sub.add_parser("gen", help="write a synthetic corpus manifest")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=10000)
-    gen.add_argument("--dim", type=int, default=32)
-    gen.add_argument("--categories", default="charts,diagrams,maps,photos")
-    gen.add_argument("--bands", type=int, default=16)
+    gen.add_argument("--count", type=_positive_int, default=10000)
+    gen.add_argument("--dim", type=_positive_int, default=32)
+    gen.add_argument(
+        "--categories", type=_category_list, default="charts,diagrams,maps,photos",
+        help="comma-separated, distinct category names",
+    )
+    gen.add_argument("--bands", type=_positive_int, default=16, help="bands per category")
     gen.set_defaults(func=_cmd_synth_gen)
 
     run_p = sub.add_parser("run", help="execute the full three-stage loop")

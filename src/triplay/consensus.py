@@ -5,12 +5,20 @@ normalize_answer is memoized process-wide in a bounded LRU
 without the memo each answer would be normalized once per comparison. The
 function is pure over an immutable str, so the memo cannot change a result or
 carry state between runs, and lru_cache is safe to share between threads.
+
+RemoteJudge verdicts live in a VerdictMemo, which an Engine shares between
+every judge it makes: the vote, the recount and the stage-3 rewards of a run
+each ask about a (question, answer pair) once. The memo is single-flight and
+bounded (_VERDICT_MEMO_SIZE entries): threads that need the same verdict wait
+for the one thread asking it.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -116,33 +124,86 @@ def remote_judge(backend, question: str, gold: str, pred: str) -> bool:
     return verdict
 
 
+# Entry bound of a VerdictMemo, well above the 1.5k keys that one run of the
+# benchmark's remote_cycle workload ends with (seed 7).
+_VERDICT_MEMO_SIZE = 16384
+
+
+class VerdictMemo:
+    """Thread-safe, single-flight, bounded memo of judge verdicts, keyed by
+    (question, unordered pair of answer strings).
+
+    A key that another thread is asking is waited for, not asked again, so
+    each key is asked once however its callers are scheduled: request counts
+    are exact while the memo holds fewer than _VERDICT_MEMO_SIZE keys. Past
+    that bound the oldest verdict is evicted, and asked again when next
+    needed. A failure (JudgeFailure, a transport error) reaches every caller
+    waiting on its key and leaves no entry. Verdicts are stored as plain
+    bools; a key has a Future only while it is being asked.
+    """
+
+    def __init__(self):
+        self._verdicts: dict[tuple[str, frozenset[str]], bool] = {}
+        self._asking: dict[tuple[str, frozenset[str]], Future] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple[str, frozenset[str]], ask) -> bool:
+        """The verdict for key; ask() runs only if no entry and no asker exist."""
+        with self._lock:
+            verdict = self._verdicts.get(key)
+            if verdict is not None:
+                return verdict
+            pending = self._asking.get(key)
+            waiting = pending is not None
+            if not waiting:
+                pending = self._asking[key] = Future()
+        if waiting:
+            return pending.result()
+        try:
+            verdict = ask()
+        except BaseException as exc:
+            with self._lock:
+                del self._asking[key]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            del self._asking[key]
+            self._verdicts[key] = verdict
+            if len(self._verdicts) > _VERDICT_MEMO_SIZE:
+                del self._verdicts[next(iter(self._verdicts))]
+        pending.set_result(verdict)
+        return verdict
+
+
 class RemoteJudge:
     """LLM-backed judge, made symmetric by querying both orders and OR-ing.
 
     Exact normalized equality short-circuits, which also makes the relation
-    reflexive without a network call. Verdicts are memoized per unordered pair
-    of answer strings, so one judge (one question) asks about each pair of
-    distinct strings at most once, with up to 2 requests per pair. This is
-    exact because the judge runs at temperature 0. A JudgeFailure is raised,
-    not memoized, so the pair is asked again on the next call.
+    reflexive without a network call. Other pairs go through a VerdictMemo
+    keyed by (question, unordered pair): the judge prompt is a pure function
+    of the question and the two answers, and at temperature 0 so is its
+    reply. The memo is the judge's own unless one is passed in; an Engine
+    passes every judge it makes the same memo, so each distinct key is asked
+    once per engine. A key is asked in sorted order, the reverse order
+    following only on "incorrect", so the requests it costs (one or two) do
+    not depend on which caller reaches it first.
     """
 
-    def __init__(self, backend, question: str = ""):
+    def __init__(self, backend, question: str = "", memo: VerdictMemo | None = None):
         self.backend = backend
         self.question = question
-        self._verdicts: dict[frozenset[str], bool] = {}
+        self.memo = memo if memo is not None else VerdictMemo()
 
     def equivalent(self, a: str, b: str) -> bool:
         if normalize_answer(a) == normalize_answer(b):
             return True
-        pair = frozenset((a, b))
-        verdict = self._verdicts.get(pair)
-        if verdict is None:
-            verdict = remote_judge(self.backend, self.question, a, b) or remote_judge(
-                self.backend, self.question, b, a
-            )
-            self._verdicts[pair] = verdict
-        return verdict
+        return self.memo.get((self.question, frozenset((a, b))), lambda: self._ask(a, b))
+
+    def _ask(self, a: str, b: str) -> bool:
+        first, second = sorted((a, b))
+        return remote_judge(self.backend, self.question, first, second) or remote_judge(
+            self.backend, self.question, second, first
+        )
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,12 @@ synthetic mode runs all of it serially.
 
 Each distinct piece of work is done once. build_active_dataset embeds and
 retrieves each distinct query of a domain once. An Engine memoizes, per
-engine and within fixed bounds, the stage-1 top-1 hit of each query text and
-the BLEU distance of each pair of texts. The dedup and the query memo assume
-a deterministic embedding backend; the memos hold no agent state and are not
-journaled.
+engine and within fixed bounds, the stage-1 top-1 hit of each query text, the
+BLEU distance of each pair of texts, and the remote judge's verdict on each
+question and pair of answers (one VerdictMemo shared by every judge it
+makes). The dedup and the query memo assume a deterministic embedding
+backend, and the verdict memo a temperature-0 judge; the memos hold no agent
+state and are not journaled.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .config import (
 from .consensus import (
     ExactNormalizedJudge,
     RemoteJudge,
+    VerdictMemo,
     extract_boxed,
     extract_tagged,
 )
@@ -402,13 +405,14 @@ class Engine:
         # DimensionMismatch leaves no entry behind.
         self._top1 = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._retrieve_top1)
         self._text_distance = memoized_text_distance(_TEXT_PAIR_MEMO_SIZE)
+        self._verdicts = VerdictMemo()
 
     def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
         return self.index.retrieve(self.embedder.embed(query), 1)[0]
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
-            return RemoteJudge(self.judge_backend, question=question)
+            return RemoteJudge(self.judge_backend, question=question, memo=self._verdicts)
         return ExactNormalizedJudge()
 
     def _score(self, image: ImageRecord, question: str, n: int, rng) -> ProbeResult:

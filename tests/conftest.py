@@ -1,9 +1,11 @@
 """Test helpers: deterministic stand-in backends, helpers that drive and
 measure stage 1 through Engine.stage1_step, a uniform active-set baseline, a
-pairwise cosine oracle, and a way to end a run right after a stage commits."""
+pairwise cosine oracle, a way to end a run right after a stage commits, and a
+byte comparison of two runs' artifacts."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +49,18 @@ def end_run_after(monkeypatch, key: str) -> None:
             raise Stopped(key)
 
     monkeypatch.setattr(Journal, "mark", mark_then_stop)
+
+
+def assert_same_artifacts(run_a: Path, run_b: Path) -> None:
+    """Every cycle artifact and stats.json of run_b is byte-identical to run_a's."""
+
+    def digest(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    names = sorted(str(p.relative_to(run_a)) for p in run_a.glob("cycle*/*"))
+    assert names == sorted(str(p.relative_to(run_b)) for p in run_b.glob("cycle*/*"))
+    for name in names + ["stats.json"]:
+        assert digest(run_a / name) == digest(run_b / name), name
 
 
 def cosine_similarity(a, b) -> float:

@@ -318,16 +318,40 @@ class TestUsage:
             ["grpo", "check", "--trials", "0"],
             ["grpo", "check", "--trials", "-5"],
             ["index", "search", "--manifest", "m.jsonl", "--query-file", "q.jsonl", "--k", "0"],
+            ["synth", "gen", "--out", "c.jsonl", "--count", "0"],
+            ["synth", "gen", "--out", "c.jsonl", "--dim", "0"],
+            ["synth", "gen", "--out", "c.jsonl", "--bands", "0"],
         ],
-        ids=("trials_zero", "trials_negative", "k_zero"),
+        ids=("trials_zero", "trials_negative", "k_zero", "count_zero", "dim_zero", "bands_zero"),
     )
     def test_count_below_one_is_usage_error(self, argv, capsys):
-        # Unchecked, zero trials checked nothing and passed, and --k 0 ended
-        # in a raw ValueError traceback from the index.
+        # Unchecked, zero trials checked nothing and passed, --k 0 ended in a
+        # raw ValueError traceback from the index, and --bands 0 wrote a
+        # manifest that a run refuses.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "categories, message",
+        [
+            (",", "at least one category"),
+            ("", "at least one category"),
+            (" , ,", "at least one category"),
+            ("charts,maps,charts", "twice"),
+            ("charts, charts", "twice"),
+        ],
+        ids=("commas_only", "empty", "blanks", "duplicate", "duplicate_after_strip"),
+    )
+    def test_bad_category_list_is_usage_error(self, tmp_path, categories, message, capsys):
+        # An empty list ended in a raw ZeroDivisionError traceback.
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "gen", "--out", str(out), "--categories", categories])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
+import random
 import re
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -6,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplay import consensus
 from triplay.backends import GenerationRequest
 from triplay.consensus import (
     ConsensusResult,
     ExactNormalizedJudge,
     RemoteJudge,
+    VerdictMemo,
     extract_boxed,
     extract_tagged,
     majority_vote,
@@ -331,3 +336,138 @@ class TestRemoteJudgeMemo:
         assert (again.label, again.class_sizes) == (base.label, base.class_sizes)
         plain = majority_vote(answers, UnmemoizedJudge(backend, question="q"))
         assert (base.label, base.class_sizes) == (plain.label, plain.class_sizes)
+
+
+class ThreadSafeCountingBackend(CountingJudgeBackend):
+    """CountingJudgeBackend for many threads: it also counts each whole
+    prompt, question included, and yields mid-request so workers overlap."""
+
+    def __init__(self):
+        super().__init__()
+        self.prompts: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def generate(self, request: GenerationRequest) -> list[str]:
+        time.sleep(1e-4)
+        with self._lock:
+            self.prompts[request.prompt] += 1
+            return super().generate(request)
+
+
+QUESTIONS = ("q1", "q2")
+
+
+def ask_concurrently(calls, workers: int, order_seed: int, backend):
+    """Each of `workers` threads asks every (question, a, b) call of a judge
+    sharing one memo, in its own random order and with each pair in a random
+    orientation; the verdicts each saw, by call."""
+    memo = VerdictMemo()
+    judges = {q: RemoteJudge(backend, question=q, memo=memo) for q in QUESTIONS}
+    start = threading.Barrier(workers)
+    seen = [dict() for _ in range(workers)]
+
+    def work(w: int):
+        rnd = random.Random(order_seed + w)
+        order = [(call, rnd.random() < 0.5) for call in rnd.sample(calls, len(calls))]
+        start.wait()
+        for (q, a, b), flip in order:
+            seen[w][(q, a, b)] = judges[q].equivalent(b, a) if flip else judges[q].equivalent(a, b)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return seen
+
+
+class TestSharedVerdictMemo:
+    """An Engine hands one VerdictMemo to every RemoteJudge it makes, and its
+    stages ask those judges from several workers at once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(QUESTIONS),
+                st.sampled_from(ANSWER_POOL),
+                st.sampled_from(ANSWER_POOL),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        workers=st.sampled_from([2, 4, 8]),
+        order_seed=st.integers(0, 2**16),
+    )
+    def test_concurrent_callers_match_unmemoized(self, calls, workers, order_seed):
+        reference = CountingJudgeBackend()
+        expected = {
+            (q, a, b): UnmemoizedJudge(reference, question=q).equivalent(a, b)
+            for q, a, b in calls
+        }
+        serial = ThreadSafeCountingBackend()
+        ask_concurrently(calls, 1, order_seed, serial)
+        backend = ThreadSafeCountingBackend()
+        for seen in ask_concurrently(calls, workers, order_seed, backend):
+            assert seen == expected
+        assert max(backend.prompts.values(), default=1) == 1
+        assert sum(backend.prompts.values()) == sum(serial.prompts.values())
+
+    @pytest.mark.parametrize(
+        "failure, error",
+        [("maybe", JudgeFailure), (Transport("connection reset"), Transport)],
+        ids=("unparsable", "transport"),
+    )
+    def test_failure_reaches_waiters_and_leaves_no_entry(self, failure, error):
+        asked, release = threading.Event(), threading.Event()
+
+        class BlockingBackend(FakeJudgeBackend):
+            # Holds the first request until released, so the other callers
+            # of its key find it in flight.
+            def generate(self, request):
+                asked.set()
+                assert release.wait(timeout=10)
+                return super().generate(request)
+
+        backend = BlockingBackend([failure, "correct"])
+        judge = RemoteJudge(backend, question="q")
+        outcomes = []
+
+        def call(a, b):
+            try:
+                outcomes.append(judge.equivalent(a, b))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        first = threading.Thread(target=call, args=("left", "right"))
+        first.start()
+        assert asked.wait(timeout=10)
+        waiters = [
+            threading.Thread(target=call, args=pair)
+            for pair in [("left", "right"), ("right", "left")] * 2
+        ]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.2)
+        release.set()
+        for thread in (first, *waiters):
+            thread.join()
+        assert len(outcomes) == 5
+        assert all(isinstance(outcome, error) for outcome in outcomes)
+        assert len(backend.requests) == 1
+        # No entry was left: the next call asks again, and its verdict stays.
+        assert judge.equivalent("right", "left") is True
+        assert len(backend.requests) == 2
+        assert judge.equivalent("left", "right") is True
+        assert len(backend.requests) == 2
+
+    def test_bound_evicts_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(consensus, "_VERDICT_MEMO_SIZE", 2)
+        backend = CountingJudgeBackend()
+        judge = RemoteJudge(backend, question="q")
+        for pred in ("5", "7", "x"):
+            judge.equivalent("4", pred)
+        judge.equivalent("4", "x")
+        assert backend.asked[("4", "x")] == 1
+        judge.equivalent("4", "5")
+        assert backend.asked[("4", "5")] == 2

@@ -1,11 +1,16 @@
-import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ScriptedEmbeddingBackend, Stopped, end_run_after, random_active
+from conftest import (
+    ScriptedEmbeddingBackend,
+    Stopped,
+    assert_same_artifacts,
+    end_run_after,
+    random_active,
+)
 
 from triplay import orchestrator
 from triplay.config import IterationConfig, RunConfig, WorldConfig
@@ -44,18 +49,6 @@ def small_cfg(tmp_path, seed=7, **iteration_overrides) -> RunConfig:
         iteration=iteration,
         world=SMALL_WORLD,
     )
-
-
-def assert_same_artifacts(run_a: Path, run_b: Path) -> None:
-    """Every cycle artifact and stats.json of run_b is byte-identical to run_a's."""
-
-    def digest(path: Path) -> str:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    names = sorted(str(p.relative_to(run_a)) for p in run_a.glob("cycle*/*"))
-    assert names == sorted(str(p.relative_to(run_b)) for p in run_b.glob("cycle*/*"))
-    for name in names + ["stats.json"]:
-        assert digest(run_a / name) == digest(run_b / name), name
 
 
 @pytest.fixture()

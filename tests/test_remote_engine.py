@@ -29,7 +29,14 @@ from triplay.orchestrator import (
 )
 from triplay.synthetic_world import SyntheticWorld
 
-from conftest import ScriptedBackend, ScriptedEmbeddingBackend, request_fingerprint
+from conftest import (
+    ScriptedBackend,
+    ScriptedEmbeddingBackend,
+    Stopped,
+    assert_same_artifacts,
+    end_run_after,
+    request_fingerprint,
+)
 
 
 class RolePlayBackend:
@@ -140,15 +147,18 @@ def manifest_path(tmp_path_factory):
 
 
 class CountingVerdictBackend:
-    """Thread-safe judge backend: a fixed verdict per prompt, and a request count."""
+    """Thread-safe judge backend: a fixed verdict per prompt, a request count,
+    and how often each prompt was sent."""
 
     def __init__(self):
         self.requests = 0
+        self.prompts: Counter = Counter()
         self._lock = threading.Lock()
 
     def generate(self, request: GenerationRequest) -> list[str]:
         with self._lock:
             self.requests += 1
+            self.prompts[request.prompt] += 1
         digest = hashlib.sha256(request.prompt.encode()).digest()
         return ["correct" if digest[0] % 3 == 0 else "incorrect"]
 
@@ -277,8 +287,30 @@ class TestRemoteWiring:
         (serial, serial_requests), (parallel, parallel_requests) = runs[1], runs[4]
         assert serial[0]
         assert parallel == serial
-        assert 0 < parallel_requests <= serial_requests
+        assert 0 < parallel_requests == serial_requests
 
+    def test_engine_sends_each_judge_payload_once(self, manifest_path, stage_inputs):
+        # One engine builds the training set, then runs stage 3 on it. Its
+        # verdict memo outlives every judge it hands out, so stage 3 reuses
+        # the recount's verdicts, and no payload is sent twice at any fan-out.
+        runs = {}
+        for in_flight in (1, 4):
+            cfg = fan_out_cfg(manifest_path, in_flight, judge="remote")
+            judge_backend = CountingVerdictBackend()
+            engine = role_engine(cfg, RolePlayBackend(), judge_backend)
+            d_train, _ = engine.build_training_set(
+                stage_inputs["d_active"], np.random.default_rng(2)
+            )
+            built = judge_backend.requests
+            result = engine.stage3_step(0, d_train, np.random.default_rng(4))
+            assert max(judge_backend.prompts.values()) == 1
+            runs[in_flight] = (result, built, judge_backend.requests)
+        assert runs[4] == runs[1]
+        _, built, total = runs[1]
+        alone = CountingVerdictBackend()
+        role_engine(fan_out_cfg(manifest_path, 1, judge="remote"), RolePlayBackend(), alone
+                    ).stage3_step(0, d_train, np.random.default_rng(4))
+        assert total - built < alone.requests
 
 
 class TestStageFanOut:
@@ -481,10 +513,11 @@ class RecordingTransport:
 # Per role: (request count, sha256 of the sorted request bodies), recorded
 # for one remote cycle of remote_cfg with a remote judge and 20 queries per
 # domain (so the active set's searcher requests split 16 + 4). A change to
-# the bytes of any prompt or payload changes these.
+# the bytes of any prompt or payload changes these. The judge's 52 bodies
+# are distinct: the engine's verdict memo sends each payload once per run.
 PAYLOAD_GOLDEN = {
     "embed": (46, "55bbd88a08e355495b0c484f0796ad4defdacdc667d0f040d93d11faddcfd17a"),
-    "judge": (484, "c6cb0a6630cbc5e9a1f81c65febae3fb76b99b2d1a9ed20260b1275f3e41a2d0"),
+    "judge": (52, "07b66c366303ffd54c50341dd0542b996f6f350386ba33bddbf6397c036c1039"),
     "questioner": (77, "3339c7bb816547457ae86d7cc9d0c07aee7cdeb7fdf3c5628b86636b3f670784"),
     "searcher": (12, "d920a7964d464b835a86e57ed5e3b93159ba75e15e3b3226fc24ec8e2a8e71a8"),
     "solver": (109, "4b84775375c0e4660d817dc3861cef0032752ac03a24cf2641a1ae5f268b02a5"),
@@ -504,3 +537,24 @@ def test_remote_cycle_payloads_are_byte_stable(manifest_path, tmp_path, monkeypa
         for role, bodies in sorted(transport.bodies.items())
     }
     assert observed == PAYLOAD_GOLDEN
+
+
+def test_resume_with_empty_verdict_memo_is_byte_identical(manifest_path, tmp_path, monkeypatch):
+    # The verdict memo is not journaled. A run ended after build_training
+    # resumes stage 3 with an empty memo, so it asks the judge again where
+    # the whole run reused the recount's verdicts, and writes the same bytes.
+    judge_requests = {}
+    for name in ("whole", "resumed"):
+        transport = RecordingTransport(dimension=16)
+        monkeypatch.setattr(backends, "_requests_transport", transport)
+        cfg = remote_cfg(manifest_path)
+        cfg.judge.kind = "remote"
+        cfg.run_dir = str(tmp_path / name)
+        if name == "resumed":
+            end_run_after(monkeypatch, "cycle1:build_training")
+            with pytest.raises(Stopped):
+                run(cfg)
+        run(cfg)
+        judge_requests[name] = len(transport.bodies["judge"])
+    assert_same_artifacts(tmp_path / "whole", tmp_path / "resumed")
+    assert judge_requests["resumed"] > judge_requests["whole"]

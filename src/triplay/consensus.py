@@ -1,7 +1,7 @@
 """Answer extraction, normalization, equivalence judging, and majority voting.
 
 normalize_answer is memoized process-wide in a bounded LRU
-(_NORMALIZE_MEMO_SIZE entries). A vote compares every pair of its answers, so
+(_NORMALIZE_MEMO_SIZE entries). A vote compares pairs of distinct answers, so
 without the memo each answer would be normalized once per comparison. The
 function is pure over an immutable str, so the memo cannot change a result or
 carry state between runs, and lru_cache is safe to share between threads.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Protocol
@@ -219,23 +220,30 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
     """Group answers into equivalence classes (diversity.components, the
     closure of the pairwise judge) and pick the largest class.
 
+    The judge must be reflexive, as both shipped judges are: equal strings
+    always share a class. So the closure runs over the distinct answer
+    strings in first-seen order, and each class counts every copy of its
+    members. That is the closure over all answers, and it asks the judge
+    about the same pairs in the same order, each once.
+
     The label is the lexicographically smallest normalized member of the
     winning class; ties between equal-size classes go to the smaller label.
     """
     if not answers:
         raise EmptyAnswers("majority vote needs at least one answer")
-    k = len(answers)
-    roots = components(k, lambda i, j: judge.equivalent(answers[i], answers[j]))
-    classes: dict[int, list[int]] = {}
-    for i, root in enumerate(roots):
-        classes.setdefault(root, []).append(i)
+    counts = Counter(answers)
+    distinct = list(counts)
+    roots = components(len(distinct), lambda i, j: judge.equivalent(distinct[i], distinct[j]))
+    classes: dict[int, list[str]] = {}
+    for answer, root in zip(distinct, roots):
+        classes.setdefault(root, []).append(answer)
     ranked = sorted(
         (
-            (-len(members), min(normalize_answer(answers[m]) for m in members))
+            (-sum(counts[m] for m in members), min(normalize_answer(m) for m in members))
             for members in classes.values()
         ),
     )
     top_size = -ranked[0][0]
     label = ranked[0][1]
-    sizes = tuple(sorted((len(m) for m in classes.values()), reverse=True))
-    return ConsensusResult(label=label, class_sizes=sizes, score=top_size / k)
+    sizes = tuple(-size for size, _ in ranked)
+    return ConsensusResult(label=label, class_sizes=sizes, score=top_size / len(answers))

@@ -150,15 +150,17 @@ class EmbeddingIndex:
                     f"record {rec.id}: embedding has dimension "
                     f"{rec.embedding.shape[0]}, index expects {manifest.dimension}"
                 )
-            if not np.any(rec.embedding):
-                raise ZeroVector(f"record {rec.id}: all-zero embedding")
+        matrix = np.stack([r.embedding for r in records]) if records else np.zeros((0, manifest.dimension))
+        nonzero = matrix.any(axis=1)
+        if not nonzero.all():
+            first = records[int(np.argmin(nonzero))]
+            raise ZeroVector(f"record {first.id}: all-zero embedding")
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
         self.manifest = manifest
         self.dimension = manifest.dimension
         self._records = records
         self._by_id = {r.id: r for r in records}
-        matrix = np.stack([r.embedding for r in records]) if records else np.zeros((0, manifest.dimension))
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        self._matrix = matrix / norms
+        self._matrix = matrix
 
     def __len__(self) -> int:
         return len(self._records)

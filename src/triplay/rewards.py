@@ -3,6 +3,7 @@ probe_from_answers, the one rule that scores a question from its rollouts."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -21,13 +22,17 @@ class ProbeResult:
 
 def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> ProbeResult:
     """Vote over rollout answers and measure agreement with the winner. An
-    empty winning label (unanswered rollouts) scores 0.0, with no recount."""
+    empty winning label (unanswered rollouts) scores 0.0, with no recount.
+
+    The judge must be reflexive (see majority_vote). The recount asks it once
+    per distinct answer and counts every copy of an answer it accepts.
+    """
     judge = judge if judge is not None else ExactNormalizedJudge()
     vote = majority_vote(answers, judge)
     if not vote.label:
         return ProbeResult(vote=vote, accuracy=0.0)
-    acc = sum(judge.equivalent(a, vote.label) for a in answers) / len(answers)
-    return ProbeResult(vote=vote, accuracy=acc)
+    agree = sum(n for a, n in Counter(answers).items() if judge.equivalent(a, vote.label))
+    return ProbeResult(vote=vote, accuracy=agree / len(answers))
 
 
 def challenge_reward(acc: float) -> float:

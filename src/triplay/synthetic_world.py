@@ -4,7 +4,9 @@ probability follows a logistic skill-vs-difficulty law, and query templates
 that let a toy search policy target difficulty bands through real retrieval.
 
 Everything is seeded, so the full optimization loop can be validated at desk
-scale with analytic ground truth.
+scale with analytic ground truth. The world is drawn per image in seed order
+and assembled in batched passes over one embedding matrix, bit-identical to
+building it one image at a time.
 """
 
 from __future__ import annotations
@@ -103,47 +105,62 @@ def canonical_answer(image_id: str) -> str:
     return str(11 + int.from_bytes(digest[:4], "big") % 89)
 
 
-def _difficulty_curve(dim: int, blocks: int, block_offset: int, difficulty: float) -> np.ndarray:
-    vec = np.zeros(dim)
+def _curve_blocks(dim: int, ncat: int) -> int:
+    """Coordinate pairs per category: categories occupy disjoint blocks of
+    2 * blocks coordinates, so cross-category cosine similarity is exactly zero."""
+    blocks = dim // (2 * ncat)
+    if blocks < 1:
+        raise ConfigError(f"dim {dim} cannot host {ncat} categories (need >= 2 dims each)")
+    return blocks
+
+
+def _add_curve(rows: np.ndarray, difficulties: np.ndarray, slot: int, blocks: int) -> None:
+    """Add the difficulty curve of the category in block slot to each row, in
+    place: (cos, sin) of freq * difficulty per block, over sqrt(blocks).
+    math.cos/math.sin, because np.cos/np.sin can differ in the last bit."""
+    scale = math.sqrt(blocks)
     for b in range(blocks):
         freq = FREQUENCIES[b % len(FREQUENCIES)] * (1 + b // len(FREQUENCIES))
-        angle = freq * difficulty
-        vec[block_offset + 2 * b] = math.cos(angle)
-        vec[block_offset + 2 * b + 1] = math.sin(angle)
-    return vec / math.sqrt(blocks)
-
-
-def category_direction(
-    categories: list[str], category: str, difficulty: float, dim: int
-) -> np.ndarray:
-    """Unit vector encoding (category, difficulty); categories occupy disjoint
-    coordinate blocks, so cross-category cosine similarity is exactly zero."""
-    blocks = dim // (2 * len(categories))
-    if blocks < 1:
-        raise ConfigError(
-            f"dim {dim} cannot host {len(categories)} categories (need >= 2 dims each)"
-        )
-    offset = categories.index(category) * 2 * blocks
-    return _difficulty_curve(dim, blocks, offset, difficulty)
+        angles = (difficulties * freq).tolist()
+        col = 2 * (slot * blocks + b)
+        rows[:, col] += np.fromiter(map(math.cos, angles), float, len(angles)) / scale
+        rows[:, col + 1] += np.fromiter(map(math.sin, angles), float, len(angles)) / scale
 
 
 def gen_corpus(
     seed: int, count: int, dim: int, categories: list[str], noise: float = 0.02
 ) -> list[SyntheticImage]:
     """Seeded corpus: uniform difficulties, embeddings on the category's
-    difficulty curve plus small noise, renormalized to unit length."""
+    difficulty curve plus small noise, renormalized to unit length.
+
+    Draws are per image in seed order (a uniform, then dim normals): numpy's
+    normal sampler rejects and redraws, so one batched draw would change the
+    stream. The rest is in-place passes over one (count, dim) matrix, whose
+    rows the records' embeddings view.
+    """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     if dim < 4:
         raise ConfigError(f"dim must be >= 4, got {dim}")
+    ncat = len(categories)
+    blocks = _curve_blocks(dim, ncat)
     rng = np.random.default_rng(seed)
-    images = []
+    difficulties = np.empty(count)
+    vecs = np.empty((count, dim))
     for i in range(count):
-        category = categories[i % len(categories)]
-        difficulty = float(rng.uniform())
-        vec = category_direction(categories, category, difficulty, dim)
-        vec = vec + noise * rng.normal(size=dim)
-        vec = vec / np.linalg.norm(vec)
+        difficulties[i] = rng.uniform()
+        vecs[i] = rng.normal(size=dim)
+    vecs *= noise
+    # The curve is +0.0 off its block, and +0.0 + -0.0 is +0.0: a noise term
+    # of -0.0 must read +0.0 wherever no curve is added to it.
+    vecs += 0.0
+    for slot in range(ncat):
+        _add_curve(vecs[slot::ncat], difficulties[slot::ncat], slot, blocks)
+    # math.sqrt(row.dot(row)) is exactly np.linalg.norm of a 1-D row.
+    vecs /= np.array([math.sqrt(row.dot(row)) for row in vecs])[:, None]
+    images = []
+    for i, (vec, difficulty) in enumerate(zip(vecs, difficulties.tolist())):
+        category = categories[i % ncat]
         image_id = f"{category}-{i:06d}"
         answer = canonical_answer(image_id)
         record = ImageRecord(
@@ -187,23 +204,23 @@ class SyntheticWorld:
         )
         self.index = EmbeddingIndex(manifest)
         self._by_id = {img.record.id: img for img in images}
+        blocks = _curve_blocks(dim, len(self.categories))
+        difficulties = [(band + 0.5) / bands_per_category for band in range(bands_per_category)]
+        embeddings = np.zeros((len(self.categories), bands_per_category, dim))
         self.templates: list[QueryTemplate] = []
-        for category in self.categories:
-            for band in range(bands_per_category):
+        for slot, category in enumerate(self.categories):
+            _add_curve(embeddings[slot], np.array(difficulties), slot, blocks)
+            for band, difficulty in enumerate(difficulties):
                 adj, noun = _BAND_TERMS[band % len(_BAND_TERMS)]
                 suffix = "" if band < len(_BAND_TERMS) else f" {band // len(_BAND_TERMS)}"
-                difficulty = (band + 0.5) / bands_per_category
-                text = f"{adj} {category} {noun} view{suffix}"
                 self.templates.append(
                     QueryTemplate(
                         index=len(self.templates),
                         category=category,
                         band=band,
                         difficulty=difficulty,
-                        text=text,
-                        embedding=category_direction(
-                            self.categories, category, difficulty, dim
-                        ),
+                        text=f"{adj} {category} {noun} view{suffix}",
+                        embedding=embeddings[slot, band],
                     )
                 )
         self._by_text = {t.text: t for t in self.templates}

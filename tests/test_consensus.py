@@ -22,7 +22,9 @@ from triplay.consensus import (
     normalize_answer,
     remote_judge,
 )
+from triplay.diversity import components
 from triplay.errors import EmptyAnswers, JudgeFailure, Transport
+from triplay.rewards import probe_from_answers
 
 
 class TestExtractBoxed:
@@ -171,6 +173,89 @@ class TestMajorityVote:
             label, score = vote_oracle(answers)
             assert result.label == label
             assert result.score == pytest.approx(score)
+
+
+
+class SeededJudge:
+    """Reflexive and symmetric but not transitive: two distinct strings are
+    equivalent on a coin seeded by their unordered pair. Records every call."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.calls: list[tuple[str, str]] = []
+
+    def equivalent(self, a: str, b: str) -> bool:
+        self.calls.append((a, b))
+        if a == b:
+            return True
+        lo, hi = sorted((a, b))
+        return random.Random(f"{self.seed}|{lo}|{hi}").random() < 0.4
+
+
+def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], float, float]:
+    """(label, class sizes, score, accuracy) from the judge over all K x K
+    answer pairs: classes are the closure of the full relation."""
+    k = len(answers)
+    linked = [[judge.equivalent(a, b) for b in answers] for a in answers]
+    cls = list(range(k))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            for j in range(k):
+                if linked[i][j] and cls[j] < cls[i]:
+                    cls[i], changed = cls[j], True
+    groups: dict[int, list[str]] = {}
+    for answer, c in zip(answers, cls):
+        groups.setdefault(c, []).append(answer)
+    ranked = sorted((-len(m), min(normalize_answer(a) for a in m)) for m in groups.values())
+    label = ranked[0][1]
+    sizes = tuple(sorted((len(m) for m in groups.values()), reverse=True))
+    acc = sum(judge.equivalent(a, label) for a in answers) / k if label else 0.0
+    return label, sizes, -ranked[0][0] / k, acc
+
+
+def first_asked_pairs(calls: list[tuple[str, str]]) -> list[frozenset[str]]:
+    """Unordered pairs of distinct strings in the order first asked: the
+    verdict keys a RemoteJudge would send."""
+    return list(dict.fromkeys(frozenset(c) for c in calls if c[0] != c[1]))
+
+
+VOTE_POOL = ["4", "four", " 4 ", "4.0", "5", "5.00", "five", "7", "seven", "x", ""]
+
+
+class TestVoteOverDistinctAnswers:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
+    def test_matches_all_pairs_reference(self, answers, seed):
+        label, sizes, score, acc = all_pairs_vote(answers, SeededJudge(seed))
+        vote = majority_vote(answers, SeededJudge(seed))
+        assert (vote.label, vote.class_sizes, vote.score) == (label, sizes, score)
+        probe = probe_from_answers(answers, SeededJudge(seed))
+        assert probe.vote == vote
+        assert probe.accuracy == acc
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
+    def test_asks_the_per_answer_keys_once_each(self, answers, seed):
+        per_answer = SeededJudge(seed)
+        components(len(answers), lambda i, j: per_answer.equivalent(answers[i], answers[j]))
+        judge = SeededJudge(seed)
+        majority_vote(answers, judge)
+        assert all(a != b for a, b in judge.calls)
+        assert len(set(map(frozenset, judge.calls))) == len(judge.calls)
+        assert first_asked_pairs(judge.calls) == first_asked_pairs(per_answer.calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
+    def test_recount_asks_each_distinct_answer_once(self, answers, seed):
+        vote_judge, probe_judge = SeededJudge(seed), SeededJudge(seed)
+        vote = majority_vote(answers, vote_judge)
+        probe_from_answers(answers, probe_judge)
+        recount = probe_judge.calls[len(vote_judge.calls) :]
+        assert probe_judge.calls[: len(vote_judge.calls)] == vote_judge.calls
+        want = [(a, vote.label) for a in dict.fromkeys(answers)] if vote.label else []
+        assert recount == want
 
 
 class FakeJudgeBackend:

@@ -261,6 +261,16 @@ class TestManifest:
         with pytest.raises(ZeroVector):
             EmbeddingIndex(IndexManifest(dimension=2, records=records))
 
+    def test_first_zero_record_in_id_order_is_named(self):
+        records = [
+            ImageRecord(id="m", embedding=[1.0, 0.0], category="c"),
+            ImageRecord(id="z", embedding=[0.0, 0.0], category="c"),
+            ImageRecord(id="b", embedding=[0.0, 0.0], category="c"),
+            ImageRecord(id="a", embedding=[0.0, 2.0], category="c"),
+        ]
+        with pytest.raises(ZeroVector, match=r"^record b: all-zero embedding$"):
+            EmbeddingIndex(IndexManifest(dimension=2, records=records))
+
     def test_wrong_dimension_rejected(self):
         records = [ImageRecord(id="a", embedding=[1.0, 0.0, 0.0], category="c")]
         with pytest.raises(DimensionMismatch):

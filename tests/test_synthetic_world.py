@@ -1,13 +1,20 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplay.config import RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, extract_boxed
 from triplay.diversity import text_distance
+from triplay.errors import ConfigError
 from triplay.grpo import ToyPolicy
 from triplay.orchestrator import build_engine
 from triplay.rewards import probe_from_answers
 from triplay.synthetic_world import (
+    FREQUENCIES,
     QUESTION_FORMS,
     SyntheticSolver,
     SyntheticWorld,
@@ -85,6 +92,76 @@ class TestGenCorpus:
     def test_answer_is_canonical(self):
         for img in gen_corpus(3, 40, 16, CATEGORIES):
             assert img.answer == img.record.meta["answer"] == canonical_answer(img.record.id)
+
+
+
+def reference_direction(categories, category, difficulty, dim):
+    """The world's per-image curve as first written: one vector at a time."""
+    blocks = dim // (2 * len(categories))
+    if blocks < 1:
+        raise ConfigError(
+            f"dim {dim} cannot host {len(categories)} categories (need >= 2 dims each)"
+        )
+    offset = categories.index(category) * 2 * blocks
+    vec = np.zeros(dim)
+    for b in range(blocks):
+        freq = FREQUENCIES[b % len(FREQUENCIES)] * (1 + b // len(FREQUENCIES))
+        angle = freq * difficulty
+        vec[offset + 2 * b] = math.cos(angle)
+        vec[offset + 2 * b + 1] = math.sin(angle)
+    return vec / math.sqrt(blocks)
+
+
+def reference_corpus(seed, count, dim, categories, noise):
+    """(id, embedding, difficulty, answer) per image, built one image at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        category = categories[i % len(categories)]
+        difficulty = float(rng.uniform())
+        vec = reference_direction(categories, category, difficulty, dim)
+        vec = vec + noise * rng.normal(size=dim)
+        vec = vec / np.linalg.norm(vec)
+        image_id = f"{category}-{i:06d}"
+        out.append((image_id, vec, difficulty, canonical_answer(image_id)))
+    return out
+
+
+class TestBatchedBuildMatchesPerImage:
+    """gen_corpus and the query templates equal the per-image build bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 300),
+        dim=st.integers(4, 64),
+        ncat=st.integers(1, 6),
+        noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_corpus_and_templates(self, seed, count, dim, ncat, noise):
+        categories = [f"cat{c}" for c in range(ncat)]
+        try:
+            want = reference_corpus(seed, count, dim, categories, noise)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                gen_corpus(seed, count, dim, categories, noise=noise)
+            return
+        images = gen_corpus(seed, count, dim, categories, noise=noise)
+        assert len(images) == len(want)
+        for img, (image_id, vec, difficulty, answer) in zip(images, want):
+            assert img.record.id == image_id
+            assert img.record.embedding.tobytes() == vec.tobytes()
+            assert img.difficulty == img.record.meta["difficulty"] == difficulty
+            assert type(img.difficulty) is float
+            assert img.answer == img.record.meta["answer"] == answer
+        world = SyntheticWorld(images, categories, dim, bands_per_category=5)
+        for t in world.templates:
+            direction = reference_direction(categories, t.category, t.difficulty, dim)
+            assert t.embedding.tobytes() == direction.tobytes()
+
+    def test_dim_too_small_raises_before_building(self):
+        with pytest.raises(ConfigError, match="dim 5 cannot host 3 categories"):
+            gen_corpus(1, 10, 5, ["a", "b", "c"])
 
 
 class TestSolver:

@@ -23,7 +23,7 @@ from .embedding_index import EmbeddingIndex, IndexManifest, load_manifest, save_
 from .errors import EngineError
 from .grpo import gradient_check
 from .rewards import difficulty_filter
-from .synthetic_world import SyntheticWorld
+from .synthetic_world import gen_corpus
 
 GRADIENT_TOLERANCE = 1e-4
 
@@ -44,65 +44,39 @@ def _category_list(text: str) -> list[str]:
     return categories
 
 
-def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="run seed (flag wins over config)")
-    parser.add_argument("--synthetic", action="store_true", help="use the synthetic world")
-    parser.add_argument("--run-dir", help="run directory (default: runs/<hash>-seed<seed>)")
-    parser.add_argument("--cycles", type=int, help="number of full cycles")
-    parser.add_argument("--group-size", type=int, help="GRPO group size G")
-    parser.add_argument("--probe-rollouts", type=int, help="solver rollouts m per probe")
-    parser.add_argument("--vote-trajectories", type=int, help="trajectories K for majority vote")
-    parser.add_argument("--queries", type=int, help="queries sampled when building the active set")
-    parser.add_argument("--top-k", type=int, help="images retrieved per query")
-    parser.add_argument("--searcher-steps", type=int, help="stage-1 optimization steps per cycle")
-    parser.add_argument("--questioner-steps", type=int, help="stage-2 optimization steps per cycle")
-    parser.add_argument("--solver-steps", type=int, help="stage-3 optimization steps per cycle")
-    parser.add_argument("--tau-txt", type=float, help="text clustering threshold")
-    parser.add_argument("--tau-vis", type=float, help="visual clustering threshold")
-    parser.add_argument("--tau-low", type=float, help="difficulty window lower bound")
-    parser.add_argument("--tau-high", type=float, help="difficulty window upper bound")
-    parser.add_argument("--world-count", type=int, help="synthetic corpus size")
-    parser.add_argument("--world-dim", type=int, help="synthetic embedding dimension")
+# One entry per `triplay run` flag that sets a config value:
+# (flag, config section or None for the root, key, type, help).
+RUN_FLAGS = (
+    ("--seed", None, "seed", int, "run seed (flag wins over config)"),
+    ("--run-dir", None, "run_dir", str, "run directory (default: runs/<hash>-seed<seed>)"),
+    ("--cycles", "iteration", "cycles", int, "number of full cycles"),
+    ("--group-size", "iteration", "group_size", int, "GRPO group size G"),
+    ("--probe-rollouts", "iteration", "probe_rollouts", int, "solver rollouts m per probe"),
+    ("--vote-trajectories", "iteration", "vote_trajectories", int,
+     "trajectories K for majority vote"),
+    ("--queries", "iteration", "queries_per_iteration", int,
+     "queries sampled when building the active set"),
+    ("--top-k", "iteration", "top_k", int, "images retrieved per query"),
+    ("--searcher-steps", "iteration", "searcher_steps", int, "stage-1 optimization steps per cycle"),
+    ("--questioner-steps", "iteration", "questioner_steps", int,
+     "stage-2 optimization steps per cycle"),
+    ("--solver-steps", "iteration", "solver_steps", int, "stage-3 optimization steps per cycle"),
+    ("--tau-txt", "iteration", "tau_txt", float, "text clustering threshold"),
+    ("--tau-vis", "iteration", "tau_vis", float, "visual clustering threshold"),
+    ("--tau-low", "iteration", "tau_low", float, "difficulty window lower bound"),
+    ("--tau-high", "iteration", "tau_high", float, "difficulty window upper bound"),
+    ("--world-count", "world", "count", int, "synthetic corpus size"),
+    ("--world-dim", "world", "dim", int, "synthetic embedding dimension"),
+)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    iteration: dict = {}
-    world: dict = {}
-    mapping = {
-        "cycles": "cycles",
-        "group_size": "group_size",
-        "probe_rollouts": "probe_rollouts",
-        "vote_trajectories": "vote_trajectories",
-        "queries": "queries_per_iteration",
-        "top_k": "top_k",
-        "searcher_steps": "searcher_steps",
-        "questioner_steps": "questioner_steps",
-        "solver_steps": "solver_steps",
-        "tau_txt": "tau_txt",
-        "tau_vis": "tau_vis",
-        "tau_low": "tau_low",
-        "tau_high": "tau_high",
-    }
-    for arg_name, key in mapping.items():
-        value = getattr(args, arg_name, None)
+    overrides: dict = {"mode": "synthetic"} if args.synthetic else {}
+    for flag, section, key, _, _ in RUN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            iteration[key] = value
-    for arg_name, key in (("world_count", "count"), ("world_dim", "dim")):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            world[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.synthetic:
-        overrides["mode"] = "synthetic"
-    if args.run_dir:
-        overrides["run_dir"] = args.run_dir
-    if iteration:
-        overrides["iteration"] = iteration
-    if world:
-        overrides["world"] = world
+            target = overrides.setdefault(section, {}) if section else overrides
+            target[key] = value
     return overrides
 
 
@@ -151,16 +125,8 @@ def _cmd_index_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_gen(args: argparse.Namespace) -> int:
-    world = SyntheticWorld.generate(
-        seed=args.seed,
-        count=args.count,
-        dim=args.dim,
-        categories=args.categories,
-        bands_per_category=args.bands,
-    )
-    manifest = IndexManifest(
-        dimension=args.dim, records=[img.record for img in world.images]
-    )
+    images = gen_corpus(args.seed, args.count, args.dim, args.categories)
+    manifest = IndexManifest(dimension=args.dim, records=[img.record for img in images])
     save_manifest(manifest, args.out)
     print(json.dumps({"out": args.out, "count": args.count, "dimension": args.dim}))
     return 0
@@ -170,22 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides_from_args(args))
     report = orchestrator.run(cfg)
     print(json.dumps(report))
-    return 0
-
-
-def _cmd_dataset_build(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides_from_args(args))
-    engine = orchestrator.build_engine(cfg)
-    d_active = orchestrator.read_jsonl(args.d_active)
-    rng = np.random.default_rng(cfg.seed)
-    d_train, d_star = engine.build_training_set(d_active, rng)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    orchestrator.write_jsonl(out_dir / "d_train.jsonl", [i.to_row() for i in d_train])
-    orchestrator.write_jsonl(
-        out_dir / "d_train_star.jsonl", [i.to_row() for i in d_star]
-    )
-    print(json.dumps({"d_train": len(d_train), "d_train_star": len(d_star)}))
     return 0
 
 
@@ -250,27 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--categories", type=_category_list, default="charts,diagrams,maps,photos",
         help="comma-separated, distinct category names",
     )
-    gen.add_argument("--bands", type=_positive_int, default=16, help="bands per category")
     gen.set_defaults(func=_cmd_synth_gen)
 
     run_p = sub.add_parser("run", help="execute the full three-stage loop")
-    _add_run_overrides(run_p)
+    run_p.add_argument("--config", help="JSON config file")
+    run_p.add_argument("--synthetic", action="store_true", help="use the synthetic world")
+    for flag, _, _, type_, help_ in RUN_FLAGS:
+        run_p.add_argument(flag, type=type_, help=help_)
     run_p.set_defaults(func=_cmd_run)
 
     dataset = sub.add_parser("dataset", help="dataset utilities")
     dataset_sub = dataset.add_subparsers(dest="dataset_command", required=True)
-    dbuild = dataset_sub.add_parser(
-        "build",
-        help="build training sets from an active set",
-        description="Build d_train and d_train_star from an active set with fresh, untrained "
-        "agents and an RNG seeded by --seed. A run builds its own training sets with its "
-        "trained agents and per-stage RNG streams, so this does not reproduce a run's "
-        "d_train.jsonl.",
-    )
-    _add_run_overrides(dbuild)
-    dbuild.add_argument("--d-active", required=True, help="d_active.jsonl path")
-    dbuild.add_argument("--out-dir", required=True)
-    dbuild.set_defaults(func=_cmd_dataset_build)
     dfilter = dataset_sub.add_parser("filter", help="apply the difficulty window")
     dfilter.add_argument("--input", required=True)
     dfilter.add_argument("--output", required=True)

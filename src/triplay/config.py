@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backends import HttpBackendConfig
@@ -42,7 +42,6 @@ class IterationConfig:
     questioner_steps: int = 10
     solver_steps: int = 30
     cycles: int = 3
-    reinit_each_cycle: bool = False
     probe_questions_per_image: int = 1
     stage2_images_per_step: int = 4
     stage3_items_per_step: int = 4
@@ -159,49 +158,58 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _build(cls, data: dict):
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.name == "domains":
-            value = [
-                DomainSpec(**d) if isinstance(d, dict) else DomainSpec(*d)
-                for d in value
-            ]
-        kwargs[f.name] = value
-    return cls(**kwargs)
-
+# The JSON types a scalar field takes, by its annotation. JSON true and false
+# are never numbers here, although Python counts a bool as an int.
+_SCALARS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 
 _SECTIONS = {
-    "iteration": IterationConfig,
-    "grpo": GrpoConfig,
-    "world": WorldConfig,
-    "backend": HttpBackendConfig,
-    "judge": JudgeConfig,
+    cls.__name__: cls
+    for cls in (IterationConfig, GrpoConfig, WorldConfig, HttpBackendConfig, JudgeConfig)
 }
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            section_cls = _SECTIONS[key]
-            extra = set(value) - {f.name for f in fields(section_cls)}
-            if extra:
-                raise ConfigError(
-                    f"unknown key(s) in config section {key!r}: {', '.join(sorted(extra))}"
-                )
-            kwargs[key] = _build(section_cls, value)
+def _build(cls, data, where: str):
+    """cls from a JSON object, named where in messages ("" for the root).
+    Unknown and missing keys are refused, and so is a value whose JSON type
+    does not fit its field's annotation."""
+    label = f"config section {where!r}" if where else "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    extra = set(data) - set(known)
+    if extra:
+        raise ConfigError(f"unknown key(s) in {label}: {', '.join(sorted(extra))}")
+    missing = [
+        name for name, f in known.items()
+        if name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{label} is missing {', '.join(missing)}")
+    kwargs = {}
+    for name, value in data.items():
+        path = f"{where}.{name}" if where else name
+        kind = known[name].type
+        if kind in _SCALARS:
+            types, noun = _SCALARS[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{path} must be {noun}, got {value!r}")
+        elif kind == "list[DomainSpec]":
+            if not isinstance(value, list):
+                raise ConfigError(f"{path} must be a list")
+            value = [_build(DomainSpec, d, f"{path}[{i}]") for i, d in enumerate(value)]
         else:
-            kwargs[key] = value
-    return validate_config(RunConfig(**kwargs))
+            value = _build(_SECTIONS[kind], value, path)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def config_from_dict(data: dict) -> RunConfig:
+    return validate_config(_build(RunConfig, data, ""))
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -219,7 +227,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     data: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
     if overrides:

@@ -80,30 +80,47 @@ def save_manifest(manifest: IndexManifest, path: str | Path) -> None:
     tmp.replace(path)
 
 
+def _json_line(path: Path, lineno: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+
+
+def _record(path: Path, lineno: int, line: str) -> ImageRecord:
+    row = _json_line(path, lineno, line)
+    if not isinstance(row, dict) or not isinstance(row.get("id"), str) or "embedding" not in row:
+        raise ManifestError(f"{path}:{lineno}: a record needs a string id and an embedding")
+    embedding = row["embedding"]
+    # JSON true and false are not numbers, although Python counts a bool as an int.
+    if not isinstance(embedding, list) or not all(type(x) in (int, float) for x in embedding):
+        raise ManifestError(f"{path}:{lineno}: the embedding is not a list of numbers")
+    return ImageRecord(
+        id=row["id"],
+        embedding=np.asarray(embedding, dtype=np.float64),
+        category=row.get("category", ""),
+        uri=row.get("uri", ""),
+        source=row.get("source", ""),
+        meta=row.get("meta", {}),
+    )
+
+
 def load_manifest(path: str | Path) -> IndexManifest:
+    """Read a manifest that save_manifest wrote. A line that is not JSON, a
+    record without a string id or an embedding, and an embedding that is not
+    a list of numbers raise ManifestError naming the file and line."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
-    if "dimension" not in header or "count" not in header:
-        raise ManifestError(f"{path}: header must carry dimension and count")
-    dimension = int(header["dimension"])
-    records = []
-    for line in lines[1:]:
-        row = json.loads(line)
-        records.append(
-            ImageRecord(
-                id=row["id"],
-                embedding=np.asarray(row["embedding"], dtype=np.float64),
-                category=row.get("category", ""),
-                uri=row.get("uri", ""),
-                source=row.get("source", ""),
-                meta=row.get("meta", {}),
-            )
-        )
-    if len(records) != int(header["count"]):
+    header = _json_line(path, *lines[0])
+    if not isinstance(header, dict) or any(
+        type(header.get(key)) is not int for key in ("dimension", "count")
+    ):
+        raise ManifestError(f"{path}: header must carry an integer dimension and count")
+    records = [_record(path, n, line) for n, line in lines[1:]]
+    if len(records) != header["count"]:
         raise ManifestError(
             f"{path}: header count {header['count']} != {len(records)} records"
         )
@@ -111,7 +128,7 @@ def load_manifest(path: str | Path) -> IndexManifest:
     checksum = manifest_checksum(records)
     if expected and expected != checksum:
         raise ManifestError(f"{path}: checksum mismatch")
-    return IndexManifest(dimension=dimension, records=records, checksum=checksum)
+    return IndexManifest(dimension=header["dimension"], records=records, checksum=checksum)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

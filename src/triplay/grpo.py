@@ -31,7 +31,6 @@ STD_EPSILON = 1e-8
 class GrpoConfig:
     eps_low: float = 0.2
     eps_high: float = 0.2
-    std_epsilon: float = STD_EPSILON
 
     def __post_init__(self):
         if not (0.0 < self.eps_low < 1.0 and 0.0 < self.eps_high < 1.0):
@@ -41,8 +40,8 @@ class GrpoConfig:
             )
 
 
-def group_advantages(rewards, std_epsilon: float = STD_EPSILON) -> list[float]:
-    """(r - mean) / (population std + guard); all zeros when variance is zero."""
+def group_advantages(rewards) -> list[float]:
+    """(r - mean) / (population std + STD_EPSILON); all zeros when variance is zero."""
     arr = np.asarray(list(rewards), dtype=np.float64)
     if arr.size < 2:
         raise GroupTooSmall(f"need at least 2 rewards, got {arr.size}")
@@ -50,12 +49,10 @@ def group_advantages(rewards, std_epsilon: float = STD_EPSILON) -> list[float]:
     # holds even when float rounding leaves np.std() marginally above zero.
     if np.all(arr == arr[0]):
         return [0.0] * arr.size
-    return [float(x) for x in (arr - arr.mean()) / (arr.std() + std_epsilon)]
+    return [float(x) for x in (arr - arr.mean()) / (arr.std() + STD_EPSILON)]
 
 
-def domain_advantages(
-    groups: list[tuple[float, str]], std_epsilon: float = STD_EPSILON
-) -> list[float]:
+def domain_advantages(groups: list[tuple[float, str]]) -> list[float]:
     """group_advantages applied independently within each domain, preserving order."""
     by_domain: dict[str, list[int]] = {}
     for idx, (_, domain) in enumerate(groups):
@@ -64,9 +61,7 @@ def domain_advantages(
     for domain, indices in by_domain.items():
         if len(indices) < 2:
             raise DomainTooSmall(domain, len(indices))
-        values = group_advantages(
-            [groups[i][0] for i in indices], std_epsilon=std_epsilon
-        )
+        values = group_advantages([groups[i][0] for i in indices])
         for i, value in zip(indices, values):
             out[i] = value
     return out

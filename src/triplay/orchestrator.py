@@ -400,7 +400,6 @@ class Engine:
             raise DimensionMismatch(
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
-        self._initial_state = self.snapshot()
         # lru_cache caches no exception, so a failed embed or a
         # DimensionMismatch leaves no entry behind.
         self._top1 = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._retrieve_top1)
@@ -492,10 +491,7 @@ class Engine:
             groups.append(Group(domain.category, domain.category, samples, rewards, []))
         # domain_advantages takes the whole step at once, so groups get theirs here.
         advantages = iter(
-            domain_advantages(
-                [(row["r_final"], row["domain"]) for row in result.rows],
-                std_epsilon=self.cfg.grpo.std_epsilon,
-            )
+            domain_advantages([(row["r_final"], row["domain"]) for row in result.rows])
         )
         for group in groups:
             group.advantages = [next(advantages) for _ in group.samples]
@@ -591,7 +587,7 @@ class Engine:
                 domain=image.category,
                 samples=samples,
                 rewards=finals,
-                advantages=group_advantages(finals, std_epsilon=self.cfg.grpo.std_epsilon),
+                advantages=group_advantages(finals),
             )
             # The next image's questions come from the updated policy.
             self.questioner.apply([group])
@@ -675,7 +671,7 @@ class Engine:
                 domain=image.category,
                 samples=[Sample(text=text) for text in raw],
                 rewards=rewards,
-                advantages=group_advantages(rewards, std_epsilon=self.cfg.grpo.std_epsilon),
+                advantages=group_advantages(rewards),
             )
             for item, (image, raw, rewards) in zip(items, self._fan_out(rollout, items))
         ]
@@ -697,10 +693,6 @@ class Engine:
         self.searcher.restore(state["searcher"])
         self.questioner.restore(state["questioner"])
         self.solver.restore(state["solver"])
-
-    def reset_agents(self) -> None:
-        """Return every role to the state it had when the engine was built."""
-        self.restore(self._initial_state)
 
 
 def _synthetic_world(cfg: RunConfig) -> SyntheticWorld:
@@ -875,8 +867,6 @@ def run(cfg: RunConfig) -> dict:
     for cycle in range(1, it.cycles + 1):
         cycle_dir = run_dir / f"cycle{cycle}"
         cycle_dir.mkdir(exist_ok=True)
-        if it.reinit_each_cycle and cycle > 1 and not journal.done(f"cycle{cycle}:stage1"):
-            engine.reset_agents()
         for name, stage, artifacts in stages:
             key = f"cycle{cycle}:{name}"
             if not journal.done(key):

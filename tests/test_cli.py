@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from triplay.cli import main
+from triplay import orchestrator
+from triplay.cli import RUN_FLAGS, main
 from triplay.orchestrator import Sample, SyntheticSearcherRole, read_jsonl
 
 from conftest import Stopped, end_run_after
@@ -34,8 +35,6 @@ def manifest(tmp_path, capsys):
             "16",
             "--categories",
             "charts,diagrams",
-            "--bands",
-            "8",
         ],
     )
     assert code == 0
@@ -85,12 +84,22 @@ class TestIndexCommands:
         assert code == 1
         assert "error[" in err
 
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys):
+        # Unchecked, a non-JSON line ended in a raw JSONDecodeError traceback.
+        path = tmp_path / "bad.jsonl"
+        path.write_text("not json\n")
+        code, out, err = run_cli(capsys, ["index", "build", "--manifest", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[ManifestError]: {path}:1: not valid JSON")
+        assert err.count("\n") == 1
+
 
 class TestSynthGen:
     def test_seed_reproducible(self, tmp_path, capsys):
         args = lambda out: [
             "synth", "gen", "--out", out, "--seed", "5", "--count", "50",
-            "--dim", "16", "--categories", "charts,diagrams", "--bands", "4",
+            "--dim", "16", "--categories", "charts,diagrams",
         ]
         assert run_cli(capsys, args(str(tmp_path / "a.jsonl")))[0] == 0
         assert run_cli(capsys, args(str(tmp_path / "b.jsonl")))[0] == 0
@@ -175,6 +184,41 @@ class TestRunCommand:
         assert str(run_dir) in err
         assert (run_dir / "config.json").read_bytes() == config_before
         assert not (run_dir / "cycle1" / "d_active.jsonl").exists()
+
+    def test_every_run_flag_sets_its_config_value(self, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(orchestrator, "run", lambda cfg: runs.append(cfg) or {})
+        text = {int: "50", float: "0.45", str: "runs/flag"}
+        for flag, section, key, type_, _ in RUN_FLAGS:
+            assert main(["run", flag, text[type_]]) == 0, flag
+            target = getattr(runs[-1], section) if section else runs[-1]
+            assert getattr(target, key) == type_(text[type_]), flag
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{not json", "not valid JSON"),
+            ('{"iteration": {"group_size": "8"}}', "iteration.group_size must be an integer"),
+            (
+                '{"iteration": {"domains": [{"category": "charts"}]}}',
+                "'iteration.domains[0]' is missing exemplar",
+            ),
+        ],
+        ids=("not_json", "string_group_size", "domain_without_exemplar"),
+    )
+    def test_malformed_config_exits_one(self, tmp_path, capsys, content, message):
+        # Unchecked, these ended in a raw JSONDecodeError or TypeError traceback.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content)
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, ["run", "--config", str(config_path), "--run-dir", str(run_dir)]
+        )
+        assert code == 1
+        assert err.startswith("error[ConfigError]: ")
+        assert message in err
+        assert out == ""
+        assert not run_dir.exists()
 
     def test_inverted_window_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -277,21 +321,6 @@ class TestDatasetCommands:
         assert code2 == 0
         assert Path(out2.strip()).exists()
 
-    def test_dataset_build(self, finished_run, tmp_path, capsys):
-        d_active = finished_run / "cycle1" / "d_active.jsonl"
-        out_dir = tmp_path / "built"
-        code, out, _ = run_cli(
-            capsys,
-            ["dataset", "build", "--d-active", str(d_active), "--out-dir", str(out_dir)]
-            + RUN_ARGS,
-        )
-        assert code == 0
-        counts = json.loads(out)
-        assert counts["d_train_star"] <= counts["d_train"]
-        rows = read_jsonl(out_dir / "d_train_star.jsonl")
-        for row in rows:
-            assert 0.3 < row["accuracy"] < 0.8
-
 
 class TestGrpoCheck:
     def test_passes_tolerance(self, capsys):
@@ -320,18 +349,29 @@ class TestUsage:
             ["index", "search", "--manifest", "m.jsonl", "--query-file", "q.jsonl", "--k", "0"],
             ["synth", "gen", "--out", "c.jsonl", "--count", "0"],
             ["synth", "gen", "--out", "c.jsonl", "--dim", "0"],
-            ["synth", "gen", "--out", "c.jsonl", "--bands", "0"],
         ],
-        ids=("trials_zero", "trials_negative", "k_zero", "count_zero", "dim_zero", "bands_zero"),
+        ids=("trials_zero", "trials_negative", "k_zero", "count_zero", "dim_zero"),
     )
     def test_count_below_one_is_usage_error(self, argv, capsys):
-        # Unchecked, zero trials checked nothing and passed, --k 0 ended in a
-        # raw ValueError traceback from the index, and --bands 0 wrote a
-        # manifest that a run refuses.
+        # Unchecked, zero trials checked nothing and passed, and --k 0 ended
+        # in a raw ValueError traceback from the index.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dataset", "build", "--d-active", "d_active.jsonl", "--out-dir", "out"],
+            ["synth", "gen", "--out", "c.jsonl", "--bands", "4"],
+        ],
+        ids=("dataset_build", "synth_gen_bands"),
+    )
+    def test_removed_surface_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "categories, message",

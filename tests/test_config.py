@@ -50,7 +50,6 @@ class TestDefaults:
         assert it.top_k == 5
         assert (it.searcher_steps, it.questioner_steps, it.solver_steps) == (10, 10, 30)
         assert it.cycles == 3
-        assert it.reinit_each_cycle is False
 
     def test_world_defaults(self):
         cfg = RunConfig()
@@ -127,6 +126,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key.*'judge': retries"):
             config_from_dict(deep_merge(REMOTE, {"judge": {"kind": "remote", "retries": 3}}))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("iteration", "reinit_each_cycle", True), ("grpo", "std_epsilon", 1e-8)],
+        ids=("reinit_each_cycle", "std_epsilon"),
+    )
+    def test_removed_setting_is_an_unknown_key(self, section, key, value):
+        # No caller varied them: the agents are never reset between cycles,
+        # and the advantage guard is the constant grpo.STD_EPSILON. A config
+        # that still names one is refused, not migrated.
+        with pytest.raises(ConfigError, match=f"unknown key.*'{section}': {key}"):
+            config_from_dict({section: {key: value}})
+
     def test_group_size_floor(self):
         with pytest.raises(ConfigError, match="group_size"):
             config_from_dict({"iteration": {"group_size": 1}})
@@ -156,6 +167,59 @@ class TestValidation:
         domains = [{"category": "charts", "exemplar": "a"}, {"category": "charts", "exemplar": "b"}]
         with pytest.raises(ConfigError, match="repeat a category: charts, charts"):
             config_from_dict({"iteration": {"domains": domains}})
+
+
+class TestJsonTypes:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"iteration": {"group_size": "8"}}, "iteration.group_size must be an integer, got '8'"),
+            ({"iteration": {"group_size": True}}, "iteration.group_size must be an integer, got True"),
+            ({"world": {"count": 400.0}}, "world.count must be an integer, got 400.0"),
+            ({"iteration": {"tau_low": "0.3"}}, "iteration.tau_low must be a number, got '0.3'"),
+            ({"grpo": {"eps_low": False}}, "grpo.eps_low must be a number, got False"),
+            ({"judge": {"kind": 1}}, "judge.kind must be a string, got 1"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"manifest_path": 3}, "manifest_path must be a string or null, got 3"),
+        ],
+        ids=(
+            "string_for_int", "bool_for_int", "float_for_int", "string_for_float",
+            "bool_for_float", "int_for_string", "string_for_root_int", "int_for_optional_string",
+        ),
+    )
+    def test_mismatched_scalar_refused(self, data, message):
+        # Unchecked, a string group_size ended in a raw TypeError from a
+        # comparison in validate_config.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(data)
+
+    def test_int_accepted_for_float(self):
+        cfg = config_from_dict({"iteration": {"tau_low": 0, "tau_high": 1}, "grpo": {"eps_low": 0.1}})
+        assert (cfg.iteration.tau_low, cfg.iteration.tau_high) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "domains, message",
+        [
+            ([{"category": "charts"}], "config section 'iteration.domains[0]' is missing exemplar"),
+            (["charts"], "config section 'iteration.domains[0]' must be an object"),
+            (
+                [{"category": "charts", "exemplar": 3}],
+                "iteration.domains[0].exemplar must be a string, got 3",
+            ),
+            ("charts", "iteration.domains must be a list"),
+        ],
+        ids=("no_exemplar", "not_an_object", "int_exemplar", "not_a_list"),
+    )
+    def test_malformed_domain_refused(self, domains, message):
+        # Unchecked, a domain without exemplar ended in a raw TypeError.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict({"iteration": {"domains": domains}})
+
+    def test_non_json_file_refused(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not valid JSON")):
+            load_config(path)
 
 
 class TestLoadingAndHash:

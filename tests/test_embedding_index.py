@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,42 @@ class TestManifest:
         lines[1] = lines[1].replace('"category":"c"', '"category":"x"')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "b", "embedding": [0.0, 1.0]', "not valid JSON"),
+            ('{"embedding": [0.0, 1.0]}', "a record needs a string id and an embedding"),
+            ('{"id": 7, "embedding": [0.0, 1.0]}', "a record needs a string id and an embedding"),
+            ('{"id": "b"}', "a record needs a string id and an embedding"),
+            ('{"id": "b", "embedding": [0.0, "1"]}', "the embedding is not a list of numbers"),
+            ('{"id": "b", "embedding": [true, 1.0]}', "the embedding is not a list of numbers"),
+        ],
+        ids=(
+            "not_json", "no_id", "int_id", "no_embedding", "string_in_embedding",
+            "bool_in_embedding",
+        ),
+    )
+    def test_malformed_record_line_names_file_and_line(self, tmp_path, line, message):
+        # Unchecked, these ended in a raw JSONDecodeError, KeyError or
+        # ValueError. Line numbers count blank lines.
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"count":2,"dimension":2}\n{"id":"a","embedding":[1.0,0.0]}\n\n' + line + "\n"
+        )
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:4: {message}")):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ['{"count": 1, "dimension": 2', '{"count": 1, "dimension": "2"}', "[1, 2]"],
+        ids=("not_json", "string_dimension", "not_an_object"),
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.jsonl"
+        path.write_text(header + '\n{"id":"a","embedding":[1.0,0.0]}\n')
+        with pytest.raises(ManifestError, match=re.escape(str(path))):
             load_manifest(path)
 
     def test_duplicate_ids_rejected(self):

@@ -135,7 +135,7 @@ def policy_step(policy, rng, reward_fn, cfg, learning_rate, group_size):
     one ascent step on the clipped objective."""
     actions = sample_actions(policy, group_size, rng)
     logp_old = policy.log_probabilities()[actions]
-    advantages = group_advantages(reward_fn(actions), std_epsilon=cfg.std_epsilon)
+    advantages = group_advantages(reward_fn(actions))
     return toy_policy_update(policy, actions, logp_old, advantages, cfg, learning_rate)
 
 

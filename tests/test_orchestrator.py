@@ -657,22 +657,11 @@ class TestRunAndResume:
         assert "stats.json" in written
         assert "config.json" not in written
 
-    def test_two_cycles_and_reinit_toggle(self, tmp_path):
-        cfg = small_cfg(
-            tmp_path / "cont",
-            queries_per_iteration=40,
-        )
+    def test_two_cycles(self, tmp_path):
+        cfg = small_cfg(tmp_path / "cont", queries_per_iteration=40)
         cfg.iteration.cycles = 2
         report = run(cfg)
         assert (Path(report["run_dir"]) / "cycle2" / "d_train.jsonl").exists()
-
-        cfg_reinit = small_cfg(tmp_path / "reinit", queries_per_iteration=40)
-        cfg_reinit.iteration.cycles = 2
-        cfg_reinit.iteration.reinit_each_cycle = True
-        report_reinit = run(cfg_reinit)
-        a = (Path(report["run_dir"]) / "cycle2" / "queries.jsonl").read_bytes()
-        b = (Path(report_reinit["run_dir"]) / "cycle2" / "queries.jsonl").read_bytes()
-        assert a != b
 
     def test_seed_changes_artifacts(self, tmp_path):
         report_a = run(small_cfg(tmp_path / "s1", seed=1))

@@ -16,7 +16,8 @@ import pytest
 
 from triplay import backends
 from triplay.backends import GenerationRequest
-from triplay.config import IterationConfig, RunConfig
+from triplay.cli import main
+from triplay.config import IterationConfig, RunConfig, config_to_dict
 from triplay.embedding_index import EmbeddingIndex, IndexManifest
 from triplay.errors import ConfigError, Transport
 from triplay.orchestrator import (
@@ -558,3 +559,22 @@ def test_resume_with_empty_verdict_memo_is_byte_identical(manifest_path, tmp_pat
         judge_requests[name] = len(transport.bodies["judge"])
     assert_same_artifacts(tmp_path / "whole", tmp_path / "resumed")
     assert judge_requests["resumed"] > judge_requests["whole"]
+
+
+def test_remote_run_with_malformed_manifest_sends_nothing(
+    manifest_path, tmp_path, monkeypatch, capsys
+):
+    # Unchecked, a non-JSON manifest line ended a remote run in a raw
+    # JSONDecodeError traceback.
+    transport = RecordingTransport(dimension=16)
+    monkeypatch.setattr(backends, "_requests_transport", transport)
+    bad = tmp_path / "bad.jsonl"
+    lines = open(manifest_path, encoding="utf-8").read().splitlines()
+    bad.write_text("\n".join(lines[:2] + ["{not json"] + lines[3:]) + "\n")
+    config_path = tmp_path / "remote.json"
+    config_path.write_text(json.dumps(config_to_dict(remote_cfg(str(bad)))))
+    code = main(["run", "--config", str(config_path), "--run-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error[ManifestError]: {bad}:3: not valid JSON")
+    assert transport.bodies == {}

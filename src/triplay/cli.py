@@ -19,7 +19,14 @@ import numpy as np
 
 from . import orchestrator
 from .config import load_config
-from .embedding_index import EmbeddingIndex, IndexManifest, load_manifest, save_manifest
+from .embedding_index import (
+    EmbeddingIndex,
+    IndexManifest,
+    _embedding,
+    _json_line,
+    load_manifest,
+    save_manifest,
+)
 from .errors import EngineError
 from .grpo import gradient_check
 from .rewards import difficulty_filter
@@ -98,15 +105,17 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def _load_queries(path: str) -> list[np.ndarray]:
-    text = Path(path).read_text(encoding="utf-8").strip()
+    """One query per non-blank line: a list of numbers, or an object whose
+    "embedding" is one. A bad line raises ManifestError naming file and line."""
+    path = Path(path)
     queries = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        row = _json_line(path, lineno, line)
         if isinstance(row, dict):
-            row = row["embedding"]
-        queries.append(np.asarray(row, dtype=np.float64))
+            row = row.get("embedding")
+        queries.append(_embedding(path, lineno, row))
     return queries
 
 

@@ -3,10 +3,11 @@ threshold clustering, and the neighborhood-density repetition penalty.
 
 Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine,
 computed for a whole batch as one product of its unit embeddings.
-A batch is clustered per modality by connecting every pair at distance <= tau
-(single linkage), and each item is penalized by the relative size of its text
-and visual clusters. The clustering and consensus.majority_vote share one
-union-find, components.
+A batch is clustered per modality by components, the union-find that
+consensus.majority_vote shares, under the predicate "distance <= tau" (single
+linkage, inclusive boundary). Each item is penalized by the relative size of
+its text and visual clusters. components does not ask about a pair already
+joined, so a batch of near-duplicates needs fewer text distances than pairs.
 
 The penalties take the text distance as an argument. A caller that scores the
 same texts batch after batch passes memoized_text_distance, which computes
@@ -19,11 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 _MAX_ORDER = 4
 
@@ -83,17 +83,6 @@ def memoized_text_distance(maxsize: int):
     return distance
 
 
-def text_distance_matrix(texts: list[str], distance=text_distance) -> np.ndarray:
-    n = len(texts)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(texts[i], texts[j])
-            mat[i, j] = d
-            mat[j, i] = d
-    return mat
-
-
 def visual_distance_matrix(embeddings) -> np.ndarray:
     """1 - cosine similarity of every pair, from one product of the unit rows.
 
@@ -112,17 +101,6 @@ def visual_distance_matrix(embeddings) -> np.ndarray:
     unit = mat / norms[:, None]
     upper = np.triu(1.0 - np.clip(unit @ unit.T, -1.0, 1.0), 1)
     return upper + upper.T
-
-
-@dataclass
-class Clustering:
-    """Partition of batch items; cluster ids are the smallest member index."""
-
-    assignment: list[int]
-    sizes: dict[int, int]
-
-    def size_of(self, item: int) -> int:
-        return self.sizes[self.assignment[item]]
 
 
 def components(n: int, linked) -> list[int]:
@@ -150,19 +128,11 @@ def components(n: int, linked) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def threshold_cluster(distances, tau: float) -> Clustering:
-    """Connected components of the graph with an edge wherever distance <= tau.
-
-    The boundary is inclusive: items exactly at tau count as neighbors.
-    """
-    mat = np.asarray(distances, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise AsymmetricMatrix(f"distance matrix must be square, got {mat.shape}")
-    if not np.array_equal(mat, mat.T):
-        raise AsymmetricMatrix("distance matrix is not symmetric")
-    rows = mat.tolist()
-    assignment = components(len(rows), lambda i, j: rows[i][j] <= tau)
-    return Clustering(assignment=assignment, sizes=dict(Counter(assignment)))
+def _cluster_shares(n: int, linked) -> list[float]:
+    """Each item's component size under linked, divided by n."""
+    roots = components(n, linked)
+    sizes = Counter(roots)
+    return [sizes[r] / n for r in roots]
 
 
 def repetition_penalty(
@@ -177,13 +147,11 @@ def repetition_penalty(
     if not items:
         raise ValueError("batch must contain at least one item")
     texts = [t for t, _ in items]
-    embeds = [e for _, e in items]
-    txt_clusters = threshold_cluster(text_distance_matrix(texts, distance), tau_txt)
-    vis_clusters = threshold_cluster(visual_distance_matrix(embeds), tau_vis)
+    vis = visual_distance_matrix([e for _, e in items]).tolist()
     n = len(items)
-    return [
-        txt_clusters.size_of(i) / n + vis_clusters.size_of(i) / n for i in range(n)
-    ]
+    txt_shares = _cluster_shares(n, lambda i, j: distance(texts[i], texts[j]) <= tau_txt)
+    vis_shares = _cluster_shares(n, lambda i, j: vis[i][j] <= tau_vis)
+    return [t + v for t, v in zip(txt_shares, vis_shares)]
 
 
 def text_repetition_penalty(
@@ -192,6 +160,4 @@ def text_repetition_penalty(
     """Text-only variant used for question batches: cluster share in [1/n, 1]."""
     if not texts:
         raise ValueError("need at least one text")
-    clusters = threshold_cluster(text_distance_matrix(texts, distance), tau_txt)
-    n = len(texts)
-    return [clusters.size_of(i) / n for i in range(n)]
+    return _cluster_shares(len(texts), lambda i, j: distance(texts[i], texts[j]) <= tau_txt)

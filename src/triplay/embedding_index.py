@@ -87,17 +87,20 @@ def _json_line(path: Path, lineno: int, line: str):
         raise ManifestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
 
 
+def _embedding(path: Path, lineno: int, value) -> np.ndarray:
+    # JSON true and false are not numbers, although Python counts a bool as an int.
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+        raise ManifestError(f"{path}:{lineno}: the embedding is not a list of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _record(path: Path, lineno: int, line: str) -> ImageRecord:
     row = _json_line(path, lineno, line)
     if not isinstance(row, dict) or not isinstance(row.get("id"), str) or "embedding" not in row:
         raise ManifestError(f"{path}:{lineno}: a record needs a string id and an embedding")
-    embedding = row["embedding"]
-    # JSON true and false are not numbers, although Python counts a bool as an int.
-    if not isinstance(embedding, list) or not all(type(x) in (int, float) for x in embedding):
-        raise ManifestError(f"{path}:{lineno}: the embedding is not a list of numbers")
     return ImageRecord(
         id=row["id"],
-        embedding=np.asarray(embedding, dtype=np.float64),
+        embedding=_embedding(path, lineno, row["embedding"]),
         category=row.get("category", ""),
         uri=row.get("uri", ""),
         source=row.get("source", ""),
@@ -173,7 +176,6 @@ class EmbeddingIndex:
             first = records[int(np.argmin(nonzero))]
             raise ZeroVector(f"record {first.id}: all-zero embedding")
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-        self.manifest = manifest
         self.dimension = manifest.dimension
         self._records = records
         self._by_id = {r.id: r for r in records}

@@ -21,10 +21,6 @@ class ManifestError(EngineError):
     pass
 
 
-class AsymmetricMatrix(EngineError):
-    pass
-
-
 class OutOfRange(EngineError):
     pass
 

@@ -179,7 +179,6 @@ def gen_corpus(
 class QueryTemplate:
     index: int
     category: str
-    band: int
     difficulty: float
     text: str
     embedding: np.ndarray = field(repr=False)
@@ -198,7 +197,6 @@ class SyntheticWorld:
         self.images = images
         self.categories = list(categories)
         self.dim = dim
-        self.bands = bands_per_category
         manifest = IndexManifest(
             dimension=dim, records=[img.record for img in images]
         )
@@ -217,7 +215,6 @@ class SyntheticWorld:
                     QueryTemplate(
                         index=len(self.templates),
                         category=category,
-                        band=band,
                         difficulty=difficulty,
                         text=f"{adj} {category} {noun} view{suffix}",
                         embedding=embeddings[slot, band],

@@ -17,7 +17,7 @@ import pytest
 from triplay.cli import main as cli_main
 from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, majority_vote, normalize_answer
-from triplay.diversity import repetition_penalty, threshold_cluster
+from triplay.diversity import components, repetition_penalty
 from triplay.embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
 from triplay.grpo import domain_advantages, gradient_check, group_advantages
 from triplay.orchestrator import build_engine, consensus_histogram, read_jsonl
@@ -139,10 +139,10 @@ def test_criterion_02_repetition_penalty():
             mat = (mat + mat.T) / 2
             np.fill_diagonal(mat, 0.0)
             tau = float(rng.uniform(0.1, 0.9))
-            clustering = threshold_cluster(mat, tau)
+            roots = components(n, lambda i, j: mat[i, j] <= tau)
             got: dict[int, list[int]] = {}
             for i in range(n):
-                got.setdefault(clustering.assignment[i], []).append(i)
+                got.setdefault(roots[i], []).append(i)
             assert sorted(sorted(m) for m in got.values()) == _closure_components(mat, tau)
 
 

@@ -94,6 +94,30 @@ class TestIndexCommands:
         assert err.startswith(f"error[ManifestError]: {path}:1: not valid JSON")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("not json", "not valid JSON"),
+            ('{"vec": [1, 2]}', "the embedding is not a list of numbers"),
+            ('["a", "b"]', "the embedding is not a list of numbers"),
+            ("[true, false]", "the embedding is not a list of numbers"),
+        ],
+        ids=("not_json", "no_embedding_key", "strings", "booleans"),
+    )
+    def test_malformed_query_file_exits_one(self, manifest, tmp_path, capsys, line, message):
+        # Unchecked, these lines ended in a raw JSONDecodeError, KeyError or
+        # ValueError traceback, or (booleans) searched for [1.0, 0.0].
+        query_file = tmp_path / "queries.jsonl"
+        query_file.write_text("\n" + line + "\n")
+        code, out, err = run_cli(
+            capsys,
+            ["index", "search", "--manifest", str(manifest), "--query-file", str(query_file), "--k", "1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[ManifestError]: {query_file}:2: {message}")
+        assert err.count("\n") == 1
+
 
 class TestSynthGen:
     def test_seed_reproducible(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,17 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triplay.diversity import (
-    Clustering,
+    components,
     memoized_text_distance,
     repetition_penalty,
     sentence_bleu,
     text_distance,
-    text_distance_matrix,
     text_repetition_penalty,
-    threshold_cluster,
     visual_distance_matrix,
 )
-from triplay.errors import AsymmetricMatrix, DimensionMismatch, ZeroVector
+from triplay.errors import DimensionMismatch, ZeroVector
 
 from conftest import cosine_similarity
 
@@ -106,10 +105,15 @@ def pairwise_visual_distances(embeddings) -> np.ndarray:
     return mat
 
 
-def partition(clustering: Clustering) -> list[list[int]]:
+def threshold_components(mat: np.ndarray, tau: float) -> list[int]:
+    """Component roots of the graph with an edge wherever mat[i, j] <= tau."""
+    return components(len(mat), lambda i, j: mat[i, j] <= tau)
+
+
+def partition(roots: list[int]) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
-    for i, cluster in enumerate(clustering.assignment):
-        groups.setdefault(cluster, []).append(i)
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
     return sorted(groups.values())
 
 
@@ -147,8 +151,8 @@ class TestVisualDistanceMatrix:
         reference = pairwise_visual_distances(embeddings)
         off_diagonal = reference[~np.eye(len(embeddings), dtype=bool)]
         assume(np.all(np.abs(off_diagonal - tau) > 1e-9))
-        assert partition(threshold_cluster(visual_distance_matrix(embeddings), tau)) == (
-            partition(threshold_cluster(reference, tau))
+        assert partition(threshold_components(visual_distance_matrix(embeddings), tau)) == (
+            partition(threshold_components(reference, tau))
         )
 
     @settings(max_examples=50, deadline=None)
@@ -195,18 +199,27 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     return mat
 
 
+@st.composite
+def grid_matrices(draw):
+    """A symmetric matrix with zero diagonal, its distances and tau on a 0.1
+    grid, so many pairs sit exactly on the inclusive boundary."""
+    n = draw(st.integers(1, 9))
+    grid = st.integers(0, 10).map(lambda x: x / 10)
+    upper = draw(st.lists(grid, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    mat = np.zeros((n, n))
+    mat[np.triu_indices(n, 1)] = upper
+    return mat + mat.T, draw(grid)
+
+
 class TestThresholdCluster:
     def test_all_zero_distances(self):
         mat = np.zeros((4, 4))
-        clustering = threshold_cluster(mat, 0.1)
-        assert all(clustering.size_of(i) == 4 for i in range(4))
+        assert threshold_components(mat, 0.1) == [0] * 4
 
     def test_all_far_apart(self):
         mat = np.full((5, 5), 0.9)
         np.fill_diagonal(mat, 0.0)
-        clustering = threshold_cluster(mat, 0.1)
-        assert all(clustering.size_of(i) == 1 for i in range(5))
-        assert len(clustering.sizes) == 5
+        assert threshold_components(mat, 0.1) == list(range(5))
 
     def test_transitive_linkage(self):
         # 0-1 and 1-2 are close, 0-2 is far: single linkage still merges all.
@@ -217,18 +230,11 @@ class TestThresholdCluster:
                 [0.4, 0.05, 0.0],
             ]
         )
-        clustering = threshold_cluster(mat, 0.1)
-        assert clustering.size_of(0) == 3
-        assert clustering.assignment[0] == clustering.assignment[2]
+        assert threshold_components(mat, 0.1) == [0, 0, 0]
 
     def test_inclusive_boundary(self):
         mat = np.array([[0.0, 0.1], [0.1, 0.0]])
-        assert threshold_cluster(mat, 0.1).size_of(0) == 2
-
-    def test_rejects_asymmetric(self):
-        mat = np.array([[0.0, 0.2], [0.3, 0.0]])
-        with pytest.raises(AsymmetricMatrix):
-            threshold_cluster(mat, 0.1)
+        assert threshold_components(mat, 0.1) == [0, 0]
 
     def test_matches_closure_oracle(self):
         rng = np.random.default_rng(42)
@@ -236,41 +242,28 @@ class TestThresholdCluster:
             n = int(rng.integers(2, 13))
             tau = float(rng.uniform(0.1, 0.9))
             mat = random_symmetric(rng, n)
-            clustering = threshold_cluster(mat, tau)
-            expected = closure_oracle(mat, tau)
-            got = {}
-            for i in range(n):
-                got.setdefault(clustering.assignment[i], set()).add(i)
-            assert sorted(map(sorted, got.values())) == sorted(
-                map(sorted, expected)
-            )
-            assert sum(clustering.sizes.values()) == n
+            roots = threshold_components(mat, tau)
+            assert partition(roots) == sorted(map(sorted, closure_oracle(mat, tau)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_transitive_closure_property(self, data):
-        # Distances on a 0.1 grid and tau on the same grid, so many pairs sit
-        # exactly on the inclusive boundary.
-        n = data.draw(st.integers(1, 9))
-        grid = st.integers(0, 10).map(lambda x: x / 10)
-        upper = data.draw(st.lists(grid, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-        tau = data.draw(grid)
-        mat = np.zeros((n, n))
-        mat[np.triu_indices(n, 1)] = upper
-        mat = mat + mat.T
-        clustering = threshold_cluster(mat, tau)
+    @given(grid_matrices())
+    def test_transitive_closure_property(self, drawn):
+        mat, tau = drawn
+        roots = threshold_components(mat, tau)
+        sizes = Counter(roots)
         for component in closure_oracle(mat, tau):
             for i in component:
-                assert clustering.assignment[i] == min(component)
-                assert clustering.size_of(i) == len(component)
-        assert sum(clustering.sizes.values()) == n
+                assert roots[i] == min(component)
+                assert sizes[roots[i]] == len(component)
+        assert sum(sizes.values()) == len(mat)
 
     def test_partition_sizes(self):
         rng = np.random.default_rng(5)
         mat = random_symmetric(rng, 10)
-        clustering = threshold_cluster(mat, 0.3)
-        assert isinstance(clustering, Clustering)
-        assert sum(clustering.sizes.values()) == 10
+        roots = threshold_components(mat, 0.3)
+        # Every item's root is its component's smallest index.
+        assert all(roots[r] == r <= i for i, r in enumerate(roots))
+        assert sum(Counter(roots).values()) == 10
 
 
 def orthogonal_batch(n: int, texts: list[str]) -> list[tuple[str, np.ndarray]]:
@@ -345,11 +338,34 @@ class TestRepetitionPenalty:
         assert penalties[1] == pytest.approx(2 / 3)
         assert penalties[2] == pytest.approx(1 / 3)
 
-    def test_text_matrix_zero_diagonal(self):
-        mat = text_distance_matrix(["a b", "c d", "a b"])
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.diag(mat) == 0.0)
-        assert mat[0, 2] == 0.0
+    @settings(max_examples=200, deadline=None)
+    @given(grid_matrices())
+    def test_text_penalty_is_closure_share(self, drawn):
+        # Texts are labels into the drawn matrix, so the penalty's clusters
+        # can be checked against the closure oracle.
+        mat, tau = drawn
+        n = len(mat)
+        labels = [str(i) for i in range(n)]
+        penalties = text_repetition_penalty(
+            labels, tau, distance=lambda a, b: mat[int(a), int(b)]
+        )
+        for component in closure_oracle(mat, tau):
+            for i in component:
+                assert penalties[i] == len(component) / n
+
+    def test_joined_pairs_are_not_asked(self):
+        # Items 0-1 and 0-2 are linked; 1-2 is already joined, so it is skipped.
+        asked = []
+
+        def counting(a, b):
+            asked.append((a, b))
+            return text_distance(a, b)
+
+        assert text_repetition_penalty(["same words"] * 3, 0.5, distance=counting) == [1.0] * 3
+        assert len(asked) == 2
+        batch = [("same words", np.array([1.0, 0.0]))] * 3
+        assert repetition_penalty(batch, 0.5, 0.1, distance=counting) == [2.0] * 3
+        assert len(asked) == 4
 
 
 class TestMemoizedTextDistance:
@@ -362,10 +378,17 @@ class TestMemoizedTextDistance:
         texts = data.draw(st.lists(words.map(" ".join), min_size=1, max_size=10))
         shuffled = data.draw(st.permutations(texts))
         distance = memoized_text_distance(maxsize=8)
+
+        def checked(qi, qj):
+            d = distance(qi, qj)
+            assert d == text_distance(qi, qj)
+            return d
+
         for batch in (texts, shuffled, texts + shuffled):
-            assert np.array_equal(
-                text_distance_matrix(batch, distance), text_distance_matrix(batch)
-            )
+            for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
+                assert text_repetition_penalty(batch, tau, checked) == (
+                    text_repetition_penalty(batch, tau)
+                )
         assert distance.cache_info().currsize <= 8
 
     def test_one_entry_per_unordered_pair(self):

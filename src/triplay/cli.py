@@ -23,13 +23,13 @@ from .embedding_index import (
     EmbeddingIndex,
     IndexManifest,
     _embedding,
-    _json_line,
+    _json_lines,
     load_manifest,
     save_manifest,
 )
-from .errors import EngineError
+from .errors import EngineError, ManifestError
 from .grpo import gradient_check
-from .rewards import difficulty_filter
+from .rewards import check_window, difficulty_filter
 from .synthetic_world import gen_corpus
 
 GRADIENT_TOLERANCE = 1e-4
@@ -107,12 +107,8 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 def _load_queries(path: str) -> list[np.ndarray]:
     """One query per non-blank line: a list of numbers, or an object whose
     "embedding" is one. A bad line raises ManifestError naming file and line."""
-    path = Path(path)
     queries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = _json_line(path, lineno, line)
+    for lineno, row in _json_lines(path):
         if isinstance(row, dict):
             row = row.get("embedding")
         queries.append(_embedding(path, lineno, row))
@@ -149,7 +145,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_dataset_filter(args: argparse.Namespace) -> int:
-    rows = orchestrator.read_jsonl(args.input)
+    """Keep the rows whose accuracy lies inside (--low, --high). A row that is
+    not a JSON object with a numeric accuracy raises ManifestError naming the
+    file and line."""
+    check_window(args.low, args.high)
+    rows = []
+    for lineno, row in _json_lines(args.input):
+        # JSON true and false are not numbers, although Python counts a bool as an int.
+        if not isinstance(row, dict) or type(row.get("accuracy")) not in (int, float):
+            raise ManifestError(f"{args.input}:{lineno}: a row needs a numeric accuracy")
+        rows.append(row)
     kept = [r for r in rows if difficulty_filter(r["accuracy"], args.low, args.high)]
     orchestrator.write_jsonl(Path(args.output), kept)
     print(json.dumps({"input": len(rows), "kept": len(kept)}))

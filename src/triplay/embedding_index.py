@@ -87,6 +87,16 @@ def _json_line(path: Path, lineno: int, line: str):
         raise ManifestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
 
 
+def _json_lines(path: str | Path):
+    """(line number, parsed value) for each non-blank line of a JSON-lines
+    file; a line that is not JSON raises ManifestError naming file and line."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, _json_line(path, lineno, line)
+
+
 def _embedding(path: Path, lineno: int, value) -> np.ndarray:
     # JSON true and false are not numbers, although Python counts a bool as an int.
     if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):

@@ -3,10 +3,11 @@ with its analytic gradient, and training-batch export for an external trainer.
 
 Advantages normalize each reward against its group (or domain) peers using the
 population standard deviation plus a small guard; zero-variance groups yield
-exactly zero advantages. Each toy action is a one-token response, so the
-clipped objective is the mean of min(ratio * A, clip(ratio) * A) over a group.
-The synthetic searcher and questioner learn by ascending it; in remote mode
-the engine only exports batches.
+exactly zero advantages. A toy policy is a float64 logits array whose
+softmax is the action distribution: each action is a one-token response, so
+the clipped objective is the mean of min(ratio * A, clip(ratio) * A) over a
+group. The synthetic searcher and questioner learn by ascending it; in remote
+mode the engine only exports batches.
 """
 
 from __future__ import annotations
@@ -72,58 +73,29 @@ def _clipped_terms(ratios: np.ndarray, advantage: float, cfg: GrpoConfig) -> np.
     return np.minimum(ratios * advantage, clipped * advantage)
 
 
-@dataclass
-class ToyPolicy:
-    """Softmax policy over a finite action set; each action is one token."""
-
-    logits: np.ndarray
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-
-    def log_probabilities(self) -> np.ndarray:
-        z = self.logits / self.temperature
-        z = z - z.max()
-        return z - np.log(np.exp(z).sum())
-
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_probabilities())
+def log_probabilities(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax of a toy policy's logits; each action is one token."""
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
 
 
-def sample_actions(policy: ToyPolicy, group_size: int, rng: np.random.Generator) -> np.ndarray:
-    probs = policy.probabilities()
+def sample_actions(logp: np.ndarray, group_size: int, rng: np.random.Generator) -> np.ndarray:
+    """group_size actions drawn from the log-probabilities logp."""
+    probs = np.exp(logp)
     if np.any(probs == 0.0):
         raise DegenerateDistribution("an action probability underflowed to zero")
     return rng.choice(len(probs), size=group_size, p=probs)
 
 
-def toy_objective(
-    logits,
-    temperature: float,
-    actions,
-    logp_old,
-    advantages,
-    cfg: GrpoConfig,
-) -> float:
+def toy_objective(logits, actions, logp_old, advantages, cfg: GrpoConfig) -> float:
     """Clipped objective for single-token responses as a function of the logits."""
-    policy = ToyPolicy(np.asarray(logits, dtype=np.float64), temperature)
-    logp = policy.log_probabilities()
+    logp = log_probabilities(np.asarray(logits, dtype=np.float64))
     ratios = np.exp(logp[np.asarray(actions)] - np.asarray(logp_old, dtype=np.float64))
     terms = _clipped_terms(ratios, np.asarray(advantages, dtype=np.float64), cfg)
     return float(terms.mean())
 
 
-def toy_objective_gradient(
-    logits,
-    temperature: float,
-    actions,
-    logp_old,
-    advantages,
-    cfg: GrpoConfig,
-) -> np.ndarray:
+def toy_objective_gradient(logits, actions, logp_old, advantages, cfg: GrpoConfig) -> np.ndarray:
     """Analytic gradient of toy_objective with respect to the logits.
 
     Each min(ratio * A, clip(ratio) * A) term is piecewise linear in the
@@ -133,9 +105,7 @@ def toy_objective_gradient(
     logits = np.asarray(logits, dtype=np.float64)
     actions = np.asarray(actions)
     advantages = np.asarray(advantages, dtype=np.float64)
-    policy = ToyPolicy(logits, temperature)
-    probs = policy.probabilities()
-    logp = policy.log_probabilities()
+    logp = log_probabilities(logits)
     ratios = np.exp(logp[actions] - np.asarray(logp_old, dtype=np.float64))
     lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
     slopes = np.where(
@@ -144,26 +114,20 @@ def toy_objective_gradient(
         np.where(ratios >= lo, advantages, 0.0),
     )
     grad = np.zeros_like(logits)
-    coeff = slopes * ratios / temperature
+    coeff = slopes * ratios
     for a, c in zip(actions, coeff):
         grad[a] += c
-    grad -= coeff.sum() * probs
+    grad -= coeff.sum() * np.exp(logp)
     return grad / len(actions)
 
 
 def toy_policy_update(
-    policy: ToyPolicy,
-    actions,
-    logp_old,
-    advantages,
-    cfg: GrpoConfig,
-    learning_rate: float,
-) -> ToyPolicy:
-    """One gradient-ascent step on the clipped objective; returns a new policy."""
-    grad = toy_objective_gradient(
-        policy.logits, policy.temperature, actions, logp_old, advantages, cfg
+    logits: np.ndarray, actions, logp_old, advantages, cfg: GrpoConfig, learning_rate: float
+) -> np.ndarray:
+    """One gradient-ascent step on the clipped objective; returns new logits."""
+    return logits + learning_rate * toy_objective_gradient(
+        logits, actions, logp_old, advantages, cfg
     )
-    return ToyPolicy(policy.logits + learning_rate * grad, policy.temperature)
 
 
 def gradient_check(
@@ -184,32 +148,23 @@ def gradient_check(
     while produced < trials:
         n_actions = int(rng.integers(2, 7))
         group = int(rng.integers(2, 9))
-        temperature = float(rng.uniform(0.7, 1.5))
         old_logits = rng.normal(size=n_actions)
         new_logits = old_logits + rng.normal(scale=0.4, size=n_actions)
-        old_policy = ToyPolicy(old_logits, temperature)
         actions = rng.integers(0, n_actions, size=group)
-        logp_old = old_policy.log_probabilities()[actions]
+        logp_old = log_probabilities(old_logits)[actions]
         rewards = rng.normal(size=group)
         advantages = np.asarray(group_advantages(rewards))
-        new_policy = ToyPolicy(new_logits, temperature)
-        ratios = np.exp(new_policy.log_probabilities()[actions] - logp_old)
+        ratios = np.exp(log_probabilities(new_logits)[actions] - logp_old)
         if np.any(np.abs(ratios - lo) < 1e-3) or np.any(np.abs(ratios - hi) < 1e-3):
             continue
         produced += 1
-        analytic = toy_objective_gradient(
-            new_logits, temperature, actions, logp_old, advantages, cfg
-        )
+        analytic = toy_objective_gradient(new_logits, actions, logp_old, advantages, cfg)
         numeric = np.zeros_like(analytic)
         for k in range(n_actions):
             bump = np.zeros(n_actions)
             bump[k] = h
-            up = toy_objective(
-                new_logits + bump, temperature, actions, logp_old, advantages, cfg
-            )
-            down = toy_objective(
-                new_logits - bump, temperature, actions, logp_old, advantages, cfg
-            )
+            up = toy_objective(new_logits + bump, actions, logp_old, advantages, cfg)
+            down = toy_objective(new_logits - bump, actions, logp_old, advantages, cfg)
             numeric[k] = (up - down) / (2 * h)
         scale = max(1e-6, float(np.abs(numeric).max()))
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)

@@ -67,14 +67,14 @@ from .diversity import (
     repetition_penalty,
     text_repetition_penalty,
 )
-from .embedding_index import EmbeddingIndex, ImageRecord, load_manifest
+from .embedding_index import EmbeddingIndex, ImageRecord, _json_lines, load_manifest
 from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure
 from .grpo import (
     BatchRecord,
     GrpoConfig,
-    ToyPolicy,
     domain_advantages,
     group_advantages,
+    log_probabilities,
     sample_actions,
     toy_policy_update,
     write_training_batch,
@@ -167,19 +167,15 @@ class _ToyPolicyRole:
         self.world = world
         self.cfg = grpo_cfg
         self.learning_rate = lr
-        self.policy = ToyPolicy(np.zeros(size))
-
-    def _sub_policy(self, rows) -> ToyPolicy:
-        return ToyPolicy(self.policy.logits[rows], self.policy.temperature)
+        self.logits = np.zeros(size)
 
     def _draw(self, domain: str, g: int, rng: np.random.Generator, render) -> list[Sample]:
         """g samples from the domain's rows; render(row) is a sample's text."""
         rows = self._rows(domain)
-        sub = self._sub_policy(rows)
-        actions = sample_actions(sub, g, rng)
-        logp = sub.log_probabilities()
+        logp = log_probabilities(self.logits[rows])
         return [
-            Sample(text=render(rows[a]), action=int(a), logp_old=float(logp[a])) for a in actions
+            Sample(text=render(rows[a]), action=int(a), logp_old=float(logp[a]))
+            for a in sample_actions(logp, g, rng)
         ]
 
     def apply(self, groups: list[Group]) -> None:
@@ -190,17 +186,16 @@ class _ToyPolicyRole:
             rows = self._rows(group.domain)
             actions = np.asarray([s.action for s in group.samples])
             logp_old = np.asarray([s.logp_old for s in group.samples])
-            updated = toy_policy_update(
-                self._sub_policy(rows), actions, logp_old, group.advantages, self.cfg,
+            self.logits[rows] = toy_policy_update(
+                self.logits[rows], actions, logp_old, group.advantages, self.cfg,
                 self.learning_rate,
             )
-            self.policy.logits[rows] = updated.logits
 
     def snapshot(self) -> dict:
-        return {"logits": [float(x) for x in self.policy.logits]}
+        return {"logits": [float(x) for x in self.logits]}
 
     def restore(self, state: dict) -> None:
-        self.policy = ToyPolicy(np.asarray(state["logits"]), self.policy.temperature)
+        self.logits = np.asarray(state["logits"], dtype=np.float64)
 
 
 class SyntheticSearcherRole(_ToyPolicyRole):
@@ -759,12 +754,9 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+    """The rows of a JSON-lines artifact; a line that is not JSON raises
+    ManifestError naming the file and line."""
+    return [row for _, row in _json_lines(path)]
 
 
 def _read_optional(path: Path) -> list[dict]:

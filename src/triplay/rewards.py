@@ -78,8 +78,13 @@ def solver_reward(answer: str, pseudo_label: str, judge: AnswerJudge) -> int:
     return int(judge.equivalent(answer, pseudo_label))
 
 
-def difficulty_filter(acc: float, tau_low: float, tau_high: float) -> bool:
-    """True iff accuracy falls strictly inside the open window (tau_low, tau_high)."""
+def check_window(tau_low: float, tau_high: float) -> None:
+    """Raise InvalidWindow unless 0 <= tau_low < tau_high <= 1."""
     if not (0.0 <= tau_low < tau_high <= 1.0):
         raise InvalidWindow(f"invalid window ({tau_low}, {tau_high})")
+
+
+def difficulty_filter(acc: float, tau_low: float, tau_high: float) -> bool:
+    """True iff accuracy falls strictly inside the open window (tau_low, tau_high)."""
+    check_window(tau_low, tau_high)
     return tau_low < acc < tau_high

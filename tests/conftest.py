@@ -11,7 +11,7 @@ import numpy as np
 
 from triplay.backends import GenerationRequest
 from triplay.errors import DimensionMismatch, ZeroVector
-from triplay.grpo import ToyPolicy, sample_actions
+from triplay.grpo import log_probabilities, sample_actions
 from triplay.orchestrator import Journal, Sample
 from triplay.synthetic_world import SyntheticWorld
 
@@ -141,17 +141,17 @@ def random_active(engine, count: int, rng: np.random.Generator) -> list[dict]:
 
 def selected_difficulties(
     world: SyntheticWorld,
-    policy: ToyPolicy,
+    logits: np.ndarray,
     samples: int,
     rng: np.random.Generator,
 ) -> list[float]:
-    """Difficulties of top-1 retrieved images for template draws from the policy."""
+    """Difficulties of top-1 retrieved images for template draws from the
+    searcher logits."""
     out = []
     per_category = samples // len(world.categories)
     for category in world.categories:
         indices = world.template_indices(category)
-        sub = ToyPolicy(policy.logits[indices], policy.temperature)
-        actions = sample_actions(sub, per_category, rng)
+        actions = sample_actions(log_probabilities(logits[indices]), per_category, rng)
         for a in actions:
             template = world.templates[indices[a]]
             record, _ = world.index.retrieve(template.embedding, 1)[0]

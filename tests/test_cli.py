@@ -331,6 +331,46 @@ class TestDatasetCommands:
         assert [r["image_id"] for r in kept] == ["a"]
         assert json.loads(out) == {"input": 3, "kept": 1}
 
+    @pytest.mark.parametrize(
+        ("text", "window", "message"),
+        [
+            ('{"accuracy": 0.5}\nnot json\n', [], ":2: not valid JSON"),
+            ('{"accuracy": 0.5}\n{"image_id": "a"}\n', [], ":2: a row needs a numeric accuracy"),
+            ('{"accuracy": "0.5"}\n', [], ":1: a row needs a numeric accuracy"),
+            ('{"accuracy": true}\n', [], ":1: a row needs a numeric accuracy"),
+            ("", ["--low", "0.8", "--high", "0.3"], "invalid window (0.8, 0.3)"),
+        ],
+        ids=("not_json", "no_accuracy", "string_accuracy", "boolean_accuracy",
+             "inverted_window_on_empty_input"),
+    )
+    def test_filter_bad_input_exits_one(self, tmp_path, capsys, text, window, message):
+        # Unchecked, these ended in a raw JSONDecodeError, KeyError or
+        # TypeError traceback, read true as accuracy 1, or (an inverted window
+        # on an empty input) exited 0.
+        src = tmp_path / "d_train.jsonl"
+        src.write_text(text)
+        dst = tmp_path / "d_train_star.jsonl"
+        code, out, err = run_cli(
+            capsys, ["dataset", "filter", "--input", str(src), "--output", str(dst)] + window
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not dst.exists()
+
+    def test_report_on_corrupted_artifact_exits_one(self, finished_run, capsys):
+        queries = finished_run / "cycle1" / "queries.jsonl"
+        lineno = len(queries.read_text().splitlines()) + 1
+        with open(queries, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        code, out, err = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[ManifestError]: {queries}:{lineno}: not valid JSON")
+        assert err.count("\n") == 1
+
     def test_stats_and_report(self, finished_run, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(

@@ -13,10 +13,10 @@ from triplay.errors import (
 from triplay.grpo import (
     BatchRecord,
     GrpoConfig,
-    ToyPolicy,
     domain_advantages,
     gradient_check,
     group_advantages,
+    log_probabilities,
     sample_actions,
     toy_objective,
     toy_objective_gradient,
@@ -101,7 +101,7 @@ class TestDomainAdvantages:
 def single_action_objective(ratio: float, advantage: float, cfg: GrpoConfig) -> float:
     """toy_objective for one sampled action whose new/old probability ratio is `ratio`."""
     logp_old = [math.log(0.5) - math.log(ratio)]
-    return toy_objective(np.zeros(2), 1.0, [0], logp_old, [advantage], cfg)
+    return toy_objective(np.zeros(2), [0], logp_old, [advantage], cfg)
 
 
 class TestClippedObjective:
@@ -130,28 +130,24 @@ class TestClippedObjective:
         assert v1 == pytest.approx(v2)
 
 
-def policy_step(policy, rng, reward_fn, cfg, learning_rate, group_size):
-    """Sample a group from the frozen policy, score it with reward_fn, and take
+def policy_step(logits, rng, reward_fn, cfg, learning_rate, group_size):
+    """Sample a group from the frozen logits, score it with reward_fn, and take
     one ascent step on the clipped objective."""
-    actions = sample_actions(policy, group_size, rng)
-    logp_old = policy.log_probabilities()[actions]
+    logp = log_probabilities(logits)
+    actions = sample_actions(logp, group_size, rng)
     advantages = group_advantages(reward_fn(actions))
-    return toy_policy_update(policy, actions, logp_old, advantages, cfg, learning_rate)
+    return toy_policy_update(logits, actions, logp[actions], advantages, cfg, learning_rate)
 
 
 class TestToyPolicy:
     def test_probabilities_sum_to_one(self):
-        policy = ToyPolicy(np.array([0.3, -1.2, 2.0]), temperature=0.7)
-        assert policy.probabilities().sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            ToyPolicy(np.zeros(3), temperature=0.0)
+        logp = log_probabilities(np.array([0.3, -1.2, 2.0]))
+        assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_distribution(self):
-        policy = ToyPolicy(np.array([0.0, -2000.0]))
+        logp = log_probabilities(np.array([0.0, -2000.0]))
         with pytest.raises(DegenerateDistribution):
-            sample_actions(policy, 4, np.random.default_rng(0))
+            sample_actions(logp, 4, np.random.default_rng(0))
 
     def test_bad_clip_config(self):
         with pytest.raises(ConfigError):
@@ -168,13 +164,11 @@ class TestToyGradient:
         clipped_seen = 0
         for _ in range(100):
             n = int(rng.integers(2, 6))
-            old = ToyPolicy(rng.normal(size=n))
-            new_logits = old.logits + rng.normal(scale=0.5, size=n)
+            old_logits = rng.normal(size=n)
+            new_logits = old_logits + rng.normal(scale=0.5, size=n)
             actions = rng.integers(0, n, size=4)
-            logp_old = old.log_probabilities()[actions]
-            ratios = np.exp(
-                ToyPolicy(new_logits).log_probabilities()[actions] - logp_old
-            )
+            logp_old = log_probabilities(old_logits)[actions]
+            ratios = np.exp(log_probabilities(new_logits)[actions] - logp_old)
             if np.any(ratios > 1.2) or np.any(ratios < 0.8):
                 clipped_seen += 1
         assert clipped_seen > 20
@@ -186,54 +180,54 @@ class TestToyGradient:
         logits = np.array([2.0, 0.0])
         logp_old = np.array([math.log(0.3)])
         actions = np.array([0])
-        ratio = math.exp(ToyPolicy(logits).log_probabilities()[0]) / 0.3
+        ratio = math.exp(log_probabilities(logits)[0]) / 0.3
         assert ratio > 1.2
-        grad = toy_objective_gradient(logits, 1.0, actions, logp_old, [1.0], cfg)
+        grad = toy_objective_gradient(logits, actions, logp_old, [1.0], cfg)
         assert grad == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_zero_variance_leaves_logits_unchanged(self):
         cfg = GrpoConfig()
-        policy = ToyPolicy(np.array([0.5, -0.5, 0.0]))
+        logits = np.array([0.5, -0.5, 0.0])
         rng = np.random.default_rng(2)
         updated = policy_step(
-            policy, rng, lambda actions: [0.7] * len(actions), cfg, 0.5, group_size=6
+            logits, rng, lambda actions: [0.7] * len(actions), cfg, 0.5, group_size=6
         )
-        np.testing.assert_array_equal(updated.logits, policy.logits)
+        np.testing.assert_array_equal(updated, logits)
 
     def test_learning_favors_rewarded_action(self):
         cfg = GrpoConfig()
-        policy = ToyPolicy(np.zeros(4))
+        logits = np.zeros(4)
         rng = np.random.default_rng(11)
-        p_start = policy.probabilities()[0]
+        p_start = math.exp(log_probabilities(logits)[0])
         for _ in range(100):
-            policy = policy_step(
-                policy,
+            logits = policy_step(
+                logits,
                 rng,
                 lambda actions: [1.0 if a == 0 else 0.0 for a in actions],
                 cfg,
                 0.3,
                 group_size=8,
             )
-        p_end = policy.probabilities()[0]
+        p_end = math.exp(log_probabilities(logits)[0])
         assert p_end > p_start
         assert p_end > 0.5
 
     def test_update_returns_new_policy(self):
         cfg = GrpoConfig()
-        policy = ToyPolicy(np.zeros(3))
+        logits = np.zeros(3)
         updated = toy_policy_update(
-            policy, np.array([0, 1]), np.array([-1.0986, -1.0986]), [1.0, -1.0], cfg, 0.1
+            logits, np.array([0, 1]), np.array([-1.0986, -1.0986]), [1.0, -1.0], cfg, 0.1
         )
-        assert updated is not policy
-        assert not np.array_equal(updated.logits, policy.logits)
+        assert updated is not logits
+        assert not np.array_equal(updated, logits)
+        np.testing.assert_array_equal(logits, np.zeros(3))
 
     def test_objective_value_at_old_policy(self):
         cfg = GrpoConfig()
         logits = np.array([0.2, -0.4, 1.0])
-        policy = ToyPolicy(logits)
         actions = np.array([2, 0])
-        logp_old = policy.log_probabilities()[actions]
-        value = toy_objective(logits, 1.0, actions, logp_old, [1.0, -1.0], cfg)
+        logp_old = log_probabilities(logits)[actions]
+        value = toy_objective(logits, actions, logp_old, [1.0, -1.0], cfg)
         # ratios are exactly 1 -> objective is the mean advantage
         assert value == pytest.approx(0.0, abs=1e-12)
 

@@ -16,6 +16,7 @@ from triplay import orchestrator
 from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import extract_tagged
 from triplay.errors import ConfigError, DimensionMismatch
+from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
     CurriculumItem,
     Engine,
@@ -28,6 +29,7 @@ from triplay.orchestrator import (
     run,
     stage_seed,
 )
+from triplay.synthetic_world import QUESTION_FORMS
 
 SMALL_WORLD = WorldConfig(count=600, dim=32, bands_per_category=8)
 
@@ -669,6 +671,69 @@ class TestRunAndResume:
         a = (Path(report_a["run_dir"]) / "cycle1" / "d_active.jsonl").read_bytes()
         b = (Path(report_b["run_dir"]) / "cycle1" / "d_active.jsonl").read_bytes()
         assert a != b
+
+
+def replay_policy(logits, cfg, learning_rate, path, rows_of) -> None:
+    """Apply one exported batch file's groups to logits in file order, as the
+    role did: a group is its rows' prompt_id without the sample index, and one
+    with all-zero advantages carries no update."""
+    groups: dict[str, list[dict]] = {}
+    for row in read_jsonl(path):
+        groups.setdefault(row["prompt_id"].rsplit(":", 1)[0], []).append(row)
+    for group in groups.values():
+        advantages = [row["advantage"] for row in group]
+        if not any(advantages):
+            continue
+        rows = rows_of(group[0]["domain"])
+        actions = np.asarray([row["tokens"][0] for row in group])
+        logp_old = log_probabilities(logits[rows])[actions]
+        logits[rows] = toy_policy_update(
+            logits[rows], actions, logp_old, advantages, cfg.grpo, learning_rate
+        )
+
+
+class TestBatchReplay:
+    def test_batches_replay_to_the_journal(self, tmp_path):
+        # The exported batches are all a trainer gets: replaying them through
+        # the same updates must land on the journal's agent state exactly.
+        cfg = RunConfig(
+            seed=7,
+            mode="synthetic",
+            run_dir=str(tmp_path / "run"),
+            iteration=IterationConfig(cycles=2),
+            world=WorldConfig(count=400),
+        )
+        run_dir = Path(run(cfg)["run_dir"])
+        world = build_engine(cfg).world
+        it = cfg.iteration
+        states = {e["key"]: e["state"] for e in Journal(run_dir / "journal.json").entries}
+        searcher = np.zeros(len(world.templates))
+        questioner = np.zeros(len(QUESTION_FORMS))
+        all_forms = np.arange(len(QUESTION_FORMS))
+        skill = cfg.world.solver_skill
+        for cycle in (1, 2):
+            cycle_dir = run_dir / f"cycle{cycle}"
+            replay_policy(
+                searcher, cfg, it.searcher_lr, cycle_dir / "searcher_batches.jsonl",
+                world.template_indices,
+            )
+            replay_policy(
+                questioner, cfg, it.questioner_lr, cycle_dir / "questioner_batches.jsonl",
+                lambda domain: all_forms,
+            )
+            rewards_by_step: dict[str, list[float]] = {}
+            for row in read_jsonl(cycle_dir / "solver_batches.jsonl"):
+                step = row["prompt_id"].split(":")[1]
+                rewards_by_step.setdefault(step, []).append(row["reward"])
+            for rewards in rewards_by_step.values():
+                skill += it.solver_gain * float(np.mean(rewards))
+            assert states[f"cycle{cycle}:stage3"] == {
+                "searcher": {"logits": [float(x) for x in searcher]},
+                "questioner": {"logits": [float(x) for x in questioner]},
+                "solver": {"skill": skill},
+            }
+        assert np.any(searcher != 0.0) and np.any(questioner != 0.0)
+        assert skill != cfg.world.solver_skill
 
 
 class TestStats:

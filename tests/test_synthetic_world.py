@@ -10,7 +10,6 @@ from triplay.config import RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, extract_boxed
 from triplay.diversity import text_distance
 from triplay.errors import ConfigError
-from triplay.grpo import ToyPolicy
 from triplay.orchestrator import build_engine
 from triplay.rewards import probe_from_answers
 from triplay.synthetic_world import (
@@ -283,7 +282,7 @@ class TestSimulateStage1:
     def test_deterministic(self):
         e1, e2 = stage1_engine(), stage1_engine()
         assert stage1_stats(e1, steps=5, seed=3) == stage1_stats(e2, steps=5, seed=3)
-        np.testing.assert_array_equal(e1.searcher.policy.logits, e2.searcher.policy.logits)
+        np.testing.assert_array_equal(e1.searcher.logits, e2.searcher.logits)
 
     def test_untrained_baseline_flat(self):
         engine = stage1_engine()
@@ -293,7 +292,7 @@ class TestSimulateStage1:
         last = np.mean([s["challenge_mean"] for s in stats[-20:]])
         assert abs(last - first) < 0.08
         np.testing.assert_array_equal(
-            engine.searcher.policy.logits, np.zeros(len(engine.world.templates))
+            engine.searcher.logits, np.zeros(len(engine.world.templates))
         )
 
     def test_penalty_drops_from_concentrated_start(self):
@@ -302,7 +301,7 @@ class TestSimulateStage1:
         engine = stage1_engine()
         for category in engine.world.categories:
             idx = engine.world.template_indices(category)
-            engine.searcher.policy.logits[idx[3]] = 5.0
+            engine.searcher.logits[idx[3]] = 5.0
         stats = stage1_stats(engine, steps=120, seed=5)
         pen = [s["penalty_mean"] for s in stats]
         first_quarter = np.mean(pen[:30])
@@ -314,9 +313,9 @@ class TestSimulateStage1:
     def test_curriculum_concentrates_near_skill(self, trained):
         engine, _ = trained
         world = engine.world
-        uniform = ToyPolicy(np.zeros(len(world.templates)))
+        uniform = np.zeros(len(world.templates))
         ks_trained = ks_statistic_uniform(
-            selected_difficulties(world, engine.searcher.policy, 400, np.random.default_rng(3))
+            selected_difficulties(world, engine.searcher.logits, 400, np.random.default_rng(3))
         )
         ks_uniform = ks_statistic_uniform(
             selected_difficulties(world, uniform, 400, np.random.default_rng(3))

@@ -1,10 +1,15 @@
 """Answer extraction, normalization, equivalence judging, and majority voting.
 
 normalize_answer is memoized process-wide in a bounded LRU
-(_NORMALIZE_MEMO_SIZE entries). A vote compares pairs of distinct answers, so
-without the memo each answer would be normalized once per comparison. The
-function is pure over an immutable str, so the memo cannot change a result or
-carry state between runs, and lru_cache is safe to share between threads.
+(_NORMALIZE_MEMO_SIZE entries). Votes, recounts and solver rewards normalize
+the same few answers over and over (a RemoteJudge normalizes both sides of
+every pair it is asked). The function is pure over an immutable str, so the
+memo cannot change a result or carry state between runs, and lru_cache is
+safe to share between threads.
+
+majority_vote groups the distinct answers in one pass when the judge has a
+key (ExactNormalizedJudge: normalize_answer), and closes the pairwise judge
+otherwise (RemoteJudge), so only a remote vote costs a call per pair.
 
 RemoteJudge verdicts live in a VerdictMemo, which an Engine shares between
 every judge it makes: the vote, the recount and the stage-3 rewards of a run
@@ -30,21 +35,33 @@ from .errors import EmptyAnswers, JudgeFailure
 _BOX = "\\boxed{"
 
 
+def _closing_brace(text: str, i: int) -> int:
+    """Index of the "}" that closes a "{" opened just before text[i], or -1."""
+    depth = 1
+    close = text.find("}", i)
+    while close != -1:
+        opening = text.find("{", i, close)
+        if opening != -1:
+            depth += 1
+            i = opening + 1
+            continue
+        depth -= 1
+        if depth == 0:
+            return close
+        i = close + 1
+        close = text.find("}", i)
+    return -1
+
+
 def extract_boxed(text: str) -> str | None:
     """Content of the last balanced \\boxed{...}, respecting nested braces."""
     result = None
     start = text.find(_BOX)
     while start != -1:
-        depth = 1
-        i = start + len(_BOX)
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        if depth == 0:
-            result = text[start + len(_BOX) : i - 1]
+        content = start + len(_BOX)
+        close = _closing_brace(text, content)
+        if close != -1:
+            result = text[content:close]
         start = text.find(_BOX, start + 1)
     return result
 
@@ -69,9 +86,9 @@ _NORMALIZE_MEMO_SIZE = 4096
 @functools.lru_cache(maxsize=_NORMALIZE_MEMO_SIZE)
 def normalize_answer(s: str) -> str:
     """Canonical answer form: collapsed whitespace, lowercase, no trailing
-    periods; numeric strings lose thousands separators, a leading "+", and
-    trailing fractional zeros."""
-    out = " ".join(s.split()).lower().rstrip(".")
+    periods or spaces; numeric strings lose thousands separators, a leading
+    "+", and trailing fractional zeros. Normalizing twice changes nothing."""
+    out = " ".join(s.split()).lower().rstrip(". ")
     if _THOUSANDS_RE.match(out):
         out = out.replace(",", "")
     if _NUMBER_RE.match(out):
@@ -82,12 +99,18 @@ def normalize_answer(s: str) -> str:
 
 
 class AnswerJudge(Protocol):
+    """A reflexive, symmetric equivalence test on answers. A judge may also
+    carry a key(answer) function; it then promises that equivalent(a, b) is
+    exactly key(a) == key(b), and majority_vote groups by key without asking."""
+
     def equivalent(self, a: str, b: str) -> bool: ...
 
 
 @dataclass(frozen=True)
 class ExactNormalizedJudge:
     """Offline judge: equivalence is equality of normalized strings."""
+
+    key = staticmethod(normalize_answer)
 
     def equivalent(self, a: str, b: str) -> bool:
         return normalize_answer(a) == normalize_answer(b)
@@ -226,6 +249,11 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
     members. That is the closure over all answers, and it asks the judge
     about the same pairs in the same order, each once.
 
+    A judge with a key (ExactNormalizedJudge) is not asked at all: the
+    distinct answers are grouped by key, each rooted at its key's first
+    index. Those are the roots components gives for it, in one pass instead
+    of a judge call per pair.
+
     The label is the lexicographically smallest normalized member of the
     winning class; ties between equal-size classes go to the smaller label.
     """
@@ -233,7 +261,12 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
         raise EmptyAnswers("majority vote needs at least one answer")
     counts = Counter(answers)
     distinct = list(counts)
-    roots = components(len(distinct), lambda i, j: judge.equivalent(distinct[i], distinct[j]))
+    key = getattr(judge, "key", None)
+    if key is None:
+        roots = components(len(distinct), lambda i, j: judge.equivalent(distinct[i], distinct[j]))
+    else:
+        first: dict[str, int] = {}
+        roots = [first.setdefault(key(answer), i) for i, answer in enumerate(distinct)]
     classes: dict[int, list[str]] = {}
     for answer, root in zip(distinct, roots):
         classes.setdefault(root, []).append(answer)

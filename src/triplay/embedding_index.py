@@ -55,12 +55,16 @@ def _record_line(rec: ImageRecord) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def manifest_checksum(records: list[ImageRecord]) -> str:
+def _lines_digest(lines) -> str:
     digest = hashlib.sha256()
-    for rec in sorted(records, key=lambda r: r.id):
-        digest.update(_record_line(rec).encode("utf-8"))
+    for line in lines:
+        digest.update(line.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def manifest_checksum(records: list[ImageRecord]) -> str:
+    return _lines_digest(_record_line(rec) for rec in sorted(records, key=lambda r: r.id))
 
 
 def save_manifest(manifest: IndexManifest, path: str | Path) -> None:
@@ -121,7 +125,12 @@ def _record(path: Path, lineno: int, line: str) -> ImageRecord:
 def load_manifest(path: str | Path) -> IndexManifest:
     """Read a manifest that save_manifest wrote. A line that is not JSON, a
     record without a string id or an embedding, and an embedding that is not
-    a list of numbers raise ManifestError naming the file and line."""
+    a list of numbers raise ManifestError naming the file and line.
+
+    The checksum is first taken over the record lines as read, in id order:
+    for a file save_manifest wrote, those are the lines manifest_checksum
+    hashes. Only when that misses the header's checksum (a file written some
+    other way) are the records re-serialized to compare."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
@@ -138,9 +147,12 @@ def load_manifest(path: str | Path) -> IndexManifest:
             f"{path}: header count {header['count']} != {len(records)} records"
         )
     expected = header.get("checksum")
-    checksum = manifest_checksum(records)
-    if expected and expected != checksum:
-        raise ManifestError(f"{path}: checksum mismatch")
+    in_id_order = sorted(zip(records, lines[1:]), key=lambda pair: pair[0].id)
+    checksum = _lines_digest(line.rstrip("\n") for _, (_, line) in in_id_order)
+    if checksum != expected:
+        checksum = manifest_checksum(records)
+        if expected and expected != checksum:
+            raise ManifestError(f"{path}: checksum mismatch")
     return IndexManifest(dimension=header["dimension"], records=records, checksum=checksum)
 
 

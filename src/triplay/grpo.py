@@ -79,12 +79,24 @@ def log_probabilities(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
-def sample_actions(logp: np.ndarray, group_size: int, rng: np.random.Generator) -> np.ndarray:
-    """group_size actions drawn from the log-probabilities logp."""
+def action_cdf(logp: np.ndarray) -> np.ndarray:
+    """The cumulative action distribution that sample_actions draws from,
+    built from p = exp(logp) as Generator.choice(len(p), p=p) builds it: the
+    cumsum of p divided by its last entry."""
     probs = np.exp(logp)
-    if np.any(probs == 0.0):
-        raise DegenerateDistribution("an action probability underflowed to zero")
-    return rng.choice(len(probs), size=group_size, p=probs)
+    if not np.all(probs > 0.0):
+        raise DegenerateDistribution("an action probability is zero or not a number")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_actions(cdf: np.ndarray, group_size: int, rng: np.random.Generator) -> np.ndarray:
+    """group_size actions drawn from action_cdf(logp). These are the actions
+    rng.choice(len(p), size=group_size, p=exp(logp)) draws, and the RNG moves
+    on by the same single rng.random(group_size) call, so a caller may keep
+    one cdf for many draws without changing any stream."""
+    return cdf.searchsorted(rng.random(group_size), side="right")
 
 
 def toy_objective(logits, actions, logp_old, advantages, cfg: GrpoConfig) -> float:

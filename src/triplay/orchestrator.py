@@ -27,7 +27,9 @@ BLEU distance of each pair of texts, and the remote judge's verdict on each
 question and pair of answers (one VerdictMemo shared by every judge it
 makes). The dedup and the query memo assume a deterministic embedding
 backend, and the verdict memo a temperature-0 judge; the memos hold no agent
-state and are not journaled.
+state and are not journaled. A synthetic toy-policy role keeps each domain's
+action distribution until its logits change, and the offline judge's votes
+group answers by normalized form instead of judging pairs.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ from .diversity import (
     text_repetition_penalty,
 )
 from .embedding_index import EmbeddingIndex, ImageRecord, _json_lines, load_manifest
-from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure
+from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure, ManifestError
 from .grpo import (
     BatchRecord,
     GrpoConfig,
+    action_cdf,
     domain_advantages,
     group_advantages,
     log_probabilities,
@@ -161,21 +164,35 @@ class CurriculumItem:
 
 class _ToyPolicyRole:
     """A toy softmax policy whose samples and updates each touch only the
-    rows of its logits that the subclass's _rows(domain) names."""
+    rows of its logits that the subclass's _rows(domain) names.
+
+    Each domain's (rows, log-probabilities, action_cdf) is computed on its
+    first draw and kept until the logits change. apply and restore, the only
+    writers of self.logits, drop them all. Draws from a kept distribution are
+    the draws a fresh one gives, so the cache changes no artifact; it spares
+    the questioner, which stage 1 never updates, a log-softmax per probe."""
 
     def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, lr: float, size: int):
         self.world = world
         self.cfg = grpo_cfg
         self.learning_rate = lr
         self.logits = np.zeros(size)
+        self._distributions: dict[str, tuple] = {}
+
+    def _distribution(self, domain: str) -> tuple:
+        dist = self._distributions.get(domain)
+        if dist is None:
+            rows = self._rows(domain)
+            logp = log_probabilities(self.logits[rows])
+            dist = self._distributions[domain] = (rows, logp.tolist(), action_cdf(logp))
+        return dist
 
     def _draw(self, domain: str, g: int, rng: np.random.Generator, render) -> list[Sample]:
         """g samples from the domain's rows; render(row) is a sample's text."""
-        rows = self._rows(domain)
-        logp = log_probabilities(self.logits[rows])
+        rows, logp, cdf = self._distribution(domain)
         return [
-            Sample(text=render(rows[a]), action=int(a), logp_old=float(logp[a]))
-            for a in sample_actions(logp, g, rng)
+            Sample(text=render(rows[a]), action=a, logp_old=logp[a])
+            for a in sample_actions(cdf, g, rng).tolist()
         ]
 
     def apply(self, groups: list[Group]) -> None:
@@ -183,6 +200,7 @@ class _ToyPolicyRole:
         for group in groups:
             if not any(group.advantages):
                 continue
+            self._distributions.clear()
             rows = self._rows(group.domain)
             actions = np.asarray([s.action for s in group.samples])
             logp_old = np.asarray([s.logp_old for s in group.samples])
@@ -196,6 +214,7 @@ class _ToyPolicyRole:
 
     def restore(self, state: dict) -> None:
         self.logits = np.asarray(state["logits"], dtype=np.float64)
+        self._distributions.clear()
 
 
 class SyntheticSearcherRole(_ToyPolicyRole):
@@ -754,9 +773,14 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """The rows of a JSON-lines artifact; a line that is not JSON raises
-    ManifestError naming the file and line."""
-    return [row for _, row in _json_lines(path)]
+    """The rows of a JSON-lines artifact; a line that is not a JSON object
+    raises ManifestError naming the file and line."""
+    rows = []
+    for lineno, row in _json_lines(path):
+        if not isinstance(row, dict):
+            raise ManifestError(f"{path}:{lineno}: a row must be a JSON object")
+        rows.append(row)
+    return rows
 
 
 def _read_optional(path: Path) -> list[dict]:
@@ -766,13 +790,21 @@ def _read_optional(path: Path) -> list[dict]:
 class Journal:
     """Single-writer journal of completed stages. Each entry carries the agent
     state after its stage, and writing the entry is the stage's commit point:
-    a run killed before it redoes the stage from the previous entry's state."""
+    a run killed before it redoes the stage from the previous entry's state.
+    A journal that is not JSON, or has no entries list, raises ManifestError
+    naming the file."""
 
     def __init__(self, path: Path):
         self.path = path
         self.entries: list[dict] = []
         if path.exists():
-            self.entries = json.loads(path.read_text())["entries"]
+            try:
+                journal = json.loads(path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{path}: not valid JSON: {exc}") from None
+            if not isinstance(journal, dict) or not isinstance(journal.get("entries"), list):
+                raise ManifestError(f"{path}: a journal needs an entries list")
+            self.entries = journal["entries"]
 
     def done(self, key: str) -> bool:
         return any(e["key"] == key and e["status"] == "done" for e in self.entries)

@@ -11,7 +11,7 @@ import numpy as np
 
 from triplay.backends import GenerationRequest
 from triplay.errors import DimensionMismatch, ZeroVector
-from triplay.grpo import log_probabilities, sample_actions
+from triplay.grpo import action_cdf, log_probabilities, sample_actions
 from triplay.orchestrator import Journal, Sample
 from triplay.synthetic_world import SyntheticWorld
 
@@ -151,7 +151,8 @@ def selected_difficulties(
     per_category = samples // len(world.categories)
     for category in world.categories:
         indices = world.template_indices(category)
-        actions = sample_actions(log_probabilities(logits[indices]), per_category, rng)
+        cdf = action_cdf(log_probabilities(logits[indices]))
+        actions = sample_actions(cdf, per_category, rng)
         for a in actions:
             template = world.templates[indices[a]]
             record, _ = world.index.retrieve(template.embedding, 1)[0]

@@ -195,6 +195,29 @@ class TestRunCommand:
         assert saved["seed"] == 12  # flag wins
         assert saved["iteration"]["group_size"] == 4  # file value kept
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            ("garbage", "not valid JSON"),
+            ('{"entries": 3}', "a journal needs an entries list"),
+            ("[]", "a journal needs an entries list"),
+        ],
+        ids=("not_json", "entries_not_a_list", "not_an_object"),
+    )
+    def test_corrupt_journal_exits_one(self, tmp_path, capsys, content, message):
+        # Unchecked, these ended in a raw JSONDecodeError, TypeError or
+        # KeyError traceback.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        journal = run_dir / "journal.json"
+        journal.write_text(content)
+        code, out, err = run_cli(capsys, ["run", "--run-dir", str(run_dir)] + RUN_ARGS)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[ManifestError]: {journal}: {message}")
+        assert err.count("\n") == 1
+        assert journal.read_text() == content
+
     def test_resume_under_changed_config_refused(self, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
         argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
@@ -370,6 +393,20 @@ class TestDatasetCommands:
         assert out == ""
         assert err.startswith(f"error[ManifestError]: {queries}:{lineno}: not valid JSON")
         assert err.count("\n") == 1
+
+    def test_report_on_non_object_row_exits_one(self, finished_run, capsys):
+        # Unchecked, a row that is JSON but not an object ended in a raw
+        # TypeError traceback from the stats.
+        queries = finished_run / "cycle1" / "queries.jsonl"
+        lineno = len(queries.read_text().splitlines()) + 1
+        with open(queries, "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
+        code, out, err = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error[ManifestError]: {queries}:{lineno}: a row must be a JSON object\n"
+        )
 
     def test_stats_and_report(self, finished_run, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -27,7 +27,42 @@ from triplay.errors import EmptyAnswers, JudgeFailure, Transport
 from triplay.rewards import probe_from_answers
 
 
+def char_scan_boxed(text: str) -> str | None:
+    """extract_boxed as a scan over every character: the reference its
+    find-based brace walk must equal on every input."""
+    box = "\\boxed{"
+    result = None
+    start = text.find(box)
+    while start != -1:
+        depth = 1
+        i = start + len(box)
+        while i < len(text) and depth > 0:
+            if text[i] == "{":
+                depth += 1
+            elif text[i] == "}":
+                depth -= 1
+            i += 1
+        if depth == 0:
+            result = text[start + len(box) : i - 1]
+        start = text.find(box, start + 1)
+    return result
+
+
+BRACE_TEXTS = st.one_of(
+    st.lists(
+        st.sampled_from(["\\boxed{", "\\boxed", "{", "}", "}}", "a", " 4", "\\"]),
+        max_size=16,
+    ).map("".join),
+    st.text(alphabet="{}\\boxed ", max_size=24),
+)
+
+
 class TestExtractBoxed:
+    @settings(max_examples=500, deadline=None)
+    @given(BRACE_TEXTS)
+    def test_matches_character_scan(self, text):
+        assert extract_boxed(text) == char_scan_boxed(text)
+
     def test_simple(self):
         assert extract_boxed("thus \\boxed{42}") == "42"
 
@@ -87,6 +122,8 @@ class TestNormalizeAnswer:
             ("two   words", "two words"),
             ("-17", "-17"),
             ("", ""),
+            ("42 .", "42"),
+            ("x . .", "x"),
         ],
     )
     def test_rules(self, raw, expected):
@@ -101,6 +138,20 @@ class TestNormalizeAnswer:
         for s in samples:
             once = normalize_answer(s)
             assert normalize_answer(once) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(alphabet=" \t\n+-.,0123456789abcXYZ√", max_size=12), st.text()))
+    def test_normalizing_twice_changes_nothing(self, raw):
+        once = normalize_answer(raw)
+        assert normalize_answer(once) == once
+
+    def test_period_after_a_space_does_not_split_the_vote(self):
+        # "42 ." used to normalize to "42 ", a class of its own that the
+        # recount (which normalizes the label again) never matched.
+        probe = probe_from_answers(["42 ."] * 5 + ["41"] * 2)
+        assert probe.vote.label == "42"
+        assert probe.vote.class_sizes == (5, 2)
+        assert probe.accuracy == pytest.approx(5 / 7)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=" \t\n+-.,0123456789abcXYZ√", max_size=12))
@@ -174,6 +225,32 @@ class TestMajorityVote:
             assert result.label == label
             assert result.score == pytest.approx(score)
 
+
+
+class KeylessJudge:
+    """ExactNormalizedJudge without its key, so majority_vote closes it
+    pairwise through components."""
+
+    def equivalent(self, a: str, b: str) -> bool:
+        return normalize_answer(a) == normalize_answer(b)
+
+
+class TestKeyedVote:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=" .,+-0123456789aB", max_size=6), min_size=1, max_size=12))
+    def test_equals_the_pairwise_closure(self, answers):
+        assert majority_vote(answers, ExactNormalizedJudge()) == majority_vote(
+            answers, KeylessJudge()
+        )
+        assert probe_from_answers(answers) == probe_from_answers(answers, KeylessJudge())
+
+    def test_asks_the_judge_nothing(self, monkeypatch):
+        def unasked(self, a, b):
+            raise AssertionError("a keyed vote asked the judge")
+
+        monkeypatch.setattr(ExactNormalizedJudge, "equivalent", unasked)
+        result = majority_vote(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
+        assert (result.label, result.class_sizes) == ("4", (3, 1, 1))
 
 
 class SeededJudge:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplay import embedding_index
 from triplay.embedding_index import (
     EmbeddingIndex,
     ImageRecord,
     IndexManifest,
     load_manifest,
+    manifest_checksum,
     save_manifest,
 )
 from triplay.errors import (
@@ -230,6 +232,45 @@ class TestManifest:
         np.testing.assert_allclose(
             loaded.records[2].embedding, records[2].embedding
         )
+
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(5)
+        records = [
+            ImageRecord(id=f"r{i}", embedding=rng.normal(size=3), category="c",
+                        meta={"difficulty": i / 4} if i % 2 else {})
+            for i in (3, 0, 2, 1)
+        ]
+        path = tmp_path / "m.jsonl"
+        save_manifest(IndexManifest(dimension=3, records=records), path)
+        return path, manifest_checksum(records)
+
+    def test_saved_manifest_verifies_without_reserializing(self, tmp_path, monkeypatch):
+        path, checksum = self.saved(tmp_path)
+
+        def reserialized(records):
+            raise AssertionError("a saved manifest was re-serialized to verify it")
+
+        monkeypatch.setattr(embedding_index, "manifest_checksum", reserialized)
+        assert load_manifest(path).checksum == checksum
+
+    def test_reformatted_manifest_verifies_by_reserializing(self, tmp_path):
+        # Spaced separators and reversed record order: the lines as read miss
+        # the header's checksum, but the records it covers are the same.
+        path, checksum = self.saved(tmp_path)
+        header, *lines = path.read_text().splitlines()
+        lines = [json.dumps(json.loads(line)) for line in reversed(lines)]
+        path.write_text("\n".join([header] + lines) + "\n")
+        loaded = load_manifest(path)
+        assert loaded.checksum == checksum
+        assert [r.id for r in loaded.records] == ["r3", "r2", "r1", "r0"]
+
+    def test_changed_digit_rejected(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        text = path.read_text()
+        at = re.compile(r"\d").search(text, text.index('"embedding":[')).start()
+        path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :])
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            load_manifest(path)
 
     def test_header_first_line(self, tmp_path):
         records = [ImageRecord(id="a", embedding=[1.0, 0.0], category="c")]

@@ -13,6 +13,7 @@ from triplay.errors import (
 from triplay.grpo import (
     BatchRecord,
     GrpoConfig,
+    action_cdf,
     domain_advantages,
     gradient_check,
     group_advantages,
@@ -134,7 +135,7 @@ def policy_step(logits, rng, reward_fn, cfg, learning_rate, group_size):
     """Sample a group from the frozen logits, score it with reward_fn, and take
     one ascent step on the clipped objective."""
     logp = log_probabilities(logits)
-    actions = sample_actions(logp, group_size, rng)
+    actions = sample_actions(action_cdf(logp), group_size, rng)
     advantages = group_advantages(reward_fn(actions))
     return toy_policy_update(logits, actions, logp[actions], advantages, cfg, learning_rate)
 
@@ -144,10 +145,29 @@ class TestToyPolicy:
         logp = log_probabilities(np.array([0.3, -1.2, 2.0]))
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("group_size", range(1, 10))
+    def test_draws_equal_generator_choice(self, group_size):
+        # One kept cdf gives the actions rng.choice draws from p = exp(logp),
+        # and leaves the generator where rng.choice leaves it.
+        logp = log_probabilities(np.random.default_rng(group_size).normal(size=7))
+        cdf = action_cdf(logp)
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                sample_actions(cdf, group_size, ours),
+                theirs.choice(len(logp), size=group_size, p=np.exp(logp)),
+            )
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("logits", ([0.0, np.nan], [0.0, np.inf]))
+    def test_non_finite_logits_are_degenerate(self, logits):
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateDistribution):
+            action_cdf(log_probabilities(np.array(logits)))
+
     def test_degenerate_distribution(self):
         logp = log_probabilities(np.array([0.0, -2000.0]))
         with pytest.raises(DegenerateDistribution):
-            sample_actions(logp, 4, np.random.default_rng(0))
+            action_cdf(logp)
 
     def test_bad_clip_config(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 from pathlib import Path
@@ -20,6 +21,7 @@ from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
     CurriculumItem,
     Engine,
+    Group,
     Journal,
     Sample,
     build_engine,
@@ -690,6 +692,49 @@ def replay_policy(logits, cfg, learning_rate, path, rows_of) -> None:
         logits[rows] = toy_policy_update(
             logits[rows], actions, logp_old, advantages, cfg.grpo, learning_rate
         )
+
+
+def fresh_choice(role, domain: str, g: int, rng) -> list[tuple[int, float]]:
+    """(action, logp_old) of g draws by rng.choice on a log-softmax computed
+    now from the role's logits, as the role drew before it kept them."""
+    logp = log_probabilities(role.logits[role._rows(domain)])
+    return [(int(a), float(logp[a])) for a in rng.choice(len(logp), size=g, p=np.exp(logp))]
+
+
+class TestKeptDistribution:
+    def assert_draws_fresh(self, role, domain, draw):
+        for seed in range(8):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            samples = draw(ours)
+            assert [(s.action, s.logp_old) for s in samples] == fresh_choice(
+                role, domain, len(samples), theirs
+            )
+            assert ours.random() == theirs.random()
+
+    def test_searcher_draws_equal_fresh_choice(self, engine):
+        searcher, category = engine.searcher, engine.world.categories[0]
+        draw = functools.partial(searcher.sample, category, 6)
+        self.assert_draws_fresh(searcher, category, draw)
+        # Kept from the first draw, then dropped by apply and by restore.
+        self.assert_draws_fresh(searcher, category, draw)
+        samples = searcher.sample(category, 4, np.random.default_rng(0))
+        before = searcher.logits.copy()
+        searcher.apply(
+            [Group("g", category, samples, [1.0, 0.0, 0.0, 0.0], [1.5, -0.5, -0.5, -0.5])]
+        )
+        assert not np.array_equal(searcher.logits, before)
+        self.assert_draws_fresh(searcher, category, draw)
+        searcher.restore({"logits": list(before)})
+        self.assert_draws_fresh(searcher, category, draw)
+
+    def test_questioner_draws_equal_fresh_choice(self, engine):
+        questioner = engine.questioner
+        image = engine.world.images[0].record
+        draw = functools.partial(questioner.sample, image, 3)
+        self.assert_draws_fresh(questioner, image.category, draw)
+        logits = np.linspace(-1.0, 1.0, len(questioner.logits))
+        questioner.restore({"logits": list(logits)})
+        self.assert_draws_fresh(questioner, image.category, draw)
 
 
 class TestBatchReplay:

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .backends import HttpBackendConfig
 from .errors import ConfigError
-from .grpo import GrpoConfig
 
 
 @dataclass
@@ -45,19 +44,12 @@ class IterationConfig:
     probe_questions_per_image: int = 1
     stage2_images_per_step: int = 4
     stage3_items_per_step: int = 4
-    searcher_lr: float = 0.35
-    questioner_lr: float = 0.35
-    solver_gain: float = 0.02
 
 
 @dataclass
 class WorldConfig:
     count: int = 10000
     dim: int = 32
-    bands_per_category: int = 16
-    noise: float = 0.02
-    solver_skill: float = 0.5
-    solver_noise_temperature: float = 0.15
 
 
 @dataclass
@@ -72,7 +64,6 @@ class RunConfig:
     run_dir: str | None = None
     manifest_path: str | None = None
     iteration: IterationConfig = field(default_factory=IterationConfig)
-    grpo: GrpoConfig = field(default_factory=GrpoConfig)
     world: WorldConfig = field(default_factory=WorldConfig)
     backend: HttpBackendConfig = field(default_factory=HttpBackendConfig)
     judge: JudgeConfig = field(default_factory=JudgeConfig)
@@ -148,13 +139,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             f"world dim {cfg.world.dim} too small for {len(cfg.iteration.domains)} "
             f"domains (need at least 2 per domain)"
         )
-    world = cfg.world
-    for name, ok, need in (
-        ("bands_per_category", world.bands_per_category >= 1, ">= 1"),
-        ("solver_noise_temperature", world.solver_noise_temperature > 0, "> 0"),
-    ):
-        if cfg.mode == "synthetic" and not ok:
-            raise ConfigError(f"world.{name} must be {need}, got {getattr(world, name)}")
     return cfg
 
 
@@ -169,7 +153,7 @@ _SCALARS = {
 
 _SECTIONS = {
     cls.__name__: cls
-    for cls in (IterationConfig, GrpoConfig, WorldConfig, HttpBackendConfig, JudgeConfig)
+    for cls in (IterationConfig, WorldConfig, HttpBackendConfig, JudgeConfig)
 }
 
 

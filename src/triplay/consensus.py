@@ -101,7 +101,9 @@ def normalize_answer(s: str) -> str:
 class AnswerJudge(Protocol):
     """A reflexive, symmetric equivalence test on answers. A judge may also
     carry a key(answer) function; it then promises that equivalent(a, b) is
-    exactly key(a) == key(b), and majority_vote groups by key without asking."""
+    exactly key(a) == key(b), and that key(normalize_answer(a)) == key(a).
+    majority_vote groups by key without asking, and probe_from_answers takes
+    the winning class as the answers that agree with its normalized label."""
 
     def equivalent(self, a: str, b: str) -> bool: ...
 

@@ -6,8 +6,9 @@ population standard deviation plus a small guard; zero-variance groups yield
 exactly zero advantages. A toy policy is a float64 logits array whose
 softmax is the action distribution: each action is a one-token response, so
 the clipped objective is the mean of min(ratio * A, clip(ratio) * A) over a
-group. The synthetic searcher and questioner learn by ascending it; in remote
-mode the engine only exports batches.
+group, with the clip range [1 - CLIP_EPSILON, 1 + CLIP_EPSILON]. The synthetic
+searcher and questioner learn by ascending it; in remote mode the engine only
+exports batches, and the external trainer owns its own clip range.
 """
 
 from __future__ import annotations
@@ -18,27 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateDistribution,
-    DomainTooSmall,
-    GroupTooSmall,
-)
+from .errors import DegenerateDistribution, DomainTooSmall, GroupTooSmall
 
 STD_EPSILON = 1e-8
-
-
-@dataclass
-class GrpoConfig:
-    eps_low: float = 0.2
-    eps_high: float = 0.2
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_low < 1.0 and 0.0 < self.eps_high < 1.0):
-            raise ConfigError(
-                f"clip range must satisfy 0 < eps < 1, got "
-                f"eps_low={self.eps_low}, eps_high={self.eps_high}"
-            )
+CLIP_EPSILON = 0.2
+_CLIP_LOW, _CLIP_HIGH = 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON
 
 
 def group_advantages(rewards) -> list[float]:
@@ -68,8 +53,8 @@ def domain_advantages(groups: list[tuple[float, str]]) -> list[float]:
     return out
 
 
-def _clipped_terms(ratios: np.ndarray, advantage: float, cfg: GrpoConfig) -> np.ndarray:
-    clipped = np.clip(ratios, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high)
+def _clipped_terms(ratios: np.ndarray, advantage: float) -> np.ndarray:
+    clipped = np.clip(ratios, _CLIP_LOW, _CLIP_HIGH)
     return np.minimum(ratios * advantage, clipped * advantage)
 
 
@@ -99,31 +84,31 @@ def sample_actions(cdf: np.ndarray, group_size: int, rng: np.random.Generator) -
     return cdf.searchsorted(rng.random(group_size), side="right")
 
 
-def toy_objective(logits, actions, logp_old, advantages, cfg: GrpoConfig) -> float:
+def toy_objective(logits, actions, logp_old, advantages) -> float:
     """Clipped objective for single-token responses as a function of the logits."""
     logp = log_probabilities(np.asarray(logits, dtype=np.float64))
     ratios = np.exp(logp[np.asarray(actions)] - np.asarray(logp_old, dtype=np.float64))
-    terms = _clipped_terms(ratios, np.asarray(advantages, dtype=np.float64), cfg)
+    terms = _clipped_terms(ratios, np.asarray(advantages, dtype=np.float64))
     return float(terms.mean())
 
 
-def toy_objective_gradient(logits, actions, logp_old, advantages, cfg: GrpoConfig) -> np.ndarray:
+def toy_objective_gradient(logits, actions, logp_old, advantages) -> np.ndarray:
     """Analytic gradient of toy_objective with respect to the logits.
 
     Each min(ratio * A, clip(ratio) * A) term is piecewise linear in the
     ratio: its slope is A on the active branch and 0 where the clip saturates
-    the min (ratio above 1+eps_high for A > 0, below 1-eps_low for A < 0).
+    the min (ratio above 1 + CLIP_EPSILON for A > 0, below 1 - CLIP_EPSILON
+    for A < 0).
     """
     logits = np.asarray(logits, dtype=np.float64)
     actions = np.asarray(actions)
     advantages = np.asarray(advantages, dtype=np.float64)
     logp = log_probabilities(logits)
     ratios = np.exp(logp[actions] - np.asarray(logp_old, dtype=np.float64))
-    lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
     slopes = np.where(
         advantages > 0,
-        np.where(ratios <= hi, advantages, 0.0),
-        np.where(ratios >= lo, advantages, 0.0),
+        np.where(ratios <= _CLIP_HIGH, advantages, 0.0),
+        np.where(ratios >= _CLIP_LOW, advantages, 0.0),
     )
     grad = np.zeros_like(logits)
     coeff = slopes * ratios
@@ -134,17 +119,13 @@ def toy_objective_gradient(logits, actions, logp_old, advantages, cfg: GrpoConfi
 
 
 def toy_policy_update(
-    logits: np.ndarray, actions, logp_old, advantages, cfg: GrpoConfig, learning_rate: float
+    logits: np.ndarray, actions, logp_old, advantages, learning_rate: float
 ) -> np.ndarray:
     """One gradient-ascent step on the clipped objective; returns new logits."""
-    return logits + learning_rate * toy_objective_gradient(
-        logits, actions, logp_old, advantages, cfg
-    )
+    return logits + learning_rate * toy_objective_gradient(logits, actions, logp_old, advantages)
 
 
-def gradient_check(
-    trials: int = 100, seed: int = 0, h: float = 1e-5, cfg: GrpoConfig | None = None
-) -> float:
+def gradient_check(trials: int = 100, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error between the analytic gradient and central finite
     differences over random configurations, including clip-active ones.
 
@@ -152,9 +133,7 @@ def gradient_check(
     redrawn: the objective is only piecewise differentiable, so finite
     differences are meaningful strictly inside a branch.
     """
-    cfg = cfg or GrpoConfig()
     rng = np.random.default_rng(seed)
-    lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
     worst = 0.0
     produced = 0
     while produced < trials:
@@ -167,16 +146,16 @@ def gradient_check(
         rewards = rng.normal(size=group)
         advantages = np.asarray(group_advantages(rewards))
         ratios = np.exp(log_probabilities(new_logits)[actions] - logp_old)
-        if np.any(np.abs(ratios - lo) < 1e-3) or np.any(np.abs(ratios - hi) < 1e-3):
+        if np.any(np.abs(ratios - _CLIP_LOW) < 1e-3) or np.any(np.abs(ratios - _CLIP_HIGH) < 1e-3):
             continue
         produced += 1
-        analytic = toy_objective_gradient(new_logits, actions, logp_old, advantages, cfg)
+        analytic = toy_objective_gradient(new_logits, actions, logp_old, advantages)
         numeric = np.zeros_like(analytic)
         for k in range(n_actions):
             bump = np.zeros(n_actions)
             bump[k] = h
-            up = toy_objective(new_logits + bump, actions, logp_old, advantages, cfg)
-            down = toy_objective(new_logits - bump, actions, logp_old, advantages, cfg)
+            up = toy_objective(new_logits + bump, actions, logp_old, advantages)
+            down = toy_objective(new_logits - bump, actions, logp_old, advantages)
             numeric[k] = (up - down) / (2 * h)
         scale = max(1e-6, float(np.abs(numeric).max()))
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)

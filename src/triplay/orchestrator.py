@@ -73,7 +73,6 @@ from .embedding_index import EmbeddingIndex, ImageRecord, _json_lines, load_mani
 from .errors import ConfigError, DimensionMismatch, EmptyIndex, JudgeFailure, ManifestError
 from .grpo import (
     BatchRecord,
-    GrpoConfig,
     action_cdf,
     domain_advantages,
     group_advantages,
@@ -161,6 +160,11 @@ class CurriculumItem:
 # ---------------------------------------------------------------------------
 # Role adapters
 
+# The synthetic roles' learning law: both toy policies step at one rate, and
+# the solver's skill moves by SOLVER_GAIN x its mean reward per stage-3 step.
+TOY_LEARNING_RATE = 0.35
+SOLVER_GAIN = 0.02
+
 
 class _ToyPolicyRole:
     """A toy softmax policy whose samples and updates each touch only the
@@ -172,10 +176,8 @@ class _ToyPolicyRole:
     the draws a fresh one gives, so the cache changes no artifact; it spares
     the questioner, which stage 1 never updates, a log-softmax per probe."""
 
-    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, lr: float, size: int):
+    def __init__(self, world: SyntheticWorld, size: int):
         self.world = world
-        self.cfg = grpo_cfg
-        self.learning_rate = lr
         self.logits = np.zeros(size)
         self._distributions: dict[str, tuple] = {}
 
@@ -205,8 +207,7 @@ class _ToyPolicyRole:
             actions = np.asarray([s.action for s in group.samples])
             logp_old = np.asarray([s.logp_old for s in group.samples])
             self.logits[rows] = toy_policy_update(
-                self.logits[rows], actions, logp_old, group.advantages, self.cfg,
-                self.learning_rate,
+                self.logits[rows], actions, logp_old, group.advantages, TOY_LEARNING_RATE
             )
 
     def snapshot(self) -> dict:
@@ -220,8 +221,8 @@ class _ToyPolicyRole:
 class SyntheticSearcherRole(_ToyPolicyRole):
     """Toy query policy over the world's templates, masked per domain."""
 
-    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, learning_rate: float):
-        super().__init__(world, grpo_cfg, learning_rate, len(world.templates))
+    def __init__(self, world: SyntheticWorld):
+        super().__init__(world, len(world.templates))
 
     def _rows(self, domain: str) -> list[int]:
         return self.world.template_indices(domain)
@@ -236,8 +237,8 @@ class SyntheticSearcherRole(_ToyPolicyRole):
 class SyntheticQuestionerRole(_ToyPolicyRole):
     """Toy question policy over the fixed phrasing forms, shared by every domain."""
 
-    def __init__(self, world: SyntheticWorld, grpo_cfg: GrpoConfig, learning_rate: float):
-        super().__init__(world, grpo_cfg, learning_rate, len(QUESTION_FORMS))
+    def __init__(self, world: SyntheticWorld):
+        super().__init__(world, len(QUESTION_FORMS))
         self._forms = np.arange(len(QUESTION_FORMS))
 
     def _rows(self, domain: str) -> np.ndarray:
@@ -266,10 +267,9 @@ class SyntheticQuestionerRole(_ToyPolicyRole):
 class SyntheticSolverRole:
     """Parametric solver whose skill drifts up with the training signal."""
 
-    def __init__(self, world: SyntheticWorld, solver: SyntheticSolver, gain: float):
+    def __init__(self, world: SyntheticWorld, solver: SyntheticSolver):
         self.world = world
         self.solver = solver
-        self.gain = gain
 
     def solve(self, image: ImageRecord, question: str, n: int, rng: np.random.Generator) -> list[str]:
         synth = self.world.image(image.id)
@@ -280,7 +280,7 @@ class SyntheticSolverRole:
         """Skill moves by the mean reward over every rollout of the groups."""
         rewards = [r for group in groups for r in group.rewards]
         if rewards:
-            self.solver.skill += self.gain * float(np.mean(rewards))
+            self.solver.skill += SOLVER_GAIN * float(np.mean(rewards))
 
     def snapshot(self) -> dict:
         return {"skill": self.solver.skill}
@@ -715,8 +715,6 @@ def _synthetic_world(cfg: RunConfig) -> SyntheticWorld:
         count=cfg.world.count,
         dim=cfg.world.dim,
         categories=[d.category for d in cfg.iteration.domains],
-        bands_per_category=cfg.world.bands_per_category,
-        noise=cfg.world.noise,
     )
 
 
@@ -732,16 +730,12 @@ def build_engine(cfg: RunConfig) -> Engine:
     cfg = validate_config(cfg)
     if cfg.mode == "synthetic":
         world = _synthetic_world(cfg)
-        solver = SyntheticSolver(
-            skill=cfg.world.solver_skill,
-            noise_temperature=cfg.world.solver_noise_temperature,
-        )
         return Engine(
             cfg,
             index=world.index,
-            searcher=SyntheticSearcherRole(world, cfg.grpo, cfg.iteration.searcher_lr),
-            questioner=SyntheticQuestionerRole(world, cfg.grpo, cfg.iteration.questioner_lr),
-            solver=SyntheticSolverRole(world, solver, cfg.iteration.solver_gain),
+            searcher=SyntheticSearcherRole(world),
+            questioner=SyntheticQuestionerRole(world),
+            solver=SyntheticSolverRole(world, SyntheticSolver()),
             embedder=WorldQueryEmbedder(world),
             world=world,
         )
@@ -835,15 +829,18 @@ def run(cfg: RunConfig) -> dict:
     """Execute cycles x (stage1 -> build_active -> stage2 -> build_training ->
     stage3), journaling at stage boundaries; reruns resume from the journal.
 
-    config.json is written only while the journal is empty. A run directory
-    with journal entries is resumed only under the config it was started
-    with; any other config raises ConfigError.
+    The engine is built before the run directory is made, so a config it
+    refuses leaves no directory behind. config.json is written only while
+    the journal is empty. A run directory with journal entries is resumed
+    only under the config it was started with; any other config raises
+    ConfigError.
     """
     cfg = validate_config(cfg)
     run_dir = resolve_run_dir(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
     config_path = run_dir / "config.json"
     config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    engine = build_engine(cfg)
+    run_dir.mkdir(parents=True, exist_ok=True)
     journal = Journal(run_dir / "journal.json")
     if not journal.entries:
         config_path.write_text(config_text)
@@ -852,7 +849,6 @@ def run(cfg: RunConfig) -> dict:
             f"{run_dir} holds a run started under a different config; resume it "
             f"with that config or choose another run directory"
         )
-    engine = build_engine(cfg)
     if journal.entries:
         engine.restore(journal.entries[-1]["state"])
 

@@ -24,13 +24,17 @@ def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> 
     """Vote over rollout answers and measure agreement with the winner. An
     empty winning label (unanswered rollouts) scores 0.0, with no recount.
 
-    The judge must be reflexive (see majority_vote). The recount asks it once
-    per distinct answer and counts every copy of an answer it accepts.
+    The judge must be reflexive (see majority_vote). A judge with a key is not
+    asked: the answers that agree with the label are exactly the winning
+    class, so the accuracy is the vote's score. Any other judge is asked once
+    per distinct answer, and every copy of an answer it accepts counts.
     """
     judge = judge if judge is not None else ExactNormalizedJudge()
     vote = majority_vote(answers, judge)
     if not vote.label:
         return ProbeResult(vote=vote, accuracy=0.0)
+    if getattr(judge, "key", None) is not None:
+        return ProbeResult(vote=vote, accuracy=vote.score)
     agree = sum(n for a, n in Counter(answers).items() if judge.equivalent(a, vote.label))
     return ProbeResult(vote=vote, accuracy=agree / len(answers))
 

@@ -26,6 +26,12 @@ from .embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
 # adjacent retrieval bands past the visual clustering threshold.
 FREQUENCIES = (2.0, 5.0, 9.0, 16.0)
 
+# The world's shape: query-template difficulty bands per category, and the
+# scale of the Gaussian noise added to each image embedding before it is
+# renormalized.
+BANDS_PER_CATEGORY = 16
+EMBEDDING_NOISE = 0.02
+
 # Distinct (adjective, noun) word pairs per difficulty band; templates of the
 # same category share only the category token and "view", which keeps their
 # pairwise text distance above the default clustering threshold.
@@ -128,7 +134,7 @@ def _add_curve(rows: np.ndarray, difficulties: np.ndarray, slot: int, blocks: in
 
 
 def gen_corpus(
-    seed: int, count: int, dim: int, categories: list[str], noise: float = 0.02
+    seed: int, count: int, dim: int, categories: list[str], noise: float = EMBEDDING_NOISE
 ) -> list[SyntheticImage]:
     """Seeded corpus: uniform difficulties, embeddings on the category's
     difficulty curve plus small noise, renormalized to unit length.
@@ -192,7 +198,7 @@ class SyntheticWorld:
         images: list[SyntheticImage],
         categories: list[str],
         dim: int,
-        bands_per_category: int = 16,
+        bands_per_category: int = BANDS_PER_CATEGORY,
     ):
         self.images = images
         self.categories = list(categories)
@@ -229,10 +235,9 @@ class SyntheticWorld:
         count: int,
         dim: int,
         categories: list[str],
-        bands_per_category: int = 16,
-        noise: float = 0.02,
+        bands_per_category: int = BANDS_PER_CATEGORY,
     ) -> "SyntheticWorld":
-        images = gen_corpus(seed, count, dim, list(categories), noise=noise)
+        images = gen_corpus(seed, count, dim, list(categories))
         return cls(images, list(categories), dim, bands_per_category)
 
     def image(self, image_id: str) -> SyntheticImage:

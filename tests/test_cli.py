@@ -250,8 +250,9 @@ class TestRunCommand:
                 '{"iteration": {"domains": [{"category": "charts"}]}}',
                 "'iteration.domains[0]' is missing exemplar",
             ),
+            ('{"grpo": {"eps_low": 0.2}}', "unknown key(s) in config: grpo"),
         ],
-        ids=("not_json", "string_group_size", "domain_without_exemplar"),
+        ids=("not_json", "string_group_size", "domain_without_exemplar", "removed_grpo_section"),
     )
     def test_malformed_config_exits_one(self, tmp_path, capsys, content, message):
         # Unchecked, these ended in a raw JSONDecodeError or TypeError traceback.
@@ -263,9 +264,52 @@ class TestRunCommand:
         )
         assert code == 1
         assert err.startswith("error[ConfigError]: ")
+        assert err.count("\n") == 1
         assert message in err
         assert out == ""
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            (None, ["--synthetic", "--world-count", "0"],
+             "error[ConfigError]: count must be >= 1, got 0"),
+            (
+                {
+                    "mode": "remote",
+                    "manifest_path": "MANIFEST",
+                    "backend": {
+                        "endpoint": "http://localhost:9/chat",
+                        "model": "m",
+                        "embedding_endpoint": "http://localhost:9/embed",
+                        "embedding_model": "e",
+                    },
+                },
+                [],
+                "error[ManifestError]: ",
+            ),
+        ],
+        ids=("world_count_zero", "remote_bad_manifest"),
+    )
+    def test_config_refused_by_the_engine_leaves_no_run_dir(
+        self, tmp_path, capsys, config, flags, message
+    ):
+        # The engine is built before the run directory is made, so a config
+        # it refuses leaves neither the directory nor a config.json behind.
+        argv = ["run", "--run-dir", str(tmp_path / "run")] + flags
+        if config is not None:
+            manifest = tmp_path / "corpus.jsonl"
+            manifest.write_text("not json\n")
+            config["manifest_path"] = str(manifest)
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            argv += ["--config", str(config_path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_inverted_window_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -22,7 +22,9 @@ from triplay.config import (
     validate_config,
 )
 from triplay.errors import ConfigError
-from triplay.grpo import GrpoConfig
+from triplay.grpo import CLIP_EPSILON
+from triplay.orchestrator import SOLVER_GAIN, TOY_LEARNING_RATE
+from triplay.synthetic_world import BANDS_PER_CATEGORY, EMBEDDING_NOISE, SyntheticSolver
 
 REMOTE = {
     "mode": "remote",
@@ -34,6 +36,21 @@ REMOTE = {
         "embedding_model": "e",
     },
 }
+
+# Settings deleted because no caller varied them: (section, key, old default).
+REMOVED_SETTINGS = [
+    ("iteration", "reinit_each_cycle", True),
+    ("grpo", "std_epsilon", 1e-8),
+    ("grpo", "eps_low", 0.2),
+    ("grpo", "eps_high", 0.2),
+    ("iteration", "searcher_lr", 0.35),
+    ("iteration", "questioner_lr", 0.35),
+    ("iteration", "solver_gain", 0.02),
+    ("world", "bands_per_category", 16),
+    ("world", "noise", 0.02),
+    ("world", "solver_skill", 0.5),
+    ("world", "solver_noise_temperature", 0.15),
+]
 
 
 class TestDefaults:
@@ -55,10 +72,16 @@ class TestDefaults:
         cfg = RunConfig()
         assert cfg.world.count == 10000
         assert cfg.world.dim == 32
-        assert cfg.grpo.eps_low == 0.2
-        assert cfg.grpo.eps_high == 0.2
         assert cfg.judge.kind == "exact"
         assert len(DEFAULT_DOMAINS) == 4
+        # The synthetic roles' law and the world's shape are constants beside
+        # the code that uses them, not settings: remote mode has no use for them.
+        assert CLIP_EPSILON == 0.2
+        assert TOY_LEARNING_RATE == 0.35
+        assert SOLVER_GAIN == 0.02
+        assert (BANDS_PER_CATEGORY, EMBEDDING_NOISE) == (16, 0.02)
+        solver = SyntheticSolver()
+        assert (solver.skill, solver.noise_temperature) == (0.5, 0.15)
 
 
 class TestValidation:
@@ -104,22 +127,6 @@ class TestValidation:
         cfg = config_from_dict(deep_merge(REMOTE, {"backend": {name: edge}}))
         assert getattr(cfg.backend, name) == edge
 
-    @pytest.mark.parametrize(
-        "name, value, need, edge",
-        [
-            ("bands_per_category", 0, ">= 1", 1),
-            ("solver_noise_temperature", 0.0, "> 0", 0.01),
-        ],
-        ids=("bands_per_category", "solver_noise_temperature"),
-    )
-    def test_world_and_judge_bounds(self, name, value, need, edge):
-        # Unchecked, zero bands failed in numpy on a zero-size array, and a
-        # zero noise temperature divided by zero.
-        with pytest.raises(ConfigError, match=re.escape(f"world.{name} must be {need}, got {value}")):
-            config_from_dict({"world": {name: value}})
-        cfg = config_from_dict({"world": {name: edge}})
-        assert getattr(cfg.world, name) == edge
-
     def test_judge_retries_is_an_unknown_key(self):
         # Transport retries belong to backend.max_retries alone; a config
         # written before judge.retries was removed is refused, not migrated.
@@ -127,15 +134,16 @@ class TestValidation:
             config_from_dict(deep_merge(REMOTE, {"judge": {"kind": "remote", "retries": 3}}))
 
     @pytest.mark.parametrize(
-        "section, key, value",
-        [("iteration", "reinit_each_cycle", True), ("grpo", "std_epsilon", 1e-8)],
-        ids=("reinit_each_cycle", "std_epsilon"),
+        "section, key, value", REMOVED_SETTINGS, ids=[key for _, key, _ in REMOVED_SETTINGS]
     )
     def test_removed_setting_is_an_unknown_key(self, section, key, value):
         # No caller varied them: the agents are never reset between cycles,
-        # and the advantage guard is the constant grpo.STD_EPSILON. A config
-        # that still names one is refused, not migrated.
-        with pytest.raises(ConfigError, match=f"unknown key.*'{section}': {key}"):
+        # the advantage guard is grpo.STD_EPSILON, and the clip range, the
+        # toy learning law and the world's shape are simulator constants. A
+        # config that still names one is refused, not migrated; the grpo
+        # section is refused as a whole.
+        where = "config: grpo" if section == "grpo" else f"config section '{section}': {key}"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {where}")):
             config_from_dict({section: {key: value}})
 
     def test_group_size_floor(self):
@@ -177,7 +185,7 @@ class TestJsonTypes:
             ({"iteration": {"group_size": True}}, "iteration.group_size must be an integer, got True"),
             ({"world": {"count": 400.0}}, "world.count must be an integer, got 400.0"),
             ({"iteration": {"tau_low": "0.3"}}, "iteration.tau_low must be a number, got '0.3'"),
-            ({"grpo": {"eps_low": False}}, "grpo.eps_low must be a number, got False"),
+            ({"iteration": {"tau_high": False}}, "iteration.tau_high must be a number, got False"),
             ({"judge": {"kind": 1}}, "judge.kind must be a string, got 1"),
             ({"seed": "7"}, "seed must be an integer, got '7'"),
             ({"manifest_path": 3}, "manifest_path must be a string or null, got 3"),
@@ -194,7 +202,7 @@ class TestJsonTypes:
             config_from_dict(data)
 
     def test_int_accepted_for_float(self):
-        cfg = config_from_dict({"iteration": {"tau_low": 0, "tau_high": 1}, "grpo": {"eps_low": 0.1}})
+        cfg = config_from_dict({"iteration": {"tau_low": 0, "tau_high": 1}})
         assert (cfg.iteration.tau_low, cfg.iteration.tau_high) == (0, 1)
 
     @pytest.mark.parametrize(
@@ -280,7 +288,6 @@ class TestNoDeadKeys:
                 WorldConfig,
                 JudgeConfig,
                 RunConfig,
-                GrpoConfig,
                 HttpBackendConfig,
             )
             for f in fields(cls)

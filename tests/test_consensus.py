@@ -252,6 +252,16 @@ class TestKeyedVote:
         result = majority_vote(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
         assert (result.label, result.class_sizes) == ("4", (3, 1, 1))
 
+    def test_probe_asks_the_judge_nothing(self, monkeypatch):
+        # The answers that agree with a keyed vote's label are its winning
+        # class, so the recount is the vote's score.
+        def unasked(self, a, b):
+            raise AssertionError("a keyed probe asked the judge")
+
+        monkeypatch.setattr(ExactNormalizedJudge, "equivalent", unasked)
+        probe = probe_from_answers(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
+        assert probe.accuracy == probe.vote.score == 3 / 5
+
 
 class SeededJudge:
     """Reflexive and symmetric but not transitive: two distinct strings are

@@ -4,15 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from triplay.errors import (
-    ConfigError,
-    DegenerateDistribution,
-    DomainTooSmall,
-    GroupTooSmall,
-)
+from triplay.errors import DegenerateDistribution, DomainTooSmall, GroupTooSmall
 from triplay.grpo import (
     BatchRecord,
-    GrpoConfig,
     action_cdf,
     domain_advantages,
     gradient_check,
@@ -99,45 +93,41 @@ class TestDomainAdvantages:
             assert scaled == pytest.approx(base, abs=1e-6)
 
 
-def single_action_objective(ratio: float, advantage: float, cfg: GrpoConfig) -> float:
+def single_action_objective(ratio: float, advantage: float) -> float:
     """toy_objective for one sampled action whose new/old probability ratio is `ratio`."""
     logp_old = [math.log(0.5) - math.log(ratio)]
-    return toy_objective(np.zeros(2), [0], logp_old, [advantage], cfg)
+    return toy_objective(np.zeros(2), [0], logp_old, [advantage])
 
 
 class TestClippedObjective:
     def test_upper_clip(self):
-        cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        assert single_action_objective(1.5, 1.0, cfg) == pytest.approx(1.2)
+        assert single_action_objective(1.5, 1.0) == pytest.approx(1.2)
 
     def test_sign_aware_min_on_negative_advantage(self):
-        cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        assert single_action_objective(0.5, -1.0, cfg) == pytest.approx(-0.8)
+        assert single_action_objective(0.5, -1.0) == pytest.approx(-0.8)
 
     def test_scalar_oracle_both_branches(self):
-        cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
         rng = np.random.default_rng(7)
         for _ in range(200):
             ratio = float(rng.uniform(0.1, 2.5))
             adv = float(rng.normal())
-            value = single_action_objective(ratio, adv, cfg)
+            value = single_action_objective(ratio, adv)
             oracle = min(ratio * adv, min(max(ratio, 0.8), 1.2) * adv)
             assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_invariant_beyond_clip_range(self):
-        cfg = GrpoConfig(eps_low=0.2, eps_high=0.2)
-        v1 = single_action_objective(1.3, 1.0, cfg)
-        v2 = single_action_objective(4.0, 1.0, cfg)
+        v1 = single_action_objective(1.3, 1.0)
+        v2 = single_action_objective(4.0, 1.0)
         assert v1 == pytest.approx(v2)
 
 
-def policy_step(logits, rng, reward_fn, cfg, learning_rate, group_size):
+def policy_step(logits, rng, reward_fn, learning_rate, group_size):
     """Sample a group from the frozen logits, score it with reward_fn, and take
     one ascent step on the clipped objective."""
     logp = log_probabilities(logits)
     actions = sample_actions(action_cdf(logp), group_size, rng)
     advantages = group_advantages(reward_fn(actions))
-    return toy_policy_update(logits, actions, logp[actions], advantages, cfg, learning_rate)
+    return toy_policy_update(logits, actions, logp[actions], advantages, learning_rate)
 
 
 class TestToyPolicy:
@@ -169,17 +159,12 @@ class TestToyPolicy:
         with pytest.raises(DegenerateDistribution):
             action_cdf(logp)
 
-    def test_bad_clip_config(self):
-        with pytest.raises(ConfigError):
-            GrpoConfig(eps_low=0.0)
-
 
 class TestToyGradient:
     def test_matches_finite_differences(self):
         assert gradient_check(trials=100, seed=0) < 1e-4
 
     def test_clip_active_cases_are_exercised(self):
-        cfg = GrpoConfig()
         rng = np.random.default_rng(5)
         clipped_seen = 0
         for _ in range(100):
@@ -194,7 +179,6 @@ class TestToyGradient:
         assert clipped_seen > 20
 
     def test_gradient_zero_beyond_upper_clip(self):
-        cfg = GrpoConfig()
         # Single action with ratio above 1 + eps_high and positive advantage:
         # the objective is flat there, so the gradient must vanish.
         logits = np.array([2.0, 0.0])
@@ -202,20 +186,18 @@ class TestToyGradient:
         actions = np.array([0])
         ratio = math.exp(log_probabilities(logits)[0]) / 0.3
         assert ratio > 1.2
-        grad = toy_objective_gradient(logits, actions, logp_old, [1.0], cfg)
+        grad = toy_objective_gradient(logits, actions, logp_old, [1.0])
         assert grad == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_zero_variance_leaves_logits_unchanged(self):
-        cfg = GrpoConfig()
         logits = np.array([0.5, -0.5, 0.0])
         rng = np.random.default_rng(2)
         updated = policy_step(
-            logits, rng, lambda actions: [0.7] * len(actions), cfg, 0.5, group_size=6
+            logits, rng, lambda actions: [0.7] * len(actions), 0.5, group_size=6
         )
         np.testing.assert_array_equal(updated, logits)
 
     def test_learning_favors_rewarded_action(self):
-        cfg = GrpoConfig()
         logits = np.zeros(4)
         rng = np.random.default_rng(11)
         p_start = math.exp(log_probabilities(logits)[0])
@@ -224,7 +206,6 @@ class TestToyGradient:
                 logits,
                 rng,
                 lambda actions: [1.0 if a == 0 else 0.0 for a in actions],
-                cfg,
                 0.3,
                 group_size=8,
             )
@@ -233,21 +214,19 @@ class TestToyGradient:
         assert p_end > 0.5
 
     def test_update_returns_new_policy(self):
-        cfg = GrpoConfig()
         logits = np.zeros(3)
         updated = toy_policy_update(
-            logits, np.array([0, 1]), np.array([-1.0986, -1.0986]), [1.0, -1.0], cfg, 0.1
+            logits, np.array([0, 1]), np.array([-1.0986, -1.0986]), [1.0, -1.0], 0.1
         )
         assert updated is not logits
         assert not np.array_equal(updated, logits)
         np.testing.assert_array_equal(logits, np.zeros(3))
 
     def test_objective_value_at_old_policy(self):
-        cfg = GrpoConfig()
         logits = np.array([0.2, -0.4, 1.0])
         actions = np.array([2, 0])
         logp_old = log_probabilities(logits)[actions]
-        value = toy_objective(logits, actions, logp_old, [1.0, -1.0], cfg)
+        value = toy_objective(logits, actions, logp_old, [1.0, -1.0])
         # ratios are exactly 1 -> objective is the mean advantage
         assert value == pytest.approx(0.0, abs=1e-12)
 

@@ -19,6 +19,8 @@ from triplay.consensus import extract_tagged
 from triplay.errors import ConfigError, DimensionMismatch
 from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
+    SOLVER_GAIN,
+    TOY_LEARNING_RATE,
     CurriculumItem,
     Engine,
     Group,
@@ -31,9 +33,9 @@ from triplay.orchestrator import (
     run,
     stage_seed,
 )
-from triplay.synthetic_world import QUESTION_FORMS
+from triplay.synthetic_world import QUESTION_FORMS, SyntheticSolver
 
-SMALL_WORLD = WorldConfig(count=600, dim=32, bands_per_category=8)
+SMALL_WORLD = WorldConfig(count=600, dim=32)
 
 
 def small_cfg(tmp_path, seed=7, **iteration_overrides) -> RunConfig:
@@ -675,7 +677,7 @@ class TestRunAndResume:
         assert a != b
 
 
-def replay_policy(logits, cfg, learning_rate, path, rows_of) -> None:
+def replay_policy(logits, path, rows_of) -> None:
     """Apply one exported batch file's groups to logits in file order, as the
     role did: a group is its rows' prompt_id without the sample index, and one
     with all-zero advantages carries no update."""
@@ -690,7 +692,7 @@ def replay_policy(logits, cfg, learning_rate, path, rows_of) -> None:
         actions = np.asarray([row["tokens"][0] for row in group])
         logp_old = log_probabilities(logits[rows])[actions]
         logits[rows] = toy_policy_update(
-            logits[rows], actions, logp_old, advantages, cfg.grpo, learning_rate
+            logits[rows], actions, logp_old, advantages, TOY_LEARNING_RATE
         )
 
 
@@ -750,35 +752,30 @@ class TestBatchReplay:
         )
         run_dir = Path(run(cfg)["run_dir"])
         world = build_engine(cfg).world
-        it = cfg.iteration
         states = {e["key"]: e["state"] for e in Journal(run_dir / "journal.json").entries}
         searcher = np.zeros(len(world.templates))
         questioner = np.zeros(len(QUESTION_FORMS))
         all_forms = np.arange(len(QUESTION_FORMS))
-        skill = cfg.world.solver_skill
+        initial_skill = skill = SyntheticSolver().skill
         for cycle in (1, 2):
             cycle_dir = run_dir / f"cycle{cycle}"
+            replay_policy(searcher, cycle_dir / "searcher_batches.jsonl", world.template_indices)
             replay_policy(
-                searcher, cfg, it.searcher_lr, cycle_dir / "searcher_batches.jsonl",
-                world.template_indices,
-            )
-            replay_policy(
-                questioner, cfg, it.questioner_lr, cycle_dir / "questioner_batches.jsonl",
-                lambda domain: all_forms,
+                questioner, cycle_dir / "questioner_batches.jsonl", lambda domain: all_forms
             )
             rewards_by_step: dict[str, list[float]] = {}
             for row in read_jsonl(cycle_dir / "solver_batches.jsonl"):
                 step = row["prompt_id"].split(":")[1]
                 rewards_by_step.setdefault(step, []).append(row["reward"])
             for rewards in rewards_by_step.values():
-                skill += it.solver_gain * float(np.mean(rewards))
+                skill += SOLVER_GAIN * float(np.mean(rewards))
             assert states[f"cycle{cycle}:stage3"] == {
                 "searcher": {"logits": [float(x) for x in searcher]},
                 "questioner": {"logits": [float(x) for x in questioner]},
                 "solver": {"skill": skill},
             }
         assert np.any(searcher != 0.0) and np.any(questioner != 0.0)
-        assert skill != cfg.world.solver_skill
+        assert skill != initial_skill
 
 
 class TestStats:

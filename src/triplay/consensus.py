@@ -11,11 +11,12 @@ majority_vote groups the distinct answers in one pass when the judge has a
 key (ExactNormalizedJudge: normalize_answer), and closes the pairwise judge
 otherwise (RemoteJudge), so only a remote vote costs a call per pair.
 
-RemoteJudge verdicts live in a VerdictMemo, which an Engine shares between
-every judge it makes: the vote, the recount and the stage-3 rewards of a run
-each ask about a (question, answer pair) once. The memo is single-flight and
-bounded (_VERDICT_MEMO_SIZE entries): threads that need the same verdict wait
-for the one thread asking it.
+A RemoteJudge sends one request per question and pair of normalized
+answers, in sorted order. Its verdicts live in a VerdictMemo, which an Engine
+shares between every judge it makes: the vote, the recount and the stage-3
+rewards of a run each ask about a (question, answer pair) once. The memo is
+single-flight and bounded (_VERDICT_MEMO_SIZE entries): threads that need the
+same verdict wait for the one thread asking it.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ _VERDICT_MEMO_SIZE = 16384
 
 class VerdictMemo:
     """Thread-safe, single-flight, bounded memo of judge verdicts, keyed by
-    (question, unordered pair of answer strings).
+    (question, unordered pair of normalized answer strings).
 
     A key that another thread is asking is waited for, not asked again, so
     each key is asked once however its callers are scheduled: request counts
@@ -202,17 +203,18 @@ class VerdictMemo:
 
 
 class RemoteJudge:
-    """LLM-backed judge, made symmetric by querying both orders and OR-ing.
+    """LLM-backed judge: one request per question and unordered pair of
+    normalized answers, sent in sorted order, whose verdict stands.
 
-    Exact normalized equality short-circuits, which also makes the relation
-    reflexive without a network call. Other pairs go through a VerdictMemo
-    keyed by (question, unordered pair): the judge prompt is a pure function
-    of the question and the two answers, and at temperature 0 so is its
-    reply. The memo is the judge's own unless one is passed in; an Engine
-    passes every judge it makes the same memo, so each distinct key is asked
-    once per engine. A key is asked in sorted order, the reverse order
-    following only on "incorrect", so the requests it costs (one or two) do
-    not depend on which caller reaches it first.
+    The prompt and the memo key hold normal forms; equal ones short-circuit,
+    which makes the relation reflexive without a network call. Other pairs
+    go through a VerdictMemo keyed by (question, unordered pair), and at
+    temperature 0 the reply is a pure function of that key. The key is
+    unordered and the order canonical, so the relation is symmetric and the
+    request does not depend on which caller reaches the key first. An Engine
+    passes every judge it makes one memo, so each key is asked once per
+    engine. Asking one order gives up the guard against LLM-judge position
+    bias (Zheng et al. 2023, arXiv:2306.05685).
     """
 
     def __init__(self, backend, question: str = "", memo: VerdictMemo | None = None):
@@ -221,14 +223,12 @@ class RemoteJudge:
         self.memo = memo if memo is not None else VerdictMemo()
 
     def equivalent(self, a: str, b: str) -> bool:
-        if normalize_answer(a) == normalize_answer(b):
+        gold, pred = sorted((normalize_answer(a), normalize_answer(b)))
+        if gold == pred:
             return True
-        return self.memo.get((self.question, frozenset((a, b))), lambda: self._ask(a, b))
-
-    def _ask(self, a: str, b: str) -> bool:
-        first, second = sorted((a, b))
-        return remote_judge(self.backend, self.question, first, second) or remote_judge(
-            self.backend, self.question, second, first
+        return self.memo.get(
+            (self.question, frozenset((gold, pred))),
+            lambda: remote_judge(self.backend, self.question, gold, pred),
         )
 
 

@@ -392,11 +392,25 @@ class TestRemoteJudge:
         assert "8*sqrt(3)" in prompt
         assert backend.requests[0].system is not None
 
-    def test_symmetric_wrapper_or(self):
-        # First order says incorrect, second order says correct: OR -> True.
+    def test_one_request_in_sorted_order_and_its_verdict_stands(self):
+        # An asymmetric judge: the first order says incorrect, a second order
+        # would say correct. The pair is asked once, in sorted order, in
+        # whichever order it is passed, and that verdict stands.
         backend = FakeJudgeBackend(["incorrect", "correct"])
         judge = RemoteJudge(backend, question="q")
-        assert judge.equivalent("left", "right") is True
+        assert judge.equivalent("right", "left") is False
+        assert judge.equivalent("left", "right") is False
+        assert len(backend.requests) == 1
+        assert _JUDGE_SLOTS.search(backend.requests[0].prompt).groups() == ("left", "right")
+
+    def test_judges_normalized_answers(self):
+        # The recount compares raw answers against the vote's normalized
+        # label; on normalized keys it reuses the vote's one verdict.
+        backend = FakeJudgeBackend(["incorrect"])
+        probe = probe_from_answers(["Square", "Square", "Circle"], RemoteJudge(backend, "q"))
+        assert (probe.vote.label, probe.accuracy) == ("square", 2 / 3)
+        assert len(backend.requests) == 1
+        assert _JUDGE_SLOTS.search(backend.requests[0].prompt).groups() == ("circle", "square")
 
     def test_symmetric_wrapper_shortcircuits_normalized_equality(self):
         backend = FakeJudgeBackend([])
@@ -451,11 +465,8 @@ class UnmemoizedJudge:
         self.question = question
 
     def equivalent(self, a: str, b: str) -> bool:
-        if normalize_answer(a) == normalize_answer(b):
-            return True
-        return remote_judge(self.backend, self.question, a, b) or remote_judge(
-            self.backend, self.question, b, a
-        )
+        gold, pred = sorted((normalize_answer(a), normalize_answer(b)))
+        return gold == pred or remote_judge(self.backend, self.question, gold, pred)
 
 
 ANSWER_POOL = ["4", "four", "IV", " 4 ", "4.0", "5", "five", "7", "seven", "VII", "x", ""]
@@ -475,7 +486,7 @@ class TestRemoteJudgeMemo:
         )
         assert max(memo_backend.asked.values()) == 1
         pairs = Counter(frozenset(key) for key in memo_backend.asked)
-        assert max(pairs.values()) <= 2
+        assert max(pairs.values()) == 1
         assert sum(memo_backend.asked.values()) < sum(plain_backend.asked.values())
 
     def test_judge_failure_is_not_memoized(self):

@@ -514,14 +514,15 @@ class RecordingTransport:
 # Per role: (request count, sha256 of the sorted request bodies), recorded
 # for one remote cycle of remote_cfg with a remote judge and 20 queries per
 # domain (so the active set's searcher requests split 16 + 4). A change to
-# the bytes of any prompt or payload changes these. The judge's 52 bodies
-# are distinct: the engine's verdict memo sends each payload once per run.
+# the bytes of any prompt or payload changes these. The judge's 30 bodies
+# are distinct: the engine's verdict memo sends each payload once per run,
+# and each pair of normalized answers is asked in one order only.
 PAYLOAD_GOLDEN = {
     "embed": (46, "55bbd88a08e355495b0c484f0796ad4defdacdc667d0f040d93d11faddcfd17a"),
-    "judge": (52, "07b66c366303ffd54c50341dd0542b996f6f350386ba33bddbf6397c036c1039"),
+    "judge": (30, "5a8bbd3c99dc6217c0025e2f3e339b63175a8088b9055c7ce1e37f3d3faa7975"),
     "questioner": (77, "3339c7bb816547457ae86d7cc9d0c07aee7cdeb7fdf3c5628b86636b3f670784"),
     "searcher": (12, "d920a7964d464b835a86e57ed5e3b93159ba75e15e3b3226fc24ec8e2a8e71a8"),
-    "solver": (109, "4b84775375c0e4660d817dc3861cef0032752ac03a24cf2641a1ae5f268b02a5"),
+    "solver": (109, "2de4186860a78a70487d442786c6beab2cdfff4c14335bf13db418583687a114"),
 }
 
 

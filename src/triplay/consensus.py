@@ -1,11 +1,11 @@
 """Answer extraction, normalization, equivalence judging, and majority voting.
 
 normalize_answer is memoized process-wide in a bounded LRU
-(_NORMALIZE_MEMO_SIZE entries). Votes, recounts and solver rewards normalize
-the same few answers over and over (a RemoteJudge normalizes both sides of
-every pair it is asked). The function is pure over an immutable str, so the
-memo cannot change a result or carry state between runs, and lru_cache is
-safe to share between threads.
+(_NORMALIZE_MEMO_SIZE entries). Votes and solver rewards normalize the same
+few answers over and over (a RemoteJudge normalizes both sides of every pair
+it is asked). The function is pure over an immutable str, so the memo cannot
+change a result or carry state between runs, and lru_cache is safe to share
+between threads.
 
 majority_vote groups the distinct answers in one pass when the judge has a
 key (ExactNormalizedJudge: normalize_answer), and closes the pairwise judge
@@ -13,10 +13,10 @@ otherwise (RemoteJudge), so only a remote vote costs a call per pair.
 
 A RemoteJudge sends one request per question and pair of normalized
 answers, in sorted order. Its verdicts live in a VerdictMemo, which an Engine
-shares between every judge it makes: the vote, the recount and the stage-3
-rewards of a run each ask about a (question, answer pair) once. The memo is
-single-flight and bounded (_VERDICT_MEMO_SIZE entries): threads that need the
-same verdict wait for the one thread asking it.
+shares between every judge it makes: the votes and the stage-3 rewards of a
+run each ask about a (question, answer pair) once. The memo is single-flight
+and bounded (_VERDICT_MEMO_SIZE entries): threads that need the same verdict
+wait for the one thread asking it.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ class AnswerJudge(Protocol):
     """A reflexive, symmetric equivalence test on answers. A judge may also
     carry a key(answer) function; it then promises that equivalent(a, b) is
     exactly key(a) == key(b), and that key(normalize_answer(a)) == key(a).
-    majority_vote groups by key without asking, and probe_from_answers takes
-    the winning class as the answers that agree with its normalized label."""
+    majority_vote, the only reader of key, groups by it without asking."""
 
     def equivalent(self, a: str, b: str) -> bool: ...
 

@@ -124,8 +124,9 @@ def _record(path: Path, lineno: int, line: str) -> ImageRecord:
 
 def load_manifest(path: str | Path) -> IndexManifest:
     """Read a manifest that save_manifest wrote. A line that is not JSON, a
-    record without a string id or an embedding, and an embedding that is not
-    a list of numbers raise ManifestError naming the file and line.
+    header dimension below 1, a record without a string id or an embedding,
+    and an embedding that is not a list of numbers raise ManifestError naming
+    the file (and the line, for a record).
 
     The checksum is first taken over the record lines as read, in id order:
     for a file save_manifest wrote, those are the lines manifest_checksum
@@ -141,6 +142,8 @@ def load_manifest(path: str | Path) -> IndexManifest:
         type(header.get(key)) is not int for key in ("dimension", "count")
     ):
         raise ManifestError(f"{path}: header must carry an integer dimension and count")
+    if header["dimension"] < 1:
+        raise ManifestError(f"{path}: header dimension {header['dimension']} is below 1")
     records = [_record(path, n, line) for n, line in lines[1:]]
     if len(records) != header["count"]:
         raise ManifestError(
@@ -226,15 +229,7 @@ class EmbeddingIndex:
 
     def retrieve(self, query, k: int) -> list[tuple[ImageRecord, float]]:
         """Top-k records by descending cosine similarity, ties by ascending id."""
-        if not self._records:
-            raise EmptyIndex("cannot retrieve from an empty index")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        scores = self._matrix @ self._normalize_query(query)
-        # Records are stored in ascending-id order, so _top_k's index
-        # tie-break is the id tie-break.
-        order = _top_k(scores[None, :], k)[0]
-        return [(self._records[i], float(scores[i])) for i in order]
+        return self.retrieve_batch([query], k)[0]
 
     def retrieve_batch(
         self, queries, k: int, chunk: int = 512

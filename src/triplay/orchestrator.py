@@ -86,9 +86,8 @@ from .rewards import (
     RewardRecord,
     difficulty_filter,
     probe_from_answers,
-    questioner_reward,
-    searcher_reward,
     solver_reward,
+    uncertainty_reward,
 )
 from .synthetic_world import (
     QUESTION_FORMS,
@@ -214,7 +213,10 @@ class _ToyPolicyRole:
         return {"logits": [float(x) for x in self.logits]}
 
     def restore(self, state: dict) -> None:
-        self.logits = np.asarray(state["logits"], dtype=np.float64)
+        logits = np.asarray(state["logits"], dtype=np.float64)
+        if logits.shape != self.logits.shape:
+            raise ValueError(f"logits of shape {logits.shape}, expected {self.logits.shape}")
+        self.logits = logits
         self._distributions.clear()
 
 
@@ -499,7 +501,7 @@ class Engine:
                 )
                 for (row, _, probes), penalty in zip(kept, penalties):
                     acc = float(np.mean([p.accuracy for p in probes]))
-                    _record_reward(row, acc, searcher_reward(probes, penalty))
+                    _record_reward(row, acc, uncertainty_reward(probes, penalty))
             result.rows += rows
             rewards = [row["r_final"] for row in rows]
             groups.append(Group(domain.category, domain.category, samples, rewards, []))
@@ -594,7 +596,7 @@ class Engine:
                     kept,
                 )
                 for row, probe, penalty in zip(kept, probes, penalties):
-                    _record_reward(row, probe.accuracy, questioner_reward(probe.accuracy, penalty))
+                    _record_reward(row, probe.accuracy, uncertainty_reward([probe], penalty))
             finals = [row["r_final"] for row in rows]
             group = Group(
                 key=image_id,
@@ -785,7 +787,8 @@ class Journal:
     """Single-writer journal of completed stages. Each entry carries the agent
     state after its stage, and writing the entry is the stage's commit point:
     a run killed before it redoes the stage from the previous entry's state.
-    A journal that is not JSON, or has no entries list, raises ManifestError
+    A journal that is not JSON, has no entries list, or has an entry that is
+    not an object with a string key and an object state, raises ManifestError
     naming the file."""
 
     def __init__(self, path: Path):
@@ -798,10 +801,19 @@ class Journal:
                 raise ManifestError(f"{path}: not valid JSON: {exc}") from None
             if not isinstance(journal, dict) or not isinstance(journal.get("entries"), list):
                 raise ManifestError(f"{path}: a journal needs an entries list")
+            for entry in journal["entries"]:
+                if not (
+                    isinstance(entry, dict)
+                    and isinstance(entry.get("key"), str)
+                    and isinstance(entry.get("state"), dict)
+                ):
+                    raise ManifestError(
+                        f"{path}: a journal entry needs a string key and an object state"
+                    )
             self.entries = journal["entries"]
 
     def done(self, key: str) -> bool:
-        return any(e["key"] == key and e["status"] == "done" for e in self.entries)
+        return any(e["key"] == key and e.get("status") == "done" for e in self.entries)
 
     def mark(self, key: str, artifacts: list[str], state: dict) -> None:
         entry = {"key": key, "status": "done", "artifacts": artifacts, "state": state}
@@ -850,7 +862,12 @@ def run(cfg: RunConfig) -> dict:
             f"with that config or choose another run directory"
         )
     if journal.entries:
-        engine.restore(journal.entries[-1]["state"])
+        try:
+            engine.restore(journal.entries[-1]["state"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(
+                f"{journal.path}: the last entry's state does not fit this engine: {exc!r}"
+            ) from None
 
     it = cfg.iteration
 

@@ -1,9 +1,8 @@
-"""Reward formulas for the three agent roles and the difficulty window, and
-probe_from_answers, the one rule that scores a question from its rollouts."""
+"""The uncertainty reward (searcher and questioner), the solver reward, the
+difficulty window, and probe_from_answers, the one rule that scores a question."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -14,29 +13,19 @@ from .errors import EmptyProbes, InvalidWindow, OutOfRange
 @dataclass(frozen=True)
 class ProbeResult:
     """The vote over m solver rollouts on one task, and the share of rollouts
-    that agree with its label (0.0 when the label is empty)."""
+    in its winning class (0.0 when the label is empty)."""
 
     vote: ConsensusResult
     accuracy: float
 
 
 def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> ProbeResult:
-    """Vote over rollout answers and measure agreement with the winner. An
-    empty winning label (unanswered rollouts) scores 0.0, with no recount.
-
-    The judge must be reflexive (see majority_vote). A judge with a key is not
-    asked: the answers that agree with the label are exactly the winning
-    class, so the accuracy is the vote's score. Any other judge is asked once
-    per distinct answer, and every copy of an answer it accepts counts.
-    """
+    """Vote over rollout answers; the accuracy is the vote's score, the share
+    of rollouts in the winning class, for every judge. An empty winning label
+    (unanswered rollouts) scores 0.0. Only the vote asks the judge."""
     judge = judge if judge is not None else ExactNormalizedJudge()
     vote = majority_vote(answers, judge)
-    if not vote.label:
-        return ProbeResult(vote=vote, accuracy=0.0)
-    if getattr(judge, "key", None) is not None:
-        return ProbeResult(vote=vote, accuracy=vote.score)
-    agree = sum(n for a, n in Counter(answers).items() if judge.equivalent(a, vote.label))
-    return ProbeResult(vote=vote, accuracy=agree / len(answers))
+    return ProbeResult(vote=vote, accuracy=vote.score if vote.label else 0.0)
 
 
 def challenge_reward(acc: float) -> float:
@@ -53,25 +42,17 @@ class RewardRecord:
     final: float
 
 
-def searcher_reward(probes: list[ProbeResult], penalty: float) -> RewardRecord:
-    """Mean challenge reward over the probe questions, minus the repetition
-    penalty, clamped at zero."""
+def uncertainty_reward(probes: list[ProbeResult], penalty: float) -> RewardRecord:
+    """Mean challenge reward over the probes, minus the repetition penalty,
+    clamped at zero: the searcher's reward over an image's probe questions,
+    and the questioner's over its one question."""
     if not probes:
-        raise EmptyProbes("searcher reward needs at least one probe")
+        raise EmptyProbes("uncertainty reward needs at least one probe")
     challenge = fmean(challenge_reward(p.accuracy) for p in probes)
     return RewardRecord(
         challenge=challenge,
         penalty=penalty,
         final=max(0.0, challenge - penalty),
-    )
-
-
-def questioner_reward(acc: float, text_penalty: float) -> RewardRecord:
-    challenge = challenge_reward(acc)
-    return RewardRecord(
-        challenge=challenge,
-        penalty=text_penalty,
-        final=max(0.0, challenge - text_penalty),
     )
 
 

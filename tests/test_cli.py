@@ -94,6 +94,16 @@ class TestIndexCommands:
         assert err.startswith(f"error[ManifestError]: {path}:1: not valid JSON")
         assert err.count("\n") == 1
 
+    def test_negative_dimension_exits_one(self, tmp_path, capsys):
+        # Unchecked, np.zeros((0, -1)) ended in a raw ValueError traceback.
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"dimension": -1, "count": 0}\n')
+        code, out, err = run_cli(capsys, ["index", "build", "--manifest", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[ManifestError]: {path}: header dimension -1 is below 1")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         ("line", "message"),
         [
@@ -201,8 +211,21 @@ class TestRunCommand:
             ("garbage", "not valid JSON"),
             ('{"entries": 3}', "a journal needs an entries list"),
             ("[]", "a journal needs an entries list"),
+            ('{"entries": [{}]}', "a journal entry needs a string key and an object state"),
+            (
+                '{"entries": [{"key": "cycle1:stage1"}]}',
+                "a journal entry needs a string key and an object state",
+            ),
+            ('{"entries": [3]}', "a journal entry needs a string key and an object state"),
+            (
+                '{"entries": [{"key": 1, "state": {}}]}',
+                "a journal entry needs a string key and an object state",
+            ),
         ],
-        ids=("not_json", "entries_not_a_list", "not_an_object"),
+        ids=(
+            "not_json", "entries_not_a_list", "not_an_object", "empty_entry", "no_state",
+            "entry_not_an_object", "int_key",
+        ),
     )
     def test_corrupt_journal_exits_one(self, tmp_path, capsys, content, message):
         # Unchecked, these ended in a raw JSONDecodeError, TypeError or
@@ -217,6 +240,39 @@ class TestRunCommand:
         assert err.startswith(f"error[ManifestError]: {journal}: {message}")
         assert err.count("\n") == 1
         assert journal.read_text() == content
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {},
+            {"searcher": {"logits": [0.0]}, "questioner": {"logits": []}, "solver": {"skill": 1}},
+            {"searcher": "logits", "questioner": {}, "solver": {}},
+            {"searcher": {"logits": ["x"]}, "questioner": {}, "solver": {}},
+        ],
+        ids=("no_roles", "logits_of_another_shape", "role_not_an_object", "string_logits"),
+    )
+    def test_journal_state_that_does_not_fit_exits_one(
+        self, tmp_path, capsys, monkeypatch, state
+    ):
+        # Unchecked, these ended in a raw KeyError, TypeError or ValueError
+        # traceback from the restore, or resumed from misshapen logits.
+        run_dir = tmp_path / "run"
+        argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
+        end_run_after(monkeypatch, "cycle1:stage1")
+        with pytest.raises(Stopped):
+            main(argv)
+        journal = run_dir / "journal.json"
+        entries = json.loads(journal.read_text())["entries"]
+        entries[-1]["state"] = state
+        journal.write_text(json.dumps({"entries": entries}))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"error[ManifestError]: {journal}: the last entry's state does not fit this engine"
+        )
+        assert err.count("\n") == 1
+        assert not (run_dir / "cycle1" / "d_active.jsonl").exists()
 
     def test_resume_under_changed_config_refused(self, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"

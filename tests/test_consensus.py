@@ -146,8 +146,8 @@ class TestNormalizeAnswer:
         assert normalize_answer(once) == once
 
     def test_period_after_a_space_does_not_split_the_vote(self):
-        # "42 ." used to normalize to "42 ", a class of its own that the
-        # recount (which normalizes the label again) never matched.
+        # "42 ." used to normalize to "42 ", a class of its own apart from
+        # "42".
         probe = probe_from_answers(["42 ."] * 5 + ["41"] * 2)
         assert probe.vote.label == "42"
         assert probe.vote.class_sizes == (5, 2)
@@ -235,6 +235,25 @@ class KeylessJudge:
         return normalize_answer(a) == normalize_answer(b)
 
 
+def value_key(answer: str):
+    """An answer's numeric value, or its normal form if it has none."""
+    text = normalize_answer(answer)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class ValueJudge:
+    """A transitive keyed judge coarser than normalization: "1" and "01"
+    share a value, so they agree."""
+
+    key = staticmethod(value_key)
+
+    def equivalent(self, a: str, b: str) -> bool:
+        return value_key(a) == value_key(b)
+
+
 class TestKeyedVote:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(alphabet=" .,+-0123456789aB", max_size=6), min_size=1, max_size=12))
@@ -253,14 +272,23 @@ class TestKeyedVote:
         assert (result.label, result.class_sizes) == ("4", (3, 1, 1))
 
     def test_probe_asks_the_judge_nothing(self, monkeypatch):
-        # The answers that agree with a keyed vote's label are its winning
-        # class, so the recount is the vote's score.
+        # A probe's accuracy is its vote's score: a keyed probe asks the judge
+        # nothing, and a remote probe sends no request beyond its vote's.
         def unasked(self, a, b):
             raise AssertionError("a keyed probe asked the judge")
 
         monkeypatch.setattr(ExactNormalizedJudge, "equivalent", unasked)
         probe = probe_from_answers(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
         assert probe.accuracy == probe.vote.score == 3 / 5
+        # "five" joins the label "4" through "5", so the vote never asks that
+        # pair; a recount against the label would.
+        answers = ["5", "4", "five", "4", "7"]
+        vote_backend, probe_backend = CountingJudgeBackend(), CountingJudgeBackend()
+        vote = majority_vote(answers, RemoteJudge(vote_backend, question="q"))
+        probe = probe_from_answers(answers, RemoteJudge(probe_backend, question="q"))
+        assert (probe.vote, probe.accuracy) == (vote, 4 / 5)
+        assert ("4", "five") not in probe_backend.asked
+        assert probe_backend.asked == vote_backend.asked
 
 
 class SeededJudge:
@@ -281,7 +309,8 @@ class SeededJudge:
 
 def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], float, float]:
     """(label, class sizes, score, accuracy) from the judge over all K x K
-    answer pairs: classes are the closure of the full relation."""
+    answer pairs: classes are the closure of the full relation, and the
+    accuracy is the winning class's share (0.0 for an empty label)."""
     k = len(answers)
     linked = [[judge.equivalent(a, b) for b in answers] for a in answers]
     cls = list(range(k))
@@ -298,8 +327,8 @@ def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], flo
     ranked = sorted((-len(m), min(normalize_answer(a) for a in m)) for m in groups.values())
     label = ranked[0][1]
     sizes = tuple(sorted((len(m) for m in groups.values()), reverse=True))
-    acc = sum(judge.equivalent(a, label) for a in answers) / k if label else 0.0
-    return label, sizes, -ranked[0][0] / k, acc
+    score = -ranked[0][0] / k
+    return label, sizes, score, score if label else 0.0
 
 
 def first_asked_pairs(calls: list[tuple[str, str]]) -> list[frozenset[str]]:
@@ -333,16 +362,17 @@ class TestVoteOverDistinctAnswers:
         assert len(set(map(frozenset, judge.calls))) == len(judge.calls)
         assert first_asked_pairs(judge.calls) == first_asked_pairs(per_answer.calls)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
-    def test_recount_asks_each_distinct_answer_once(self, answers, seed):
-        vote_judge, probe_judge = SeededJudge(seed), SeededJudge(seed)
-        vote = majority_vote(answers, vote_judge)
-        probe_from_answers(answers, probe_judge)
-        recount = probe_judge.calls[len(vote_judge.calls) :]
-        assert probe_judge.calls[: len(vote_judge.calls)] == vote_judge.calls
-        want = [(a, vote.label) for a in dict.fromkeys(answers)] if vote.label else []
-        assert recount == want
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=" .,+-0123456789aB", max_size=6), min_size=1, max_size=12))
+    def test_class_share_is_the_direct_agreement_count(self, answers):
+        # Under a transitive judge every member of the winning class agrees
+        # with the label directly, so the class share counts exactly the
+        # answers a pairwise recount against the label would accept.
+        for judge in (KeylessJudge(), ValueJudge()):
+            probe = probe_from_answers(answers, judge)
+            label = probe.vote.label
+            direct = sum(judge.equivalent(a, label) for a in answers) if label else 0
+            assert probe.accuracy == direct / len(answers)
 
 
 class FakeJudgeBackend:
@@ -404,8 +434,8 @@ class TestRemoteJudge:
         assert _JUDGE_SLOTS.search(backend.requests[0].prompt).groups() == ("left", "right")
 
     def test_judges_normalized_answers(self):
-        # The recount compares raw answers against the vote's normalized
-        # label; on normalized keys it reuses the vote's one verdict.
+        # The vote asks about normalized answers, and the accuracy is its
+        # winning class's share: one request in all.
         backend = FakeJudgeBackend(["incorrect"])
         probe = probe_from_answers(["Square", "Square", "Circle"], RemoteJudge(backend, "q"))
         assert (probe.vote.label, probe.accuracy) == ("square", 2 / 3)
@@ -474,7 +504,7 @@ ANSWER_POOL = ["4", "four", "IV", " 4 ", "4.0", "5", "five", "7", "seven", "VII"
 
 class TestRemoteJudgeMemo:
     def test_k9_vote_asks_each_pair_once(self):
-        # The vote, then the accuracy recount, as build_training_set runs them.
+        # The vote, then stage-3 rewards against its label.
         answers = ["four", "4", "four", "IV", "five", "5", "five", "seven", "four"]
         memo_backend, plain_backend = CountingJudgeBackend(), CountingJudgeBackend()
         memo = RemoteJudge(memo_backend, question="q")

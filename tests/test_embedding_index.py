@@ -317,8 +317,14 @@ class TestManifest:
 
     @pytest.mark.parametrize(
         "header",
-        ['{"count": 1, "dimension": 2', '{"count": 1, "dimension": "2"}', "[1, 2]"],
-        ids=("not_json", "string_dimension", "not_an_object"),
+        [
+            '{"count": 1, "dimension": 2',
+            '{"count": 1, "dimension": "2"}',
+            "[1, 2]",
+            '{"count": 1, "dimension": 0}',
+            '{"count": 1, "dimension": -1}',
+        ],
+        ids=("not_json", "string_dimension", "not_an_object", "zero_dimension", "negative_dimension"),
     )
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "m.jsonl"

@@ -739,6 +739,15 @@ class TestKeptDistribution:
         self.assert_draws_fresh(questioner, image.category, draw)
 
 
+    def test_restore_refuses_logits_of_another_shape(self, engine):
+        searcher = engine.searcher
+        before = searcher.logits.copy()
+        for logits in ([0.0] * (len(before) + 1), [[0.0] * len(before)], 0.0):
+            with pytest.raises(ValueError, match="logits of shape"):
+                searcher.restore({"logits": logits})
+        assert np.array_equal(searcher.logits, before)
+
+
 class TestBatchReplay:
     def test_batches_replay_to_the_journal(self, tmp_path):
         # The exported batches are all a trainer gets: replaying them through

@@ -293,7 +293,7 @@ class TestRemoteWiring:
     def test_engine_sends_each_judge_payload_once(self, manifest_path, stage_inputs):
         # One engine builds the training set, then runs stage 3 on it. Its
         # verdict memo outlives every judge it hands out, so stage 3 reuses
-        # the recount's verdicts, and no payload is sent twice at any fan-out.
+        # the votes' verdicts, and no payload is sent twice at any fan-out.
         runs = {}
         for in_flight in (1, 4):
             cfg = fan_out_cfg(manifest_path, in_flight, judge="remote")
@@ -544,7 +544,7 @@ def test_remote_cycle_payloads_are_byte_stable(manifest_path, tmp_path, monkeypa
 def test_resume_with_empty_verdict_memo_is_byte_identical(manifest_path, tmp_path, monkeypatch):
     # The verdict memo is not journaled. A run ended after build_training
     # resumes stage 3 with an empty memo, so it asks the judge again where
-    # the whole run reused the recount's verdicts, and writes the same bytes.
+    # the whole run reused the votes' verdicts, and writes the same bytes.
     judge_requests = {}
     for name in ("whole", "resumed"):
         transport = RecordingTransport(dimension=16)

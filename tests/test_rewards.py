@@ -8,9 +8,8 @@ from triplay.rewards import (
     challenge_reward,
     difficulty_filter,
     probe_from_answers,
-    questioner_reward,
-    searcher_reward,
     solver_reward,
+    uncertainty_reward,
 )
 
 
@@ -74,44 +73,58 @@ class TestEmpiricalAccuracy:
 
 
 class TestSearcherReward:
+    """uncertainty_reward as stage 1 calls it, over an image's probes."""
+
     def test_single_probe(self):
-        rec = searcher_reward([probe(0.5)], penalty=0.5)
+        rec = uncertainty_reward([probe(0.5)], penalty=0.5)
         assert rec.final == pytest.approx(0.5)
 
     def test_clamp_at_zero(self):
-        rec = searcher_reward([probe(1.0)], penalty=0.7)
+        rec = uncertainty_reward([probe(1.0)], penalty=0.7)
         assert rec.final == 0.0
 
     def test_mean_over_probes(self):
-        rec = searcher_reward([probe(0.4), probe(0.6)], penalty=0.2)
+        rec = uncertainty_reward([probe(0.4), probe(0.6)], penalty=0.2)
         assert rec.challenge == pytest.approx(0.8)
         assert rec.final == pytest.approx(0.6)
 
     def test_empty_probes(self):
         with pytest.raises(EmptyProbes):
-            searcher_reward([], penalty=0.0)
+            uncertainty_reward([], penalty=0.0)
 
     def test_monotone_in_penalty(self):
-        finals = [searcher_reward([probe(0.5)], penalty=p).final for p in (0, 0.3, 0.8, 1.5)]
+        finals = [uncertainty_reward([probe(0.5)], penalty=p).final for p in (0, 0.3, 0.8, 1.5)]
         assert finals == sorted(finals, reverse=True)
         assert all(0.0 <= f <= 1.0 for f in finals)
 
 
 class TestQuestionerReward:
+    """uncertainty_reward as stage 2 calls it, over one question's probe."""
+
     def test_peak_no_penalty(self):
-        assert questioner_reward(0.5, 0.0).final == 1.0
+        assert uncertainty_reward([probe(0.5)], 0.0).final == 1.0
 
     def test_clamp(self):
-        assert questioner_reward(0.5, 1.2).final == 0.0
+        assert uncertainty_reward([probe(0.5)], 1.2).final == 0.0
 
     def test_substitution(self):
-        rec = questioner_reward(0.7, 0.1)
+        rec = uncertainty_reward([probe(0.7)], 0.1)
         assert rec.challenge == pytest.approx(0.6, abs=1e-12)
         assert rec.final == pytest.approx(0.5, abs=1e-12)
 
+    def test_one_probe_is_its_challenge_exactly(self):
+        # Stage 2 passes [probe]: the mean of one value is that value, bit
+        # for bit, so the reward is challenge - penalty as computed alone.
+        for acc in np.linspace(0.0, 1.0, 41):
+            one = ProbeResult(vote=probe(0.5).vote, accuracy=float(acc))
+            for penalty in (0.0, 0.1, 0.37):
+                rec = uncertainty_reward([one], penalty)
+                assert rec.challenge == challenge_reward(float(acc))
+                assert rec.final == max(0.0, challenge_reward(float(acc)) - penalty)
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            questioner_reward(-0.5, 0.0)
+            uncertainty_reward([ProbeResult(vote=probe(0.5).vote, accuracy=-0.5)], 0.0)
 
 
 class TestSolverReward:

@@ -4,7 +4,7 @@ All three agent roles and the judge share one backend interface; the role is
 purely a prompt-level distinction, and render_prompt fills a template by role
 name. Remote backends speak JSON-over-HTTP chat completions and embeddings,
 both POSTed through one retrying path. Synthetic mode calls no backend: its
-roles and query embedder come from the synthetic world.
+roles come from the synthetic world, which is also its query embedder.
 """
 
 from __future__ import annotations

@@ -130,8 +130,8 @@ def _cmd_index_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_gen(args: argparse.Namespace) -> int:
-    images = gen_corpus(args.seed, args.count, args.dim, args.categories)
-    manifest = IndexManifest(dimension=args.dim, records=[img.record for img in images])
+    records = gen_corpus(args.seed, args.count, args.dim, args.categories)
+    manifest = IndexManifest(dimension=args.dim, records=records)
     save_manifest(manifest, args.out)
     print(json.dumps({"out": args.out, "count": args.count, "dimension": args.dim}))
     return 0

@@ -38,6 +38,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,10 +91,9 @@ from .rewards import (
     uncertainty_reward,
 )
 from .synthetic_world import (
+    INITIAL_SKILL,
     QUESTION_FORMS,
-    SyntheticSolver,
     SyntheticWorld,
-    WorldQueryEmbedder,
     question_delta,
     synthetic_solve,
 )
@@ -175,8 +175,7 @@ class _ToyPolicyRole:
     the draws a fresh one gives, so the cache changes no artifact; it spares
     the questioner, which stage 1 never updates, a log-softmax per probe."""
 
-    def __init__(self, world: SyntheticWorld, size: int):
-        self.world = world
+    def __init__(self, size: int):
         self.logits = np.zeros(size)
         self._distributions: dict[str, tuple] = {}
 
@@ -224,7 +223,8 @@ class SyntheticSearcherRole(_ToyPolicyRole):
     """Toy query policy over the world's templates, masked per domain."""
 
     def __init__(self, world: SyntheticWorld):
-        super().__init__(world, len(world.templates))
+        super().__init__(len(world.templates))
+        self.world = world
 
     def _rows(self, domain: str) -> list[int]:
         return self.world.template_indices(domain)
@@ -239,56 +239,55 @@ class SyntheticSearcherRole(_ToyPolicyRole):
 class SyntheticQuestionerRole(_ToyPolicyRole):
     """Toy question policy over the fixed phrasing forms, shared by every domain."""
 
-    def __init__(self, world: SyntheticWorld):
-        super().__init__(world, len(QUESTION_FORMS))
+    def __init__(self):
+        super().__init__(len(QUESTION_FORMS))
         self._forms = np.arange(len(QUESTION_FORMS))
 
     def _rows(self, domain: str) -> np.ndarray:
         return self._forms
 
-    def _render(self, image_id: str, form_index: int) -> str:
+    def _render(self, image: ImageRecord, form_index: int) -> str:
         _, _, question = QUESTION_FORMS[form_index]
-        image = self.world.image(image_id)
+        answer = image.meta["answer"]
         analysis = (
-            f"Visible Elements: encoded panel {image_id}. Constraints: one canonical "
+            f"Visible Elements: encoded panel {image.id}. Constraints: one canonical "
             f"quantity is recoverable. Step-by-Step Solution: the panel resolves to "
-            f"{image.answer}."
+            f"{answer}."
         )
         return (
             f"<think>{analysis}</think>\n<type>numeric_value</type>\n"
-            f"<question>{question}</question>\n<answer>{image.answer}</answer>"
+            f"<question>{question}</question>\n<answer>{answer}</answer>"
         )
 
     def sample(self, image: ImageRecord, g: int, rng: np.random.Generator) -> list[Sample]:
-        return self._draw(image.category, g, rng, lambda form: self._render(image.id, form))
-
-    def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
-        return self.sample(image, 1, rng)[0]
+        return self._draw(image.category, g, rng, lambda form: self._render(image, form))
 
 
 class SyntheticSolverRole:
-    """Parametric solver whose skill drifts up with the training signal."""
+    """Parametric solver: its skill, which drifts up with the training signal."""
 
-    def __init__(self, world: SyntheticWorld, solver: SyntheticSolver):
-        self.world = world
-        self.solver = solver
+    def __init__(self):
+        self.skill = INITIAL_SKILL
 
     def solve(self, image: ImageRecord, question: str, n: int, rng: np.random.Generator) -> list[str]:
-        synth = self.world.image(image.id)
         delta = question_delta(question)
-        return [synthetic_solve(self.solver, synth, rng, delta=delta) for _ in range(n)]
+        return [synthetic_solve(self.skill, image, rng, delta=delta) for _ in range(n)]
 
     def apply(self, groups: list[Group]) -> None:
         """Skill moves by the mean reward over every rollout of the groups."""
         rewards = [r for group in groups for r in group.rewards]
         if rewards:
-            self.solver.skill += SOLVER_GAIN * float(np.mean(rewards))
+            self.skill += SOLVER_GAIN * float(np.mean(rewards))
 
     def snapshot(self) -> dict:
-        return {"skill": self.solver.skill}
+        return {"skill": self.skill}
 
     def restore(self, state: dict) -> None:
-        self.solver.skill = float(state["skill"])
+        skill = state["skill"]
+        # JSON true and false are not numbers, although Python counts a bool as an int.
+        if type(skill) not in (int, float) or not math.isfinite(skill):
+            raise ValueError(f"skill must be a finite number, got {skill!r}")
+        self.skill = float(skill)
 
 
 class RemoteRole:
@@ -335,9 +334,6 @@ class RemoteSearcherRole(RemoteRole):
 class RemoteQuestionerRole(RemoteRole):
     def sample(self, image: ImageRecord, g: int, rng: np.random.Generator) -> list[Sample]:
         return [Sample(text=t) for t in self._generate("questioner", g, image)]
-
-    def probe(self, image: ImageRecord, rng: np.random.Generator) -> Sample:
-        return self.sample(image, 1, rng)[0]
 
 
 class RemoteSolverRole(RemoteRole):
@@ -450,14 +446,14 @@ class Engine:
 
     def _probes(self, image: ImageRecord, rng: np.random.Generator) -> list[ProbeResult | None]:
         """Stage 1's probe questions on an image, each scored by m rollouts;
-        None stands for an unparsable probe question."""
+        None stands for an unparsable or empty probe question."""
         it = self.cfg.iteration
         probes = []
         for _ in range(it.probe_questions_per_image):
-            question = extract_tagged(self.questioner.probe(image, rng).text, "question")
+            sample = self.questioner.sample(image, 1, rng)[0]
+            question = extract_tagged(sample.text, "question")
             probes.append(
-                None if question is None
-                else self._score(image, question, it.probe_rollouts, rng)
+                self._score(image, question, it.probe_rollouts, rng) if question else None
             )
         return probes
 
@@ -736,9 +732,9 @@ def build_engine(cfg: RunConfig) -> Engine:
             cfg,
             index=world.index,
             searcher=SyntheticSearcherRole(world),
-            questioner=SyntheticQuestionerRole(world),
-            solver=SyntheticSolverRole(world, SyntheticSolver()),
-            embedder=WorldQueryEmbedder(world),
+            questioner=SyntheticQuestionerRole(),
+            solver=SyntheticSolverRole(),
+            embedder=world,
             world=world,
         )
     index = build_index(cfg)

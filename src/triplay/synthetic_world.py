@@ -87,23 +87,15 @@ def logistic(x: float) -> float:
     return z / (1.0 + z)
 
 
-@dataclass
-class SyntheticImage:
-    record: ImageRecord
-    difficulty: float
-    answer: str
+# The parametric solver: a rollout is correct with probability
+# logistic((skill - difficulty) / SOLVER_TEMPERATURE), from a skill that
+# starts at INITIAL_SKILL.
+INITIAL_SKILL = 0.5
+SOLVER_TEMPERATURE = 0.15
 
 
-@dataclass
-class SyntheticSolver:
-    """Parametric solver: correct with probability logistic((skill - difficulty) / T)."""
-
-    skill: float = 0.5
-    noise_temperature: float = 0.15
-
-
-def solve_probability(solver: SyntheticSolver, difficulty: float) -> float:
-    return logistic((solver.skill - difficulty) / solver.noise_temperature)
+def solve_probability(skill: float, difficulty: float) -> float:
+    return logistic((skill - difficulty) / SOLVER_TEMPERATURE)
 
 
 def canonical_answer(image_id: str) -> str:
@@ -135,9 +127,10 @@ def _add_curve(rows: np.ndarray, difficulties: np.ndarray, slot: int, blocks: in
 
 def gen_corpus(
     seed: int, count: int, dim: int, categories: list[str], noise: float = EMBEDDING_NOISE
-) -> list[SyntheticImage]:
+) -> list[ImageRecord]:
     """Seeded corpus: uniform difficulties, embeddings on the category's
-    difficulty curve plus small noise, renormalized to unit length.
+    difficulty curve plus small noise, renormalized to unit length. Each
+    record's meta holds its image's difficulty and canonical answer.
 
     Draws are per image in seed order (a uniform, then dim normals): numpy's
     normal sampler rejects and redraws, so one batched draw would change the
@@ -164,21 +157,21 @@ def gen_corpus(
         _add_curve(vecs[slot::ncat], difficulties[slot::ncat], slot, blocks)
     # math.sqrt(row.dot(row)) is exactly np.linalg.norm of a 1-D row.
     vecs /= np.array([math.sqrt(row.dot(row)) for row in vecs])[:, None]
-    images = []
+    records = []
     for i, (vec, difficulty) in enumerate(zip(vecs, difficulties.tolist())):
         category = categories[i % ncat]
         image_id = f"{category}-{i:06d}"
-        answer = canonical_answer(image_id)
-        record = ImageRecord(
-            id=image_id,
-            embedding=vec,
-            category=category,
-            uri=f"synth://{image_id}",
-            source="synthetic",
-            meta={"difficulty": difficulty, "answer": answer},
+        records.append(
+            ImageRecord(
+                id=image_id,
+                embedding=vec,
+                category=category,
+                uri=f"synth://{image_id}",
+                source="synthetic",
+                meta={"difficulty": difficulty, "answer": canonical_answer(image_id)},
+            )
         )
-        images.append(SyntheticImage(record=record, difficulty=difficulty, answer=answer))
-    return images
+    return records
 
 
 @dataclass(frozen=True)
@@ -191,23 +184,19 @@ class QueryTemplate:
 
 
 class SyntheticWorld:
-    """Immutable world: corpus, flat index, and the query-template table."""
+    """Immutable world: corpus, flat index, and the query-template table. It
+    is also the engine's query embedder: embed is embed_query."""
 
     def __init__(
         self,
-        images: list[SyntheticImage],
+        records: list[ImageRecord],
         categories: list[str],
         dim: int,
         bands_per_category: int = BANDS_PER_CATEGORY,
     ):
-        self.images = images
         self.categories = list(categories)
-        self.dim = dim
-        manifest = IndexManifest(
-            dimension=dim, records=[img.record for img in images]
-        )
-        self.index = EmbeddingIndex(manifest)
-        self._by_id = {img.record.id: img for img in images}
+        self.dimension = dim
+        self.index = EmbeddingIndex(IndexManifest(dimension=dim, records=records))
         blocks = _curve_blocks(dim, len(self.categories))
         difficulties = [(band + 0.5) / bands_per_category for band in range(bands_per_category)]
         embeddings = np.zeros((len(self.categories), bands_per_category, dim))
@@ -237,11 +226,8 @@ class SyntheticWorld:
         categories: list[str],
         bands_per_category: int = BANDS_PER_CATEGORY,
     ) -> "SyntheticWorld":
-        images = gen_corpus(seed, count, dim, list(categories))
-        return cls(images, list(categories), dim, bands_per_category)
-
-    def image(self, image_id: str) -> SyntheticImage:
-        return self._by_id[image_id]
+        records = gen_corpus(seed, count, dim, list(categories))
+        return cls(records, list(categories), dim, bands_per_category)
 
     def template_indices(self, category: str) -> list[int]:
         return [t.index for t in self.templates if t.category == category]
@@ -254,36 +240,28 @@ class SyntheticWorld:
             return template.embedding
         digest = hashlib.sha256(text.strip().encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        vec = rng.normal(size=self.dim)
+        vec = rng.normal(size=self.dimension)
         return vec / np.linalg.norm(vec)
 
-
-class WorldQueryEmbedder:
-    """Embedding-backend adapter over SyntheticWorld.embed_query."""
-
-    def __init__(self, world: SyntheticWorld):
-        self._world = world
-        self.dimension = world.dim
-
-    def embed(self, text: str) -> np.ndarray:
-        return self._world.embed_query(text)
+    embed = embed_query
 
 
 def synthetic_solve(
-    solver: SyntheticSolver,
-    image: SyntheticImage,
+    skill: float,
+    image: ImageRecord,
     rng: np.random.Generator,
     delta: float = 0.0,
 ) -> str:
     """One boxed rollout answer: the canonical answer with probability p, else
     a seeded distractor from the same answer pool."""
-    p = solve_probability(solver, image.difficulty + delta)
+    canonical = image.meta["answer"]
+    p = solve_probability(skill, image.meta["difficulty"] + delta)
     if rng.random() < p:
-        answer = image.answer
+        answer = canonical
     else:
         while True:
             answer = str(int(rng.integers(11, 100)))
-            if answer != image.answer:
+            if answer != canonical:
                 break
     return f"Reading the figure, the value resolves to \\boxed{{{answer}}}."
 

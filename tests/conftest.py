@@ -104,11 +104,11 @@ class ScriptedEmbeddingBackend:
         return vec / np.linalg.norm(vec)
 
 
-def neutral_probe(image, rng) -> Sample:
-    """Stand-in for the questioner's probe: one fixed question without a
-    marker word, so question_delta is 0 and every image is probed at its own
-    difficulty."""
-    return Sample(text="<question>What value does the figure report?</question>")
+def neutral_sample(image, g, rng) -> list[Sample]:
+    """Stand-in for the questioner's sample in stage 1: one fixed question
+    without a marker word, so question_delta is 0 and every image is probed at
+    its own difficulty."""
+    return [Sample(text="<question>What value does the figure report?</question>")] * g
 
 
 def stage1_stats(engine, steps: int, seed: int) -> list[dict]:
@@ -156,7 +156,7 @@ def selected_difficulties(
         for a in actions:
             template = world.templates[indices[a]]
             record, _ = world.index.retrieve(template.embedding, 1)[0]
-            out.append(world.image(record.id).difficulty)
+            out.append(record.meta["difficulty"])
     return out
 
 

@@ -23,7 +23,7 @@ from triplay.grpo import domain_advantages, gradient_check, group_advantages
 from triplay.orchestrator import build_engine, consensus_histogram, read_jsonl
 from triplay.rewards import challenge_reward, difficulty_filter
 
-from conftest import Stopped, end_run_after, neutral_probe, random_active, stage1_stats
+from conftest import Stopped, end_run_after, neutral_sample, random_active, stage1_stats
 
 
 @contextmanager
@@ -72,13 +72,17 @@ def trained_pipeline():
     engine = build_engine(cfg)
     baseline_engine = build_engine(cfg)
     for e in (engine, baseline_engine):
-        e.questioner.probe = neutral_probe
+        e.questioner.sample = neutral_sample
     # The untrained baseline samples from its initial policy throughout.
     baseline_engine.searcher.apply = lambda groups: None
     start = time.perf_counter()
     trained_stats = stage1_stats(engine, steps=200, seed=11)
     baseline_stats = stage1_stats(baseline_engine, steps=200, seed=11)
     elapsed = time.perf_counter() - start
+    # Neutral questions stand in for stage 1's probes only: the training set
+    # of criterion 9 asks the trained engine's own questioner.
+    for e in (engine, baseline_engine):
+        del e.questioner.sample
     return SimpleNamespace(
         engine=engine,
         trained=trained_stats,

@@ -274,6 +274,33 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not (run_dir / "cycle1" / "d_active.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "skill", [float("nan"), float("inf"), float("-inf"), True, "0.5"],
+        ids=("nan", "inf", "minus_inf", "true", "string"),
+    )
+    def test_journal_skill_that_is_not_a_finite_number_exits_one(
+        self, tmp_path, capsys, monkeypatch, skill
+    ):
+        # Unchecked, a NaN or infinite skill resumed with exit 0 and solved
+        # every later question with probability NaN, 0 or 1.
+        run_dir = tmp_path / "run"
+        argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
+        end_run_after(monkeypatch, "cycle1:stage1")
+        with pytest.raises(Stopped):
+            main(argv)
+        journal = run_dir / "journal.json"
+        entries = json.loads(journal.read_text())["entries"]
+        entries[-1]["state"]["solver"]["skill"] = skill
+        journal.write_text(json.dumps({"entries": entries}))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"error[ManifestError]: {journal}: the last entry's state does not fit this engine"
+        )
+        assert "skill must be a finite number" in err
+        assert err.count("\n") == 1
+
     def test_resume_under_changed_config_refused(self, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
         argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS

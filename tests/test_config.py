@@ -24,7 +24,12 @@ from triplay.config import (
 from triplay.errors import ConfigError
 from triplay.grpo import CLIP_EPSILON
 from triplay.orchestrator import SOLVER_GAIN, TOY_LEARNING_RATE
-from triplay.synthetic_world import BANDS_PER_CATEGORY, EMBEDDING_NOISE, SyntheticSolver
+from triplay.synthetic_world import (
+    BANDS_PER_CATEGORY,
+    EMBEDDING_NOISE,
+    INITIAL_SKILL,
+    SOLVER_TEMPERATURE,
+)
 
 REMOTE = {
     "mode": "remote",
@@ -80,8 +85,7 @@ class TestDefaults:
         assert TOY_LEARNING_RATE == 0.35
         assert SOLVER_GAIN == 0.02
         assert (BANDS_PER_CATEGORY, EMBEDDING_NOISE) == (16, 0.02)
-        solver = SyntheticSolver()
-        assert (solver.skill, solver.noise_temperature) == (0.5, 0.15)
+        assert (INITIAL_SKILL, SOLVER_TEMPERATURE) == (0.5, 0.15)
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 from collections import Counter
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from triplay.orchestrator import (
     run,
     stage_seed,
 )
-from triplay.synthetic_world import QUESTION_FORMS, SyntheticSolver
+from triplay.synthetic_world import INITIAL_SKILL, QUESTION_FORMS
 
 SMALL_WORLD = WorldConfig(count=600, dim=32)
 
@@ -153,7 +154,7 @@ class TestStage1FailurePaths:
     def test_unparsable_probes_keep_query_and_image(self, tmp_path):
         cfg = small_cfg(tmp_path, group_size=4)
         engine = build_engine(cfg)
-        engine.questioner.probe = lambda image, rng: Sample(text="no question tag")
+        engine.questioner.sample = lambda image, g, rng: [Sample(text="no question tag")] * g
         result = engine.stage1_step(0, np.random.default_rng(6))
         assert len(result.rows) == 4 * len(cfg.iteration.domains)
         for row in result.rows:
@@ -162,6 +163,23 @@ class TestStage1FailurePaths:
             assert row["image_id"] == record.id
             assert row["acc"] is None
             assert row["r_final"] == 0.0
+
+    def test_empty_probe_question_is_dropped(self, tmp_path, caplog):
+        # Stage 1 drops an empty probe question, as stage 2 and the training set do.
+        cfg = small_cfg(tmp_path, group_size=4)
+        engine = build_engine(cfg)
+        engine.questioner.sample = lambda image, g, rng: [
+            Sample(text="<question> </question>")
+        ] * g
+        with caplog.at_level(logging.WARNING, logger="triplay.orchestrator"):
+            result = engine.stage1_step(0, np.random.default_rng(6))
+        assert len(result.rows) == 4 * len(cfg.iteration.domains)
+        for row in result.rows:
+            assert row["query"] and row["image_id"]
+            assert row["acc"] is None
+            assert row["r_final"] == 0.0
+        dropped = [m for m in caplog.messages if "probe question unparsable" in m]
+        assert len(dropped) == len(result.rows) * cfg.iteration.probe_questions_per_image
 
 
 class TestBuildActive:
@@ -355,7 +373,7 @@ class TestStage2:
         d_active = engine.build_active_dataset(np.random.default_rng(13))
 
         image_id = d_active[0]["image_id"]
-        answer = engine.world.image(image_id).answer
+        answer = engine.index.get(image_id).meta["answer"]
         raw = (
             f"<think>a</think>\n<type>numeric_value</type>\n"
             f"<question>State directly the measurement encoded by the figure.</question>\n"
@@ -365,9 +383,6 @@ class TestStage2:
         class OneQuestionStub(StubSearcher):
             def sample(self, image, g, rng):
                 return [Sample(text=raw)] * g
-
-            def probe(self, image, rng):
-                return Sample(text=raw)
 
             def apply(self, groups):
                 pass
@@ -731,7 +746,7 @@ class TestKeptDistribution:
 
     def test_questioner_draws_equal_fresh_choice(self, engine):
         questioner = engine.questioner
-        image = engine.world.images[0].record
+        image = engine.index.records[0]
         draw = functools.partial(questioner.sample, image, 3)
         self.assert_draws_fresh(questioner, image.category, draw)
         logits = np.linspace(-1.0, 1.0, len(questioner.logits))
@@ -765,7 +780,7 @@ class TestBatchReplay:
         searcher = np.zeros(len(world.templates))
         questioner = np.zeros(len(QUESTION_FORMS))
         all_forms = np.arange(len(QUESTION_FORMS))
-        initial_skill = skill = SyntheticSolver().skill
+        initial_skill = skill = INITIAL_SKILL
         for cycle in (1, 2):
             cycle_dir = run_dir / f"cycle{cycle}"
             replay_policy(searcher, cycle_dir / "searcher_batches.jsonl", world.template_indices)

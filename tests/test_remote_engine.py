@@ -142,7 +142,7 @@ def manifest_path(tmp_path_factory):
     )
     path = tmp_path_factory.mktemp("remote") / "corpus.jsonl"
     save_manifest(
-        IndexManifest(dimension=16, records=[img.record for img in world.images]), path
+        IndexManifest(dimension=16, records=world.index.records), path
     )
     return str(path)
 

@@ -14,8 +14,8 @@ from triplay.orchestrator import build_engine
 from triplay.rewards import probe_from_answers
 from triplay.synthetic_world import (
     FREQUENCIES,
+    INITIAL_SKILL,
     QUESTION_FORMS,
-    SyntheticSolver,
     SyntheticWorld,
     canonical_answer,
     gen_corpus,
@@ -28,7 +28,7 @@ from triplay.synthetic_world import (
 from conftest import (
     cosine_similarity,
     ks_statistic_uniform,
-    neutral_probe,
+    neutral_sample,
     selected_difficulties,
     stage1_stats,
 )
@@ -45,31 +45,29 @@ class TestGenCorpus:
     def test_deterministic(self):
         a = gen_corpus(3, 50, 16, CATEGORIES)
         b = gen_corpus(3, 50, 16, CATEGORIES)
-        assert [img.record.id for img in a] == [img.record.id for img in b]
-        np.testing.assert_array_equal(a[17].record.embedding, b[17].record.embedding)
-        assert a[17].difficulty == b[17].difficulty
+        assert [r.id for r in a] == [r.id for r in b]
+        np.testing.assert_array_equal(a[17].embedding, b[17].embedding)
+        assert a[17].meta == b[17].meta
 
     def test_difficulty_mean(self):
-        images = gen_corpus(5, 1000, 16, CATEGORIES)
-        mean = np.mean([img.difficulty for img in images])
+        records = gen_corpus(5, 1000, 16, CATEGORIES)
+        mean = np.mean([r.meta["difficulty"] for r in records])
         assert mean == pytest.approx(0.5, abs=0.05)
 
     def test_unit_embeddings(self):
-        for img in gen_corpus(1, 20, 16, CATEGORIES):
-            assert np.linalg.norm(img.record.embedding) == pytest.approx(1.0)
+        for record in gen_corpus(1, 20, 16, CATEGORIES):
+            assert np.linalg.norm(record.embedding) == pytest.approx(1.0)
 
     def test_nearby_difficulty_nearby_embedding(self):
         # Same-category pairs: |delta difficulty| 0.01 must beat 0.9 on cosine.
         rng = np.random.default_rng(2)
-        images = gen_corpus(11, 4000, 32, CATEGORIES)
-        by_cat = [img for img in images if img.record.category == "charts"]
+        records = gen_corpus(11, 4000, 32, CATEGORIES)
+        by_cat = [r for r in records if r.category == "charts"]
         close_sims, far_sims = [], []
         for _ in range(200):
             a, b = rng.choice(len(by_cat), size=2, replace=False)
-            gap = abs(by_cat[a].difficulty - by_cat[b].difficulty)
-            sim = cosine_similarity(
-                by_cat[a].record.embedding, by_cat[b].record.embedding
-            )
+            gap = abs(by_cat[a].meta["difficulty"] - by_cat[b].meta["difficulty"])
+            sim = cosine_similarity(by_cat[a].embedding, by_cat[b].embedding)
             if gap < 0.02:
                 close_sims.append(sim)
             elif gap > 0.85:
@@ -78,19 +76,21 @@ class TestGenCorpus:
         assert min(close_sims) > max(far_sims)
 
     def test_cross_category_orthogonal_up_to_noise(self):
-        images = gen_corpus(13, 100, 32, CATEGORIES)
-        a = next(i for i in images if i.record.category == "charts")
-        b = next(i for i in images if i.record.category == "maps")
-        assert abs(cosine_similarity(a.record.embedding, b.record.embedding)) < 0.15
+        records = gen_corpus(13, 100, 32, CATEGORIES)
+        a = next(r for r in records if r.category == "charts")
+        b = next(r for r in records if r.category == "maps")
+        assert abs(cosine_similarity(a.embedding, b.embedding)) < 0.15
 
     def test_meta_carries_latents(self):
-        img = gen_corpus(1, 4, 16, CATEGORIES)[0]
-        assert img.record.meta["difficulty"] == img.difficulty
-        assert img.record.meta["answer"] == img.answer
+        # A synthetic image is its record: the meta is where its latents live.
+        for record in gen_corpus(1, 40, 16, CATEGORIES):
+            assert set(record.meta) == {"difficulty", "answer"}
+            assert type(record.meta["difficulty"]) is float
+            assert 0.0 <= record.meta["difficulty"] < 1.0
 
     def test_answer_is_canonical(self):
-        for img in gen_corpus(3, 40, 16, CATEGORIES):
-            assert img.answer == img.record.meta["answer"] == canonical_answer(img.record.id)
+        for record in gen_corpus(3, 40, 16, CATEGORIES):
+            assert record.meta["answer"] == canonical_answer(record.id)
 
 
 
@@ -145,15 +145,15 @@ class TestBatchedBuildMatchesPerImage:
             with pytest.raises(ConfigError, match=re.escape(str(exc))):
                 gen_corpus(seed, count, dim, categories, noise=noise)
             return
-        images = gen_corpus(seed, count, dim, categories, noise=noise)
-        assert len(images) == len(want)
-        for img, (image_id, vec, difficulty, answer) in zip(images, want):
-            assert img.record.id == image_id
-            assert img.record.embedding.tobytes() == vec.tobytes()
-            assert img.difficulty == img.record.meta["difficulty"] == difficulty
-            assert type(img.difficulty) is float
-            assert img.answer == img.record.meta["answer"] == answer
-        world = SyntheticWorld(images, categories, dim, bands_per_category=5)
+        records = gen_corpus(seed, count, dim, categories, noise=noise)
+        assert len(records) == len(want)
+        for record, (image_id, vec, difficulty, answer) in zip(records, want):
+            assert record.id == image_id
+            assert record.embedding.tobytes() == vec.tobytes()
+            assert record.meta["difficulty"] == difficulty
+            assert type(record.meta["difficulty"]) is float
+            assert record.meta["answer"] == answer
+        world = SyntheticWorld(records, categories, dim, bands_per_category=5)
         for t in world.templates:
             direction = reference_direction(categories, t.category, t.difficulty, dim)
             assert t.embedding.tobytes() == direction.tobytes()
@@ -165,43 +165,41 @@ class TestBatchedBuildMatchesPerImage:
 
 class TestSolver:
     def test_easy_image_high_skill(self):
-        solver = SyntheticSolver(skill=5.0, noise_temperature=1.0)
-        assert solve_probability(solver, 0.0) > 0.99
+        assert solve_probability(5.0, 0.0) > 0.99
 
     def test_skill_equals_difficulty_is_half(self):
-        solver = SyntheticSolver(skill=0.37)
-        assert solve_probability(solver, 0.37) == 0.5
+        assert solve_probability(0.37, 0.37) == 0.5
 
     def test_deterministic_with_fixed_rng(self, world):
-        solver = SyntheticSolver()
-        image = world.images[0]
-        a = synthetic_solve(solver, image, np.random.default_rng(9))
-        b = synthetic_solve(solver, image, np.random.default_rng(9))
+        image = world.index.records[0]
+        a = synthetic_solve(INITIAL_SKILL, image, np.random.default_rng(9))
+        b = synthetic_solve(INITIAL_SKILL, image, np.random.default_rng(9))
         assert a == b
         assert "\\boxed{" in a
 
     def test_monte_carlo_matches_logistic(self, world):
-        solver = SyntheticSolver(skill=0.5, noise_temperature=0.15)
-        image = next(i for i in world.images if 0.4 < i.difficulty < 0.45)
+        image = next(r for r in world.index.records if 0.4 < r.meta["difficulty"] < 0.45)
         rng = np.random.default_rng(21)
         hits = sum(
-            image.answer in synthetic_solve(solver, image, rng) for _ in range(2000)
+            image.meta["answer"] in synthetic_solve(INITIAL_SKILL, image, rng)
+            for _ in range(2000)
         )
-        p = solve_probability(solver, image.difficulty)
+        p = solve_probability(INITIAL_SKILL, image.meta["difficulty"])
         se = (p * (1 - p) / 2000) ** 0.5
         assert hits / 2000 == pytest.approx(p, abs=4 * se)
 
     def test_probe_converges_to_logistic(self, world):
         # Large-m probe: voted accuracy approaches the analytic solve rate.
-        solver = SyntheticSolver(skill=0.5, noise_temperature=0.15)
-        image = next(i for i in world.images if 0.45 < i.difficulty < 0.55)
+        image = next(r for r in world.index.records if 0.45 < r.meta["difficulty"] < 0.55)
         rng = np.random.default_rng(5)
-        answers = [extract_boxed(synthetic_solve(solver, image, rng)) for _ in range(1000)]
+        answers = [
+            extract_boxed(synthetic_solve(INITIAL_SKILL, image, rng)) for _ in range(1000)
+        ]
         probe = probe_from_answers(answers, ExactNormalizedJudge())
-        p = solve_probability(solver, image.difficulty)
+        p = solve_probability(INITIAL_SKILL, image.meta["difficulty"])
         se = (p * (1 - p) / 1000) ** 0.5
         assert probe.accuracy == pytest.approx(p, abs=3 * se)
-        assert probe.vote.label == image.answer
+        assert probe.vote.label == image.meta["answer"]
 
     def test_question_delta_markers(self):
         for marker, delta, question in QUESTION_FORMS:
@@ -234,9 +232,8 @@ class TestWorldStructure:
     def test_retrieval_targets_band_difficulty(self, world):
         for template in world.templates[::9]:
             record, _ = world.index.retrieve(template.embedding, 1)[0]
-            image = world.image(record.id)
-            assert image.record.category == template.category
-            assert abs(image.difficulty - template.difficulty) < 0.1
+            assert record.category == template.category
+            assert abs(record.meta["difficulty"] - template.difficulty) < 0.1
 
     def test_embed_query_known_and_unknown(self, world):
         template = world.templates[3]
@@ -254,7 +251,7 @@ def stage1_engine():
     engine = build_engine(
         RunConfig(seed=7, mode="synthetic", world=WorldConfig(count=2000, dim=32))
     )
-    engine.questioner.probe = neutral_probe
+    engine.questioner.sample = neutral_sample
     return engine
 
 

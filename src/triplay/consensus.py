@@ -7,9 +7,8 @@ it is asked). The function is pure over an immutable str, so the memo cannot
 change a result or carry state between runs, and lru_cache is safe to share
 between threads.
 
-majority_vote groups the distinct answers in one pass when the judge has a
-key (ExactNormalizedJudge: normalize_answer), and closes the pairwise judge
-otherwise (RemoteJudge), so only a remote vote costs a call per pair.
+majority_vote groups answers by key under ExactNormalizedJudge, and asks a
+RemoteJudge about one representative per class: only a remote vote costs calls.
 
 A RemoteJudge sends one request per question and pair of normalized
 answers, in sorted order. Its verdicts live in a VerdictMemo, which an Engine
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .backends import JUDGE_SYSTEM_MESSAGE, GenerationRequest, render_prompt
-from .diversity import components
 from .errors import EmptyAnswers, JudgeFailure
 
 _BOX = "\\boxed{"
@@ -150,7 +148,7 @@ def remote_judge(backend, question: str, gold: str, pred: str) -> bool:
     return verdict
 
 
-# Entry bound of a VerdictMemo, well above the 1.5k keys that one run of the
+# Entry bound of a VerdictMemo, well above the 1.1k keys that one run of the
 # benchmark's remote_cycle workload ends with (seed 7).
 _VERDICT_MEMO_SIZE = 16384
 
@@ -241,19 +239,18 @@ class ConsensusResult:
 
 
 def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
-    """Group answers into equivalence classes (diversity.components, the
-    closure of the pairwise judge) and pick the largest class.
+    """Group answers into equivalence classes and pick the largest class.
 
-    The judge must be reflexive, as both shipped judges are: equal strings
-    always share a class. So the closure runs over the distinct answer
-    strings in first-seen order, and each class counts every copy of its
-    members. That is the closure over all answers, and it asks the judge
-    about the same pairs in the same order, each once.
-
-    A judge with a key (ExactNormalizedJudge) is not asked at all: the
-    distinct answers are grouped by key, each rooted at its key's first
-    index. Those are the roots components gives for it, in one pass instead
-    of a judge call per pair.
+    Each distinct answer string joins one class, which counts every copy of
+    it; the judge must be reflexive, as both shipped judges are. With a key
+    (ExactNormalizedJudge) an answer's class is its key, and the judge is
+    not asked. Without one (RemoteJudge) the answers go by count descending,
+    then normal form, then string, an order fixed by the multiset, and each
+    joins the first class whose representative the judge accepts, or starts
+    one it represents: at most (distinct - 1) x classes calls, the semantic
+    clustering rule of Kuhn et al. 2023 (arXiv:2302.09664). A transitive
+    judge gets its equivalence classes; under a non-transitive one an answer
+    linked to a class only through another member stays out of it.
 
     The label is the lexicographically smallest normalized member of the
     winning class; ties between equal-size classes go to the smaller label.
@@ -262,15 +259,13 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
         raise EmptyAnswers("majority vote needs at least one answer")
     counts = Counter(answers)
     distinct = list(counts)
+    classes: dict[object, list[str]] = {}
     key = getattr(judge, "key", None)
     if key is None:
-        roots = components(len(distinct), lambda i, j: judge.equivalent(distinct[i], distinct[j]))
-    else:
-        first: dict[str, int] = {}
-        roots = [first.setdefault(key(answer), i) for i, answer in enumerate(distinct)]
-    classes: dict[int, list[str]] = {}
-    for answer, root in zip(distinct, roots):
-        classes.setdefault(root, []).append(answer)
+        distinct.sort(key=lambda a: (-counts[a], normalize_answer(a), a))
+        key = lambda answer: next((rep for rep in classes if judge.equivalent(rep, answer)), answer)
+    for answer in distinct:
+        classes.setdefault(key(answer), []).append(answer)
     ranked = sorted(
         (
             (-sum(counts[m] for m in members), min(normalize_answer(m) for m in members))

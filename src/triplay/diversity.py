@@ -2,12 +2,12 @@
 threshold clustering, and the neighborhood-density repetition penalty.
 
 Text distance is 1 minus symmetrized BLEU; visual distance is 1 minus cosine,
-computed for a whole batch as one product of its unit embeddings.
-A batch is clustered per modality by components, the union-find that
-consensus.majority_vote shares, under the predicate "distance <= tau" (single
-linkage, inclusive boundary). Each item is penalized by the relative size of
-its text and visual clusters. components does not ask about a pair already
-joined, so a batch of near-duplicates needs fewer text distances than pairs.
+computed for a whole batch as one product of its unit embeddings. A batch
+is clustered per modality by components, a union-find, under the predicate
+"distance <= tau" (single linkage, inclusive boundary). Each item is
+penalized by the relative size of its text and visual clusters. components
+does not ask about a pair already joined, so a batch of near-duplicates
+needs fewer text distances than pairs.
 
 The penalties take the text distance as an argument. A caller that scores the
 same texts batch after batch passes memoized_text_distance, which computes

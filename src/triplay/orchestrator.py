@@ -40,6 +40,7 @@ import json
 import logging
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -822,6 +823,10 @@ class Journal:
         self.entries.append(entry)
 
 
+# config.json's top-level run_dir line: where a run lives, not how it runs.
+_RUN_DIR_LINE = re.compile(r'^  "run_dir": .*$', re.MULTILINE)
+
+
 def _run_steps(steps: int, step_fn, *args) -> tuple[list[dict], list[BatchRecord]]:
     """Call step_fn(step, *args) for each step; concatenated rows and batches."""
     rows: list[dict] = []
@@ -839,9 +844,9 @@ def run(cfg: RunConfig) -> dict:
 
     The engine is built before the run directory is made, so a config it
     refuses leaves no directory behind. config.json is written only while
-    the journal is empty. A run directory with journal entries is resumed
-    only under the config it was started with; any other config raises
-    ConfigError.
+    the journal is empty. A run with journal entries resumes only under the
+    config it started with, run_dir aside, so a copied or moved run resumes;
+    any other config raises ConfigError.
     """
     cfg = validate_config(cfg)
     run_dir = resolve_run_dir(cfg)
@@ -852,7 +857,7 @@ def run(cfg: RunConfig) -> dict:
     journal = Journal(run_dir / "journal.json")
     if not journal.entries:
         config_path.write_text(config_text)
-    elif config_path.read_text() != config_text:
+    elif _RUN_DIR_LINE.sub("", config_path.read_text()) != _RUN_DIR_LINE.sub("", config_text):
         raise ConfigError(
             f"{run_dir} holds a run started under a different config; resume it "
             f"with that config or choose another run directory"

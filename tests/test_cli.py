@@ -1,5 +1,6 @@
 import json
 import logging
+import shutil
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from triplay import orchestrator
 from triplay.cli import RUN_FLAGS, main
 from triplay.orchestrator import Sample, SyntheticSearcherRole, read_jsonl
 
-from conftest import Stopped, end_run_after
+from conftest import Stopped, assert_same_artifacts, end_run_after
 
 
 def run_cli(capsys, argv):
@@ -314,6 +315,40 @@ class TestRunCommand:
         assert str(run_dir) in err
         assert (run_dir / "config.json").read_bytes() == config_before
         assert not (run_dir / "cycle1" / "d_active.jsonl").exists()
+
+    def test_copied_run_directory_resumes_byte_identical(self, tmp_path, capsys, monkeypatch):
+        # config.json records run_dir, which says where a run lives, not how
+        # it runs; a copied run directory used to be refused for it.
+        args = RUN_ARGS + ["--seed", "7"]
+        whole, stopped, copy = tmp_path / "whole", tmp_path / "stopped", tmp_path / "copy"
+        assert run_cli(capsys, ["run", "--run-dir", str(whole)] + args)[0] == 0
+        end_run_after(monkeypatch, "cycle1:build_training")
+        with pytest.raises(Stopped):
+            main(["run", "--run-dir", str(stopped)] + args)
+        shutil.copytree(stopped, copy)
+        changed = ["run", "--run-dir", str(copy)] + args + ["--group-size", "4"]
+        code, _, err = run_cli(capsys, changed)
+        assert code == 1
+        assert err.startswith(f"error[ConfigError]: {copy} holds a run started under")
+        assert not (copy / "cycle1" / "solver_steps.jsonl").exists()
+        assert run_cli(capsys, ["run", "--run-dir", str(copy)] + args)[0] == 0
+        assert_same_artifacts(whole, copy)
+        assert (copy / "config.json").read_bytes() == (stopped / "config.json").read_bytes()
+
+    @pytest.mark.parametrize("content", ["garbage", "[1]"], ids=("not_json", "not_an_object"))
+    def test_resume_under_unreadable_config_json_refused(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        run_dir = tmp_path / "run"
+        argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
+        end_run_after(monkeypatch, "cycle1:stage1")
+        with pytest.raises(Stopped):
+            main(argv)
+        (run_dir / "config.json").write_text(content)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[ConfigError]: {run_dir} holds a run started under")
+        assert (run_dir / "config.json").read_text() == content
 
     def test_every_run_flag_sets_its_config_value(self, monkeypatch, capsys):
         runs = []

@@ -22,7 +22,6 @@ from triplay.consensus import (
     normalize_answer,
     remote_judge,
 )
-from triplay.diversity import components
 from triplay.errors import EmptyAnswers, JudgeFailure, Transport
 from triplay.rewards import probe_from_answers
 
@@ -228,8 +227,8 @@ class TestMajorityVote:
 
 
 class KeylessJudge:
-    """ExactNormalizedJudge without its key, so majority_vote closes it
-    pairwise through components."""
+    """ExactNormalizedJudge without its key, so majority_vote asks it by the
+    representative rule."""
 
     def equivalent(self, a: str, b: str) -> bool:
         return normalize_answer(a) == normalize_answer(b)
@@ -280,15 +279,18 @@ class TestKeyedVote:
         monkeypatch.setattr(ExactNormalizedJudge, "equivalent", unasked)
         probe = probe_from_answers(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
         assert probe.accuracy == probe.vote.score == 3 / 5
-        # "five" joins the label "4" through "5", so the vote never asks that
-        # pair; a recount against the label would.
+        # "4", the most frequent answer, represents the first class. "five"
+        # is asked against it directly, not joined to it through "5", and
+        # the probe asks nothing beyond its vote's three requests.
         answers = ["5", "4", "five", "4", "7"]
         vote_backend, probe_backend = CountingJudgeBackend(), CountingJudgeBackend()
         vote = majority_vote(answers, RemoteJudge(vote_backend, question="q"))
         probe = probe_from_answers(answers, RemoteJudge(probe_backend, question="q"))
         assert (probe.vote, probe.accuracy) == (vote, 4 / 5)
-        assert ("4", "five") not in probe_backend.asked
-        assert probe_backend.asked == vote_backend.asked
+        assert (vote.label, vote.class_sizes) == ("4", (4, 1))
+        assert probe_backend.asked == vote_backend.asked == Counter(
+            {("4", "5"): 1, ("4", "7"): 1, ("4", "five"): 1}
+        )
 
 
 class SeededJudge:
@@ -321,46 +323,98 @@ def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], flo
             for j in range(k):
                 if linked[i][j] and cls[j] < cls[i]:
                     cls[i], changed = cls[j], True
+    return ranked_vote(answers, cls)
+
+
+def ranked_vote(answers: list[str], cls: list[int]) -> tuple[str, tuple[int, ...], float, float]:
+    """(label, class sizes, score, accuracy) of answers whose class ids are cls."""
     groups: dict[int, list[str]] = {}
     for answer, c in zip(answers, cls):
         groups.setdefault(c, []).append(answer)
     ranked = sorted((-len(m), min(normalize_answer(a) for a in m)) for m in groups.values())
     label = ranked[0][1]
     sizes = tuple(sorted((len(m) for m in groups.values()), reverse=True))
-    score = -ranked[0][0] / k
+    score = -ranked[0][0] / len(answers)
     return label, sizes, score, score if label else 0.0
 
 
-def first_asked_pairs(calls: list[tuple[str, str]]) -> list[frozenset[str]]:
-    """Unordered pairs of distinct strings in the order first asked: the
-    verdict keys a RemoteJudge would send."""
-    return list(dict.fromkeys(frozenset(c) for c in calls if c[0] != c[1]))
+def canonical_order(answers: list[str]) -> list[str]:
+    """The distinct answers by count descending, then normal form, then string."""
+    counts = Counter(answers)
+    return sorted(counts, key=lambda a: (-counts[a], normalize_answer(a), a))
+
+
+def representatives_of(answers: list[str], judge) -> list[int]:
+    """Brute-force representative rule over all K answers, copies included:
+    with the full K x K verdict matrix asked up front, each answer in
+    canonical order takes the class of the first representative it is
+    linked to, or becomes one. The class id of each answer, by index."""
+    k = len(answers)
+    linked = [[judge.equivalent(a, b) for b in answers] for a in answers]
+    rank = {a: r for r, a in enumerate(canonical_order(answers))}
+    reps: list[int] = []
+    cls = [-1] * k
+    for i in sorted(range(k), key=lambda i: rank[answers[i]]):
+        cls[i] = next((r for r in reps if linked[r][i]), i)
+        if cls[i] == i:
+            reps.append(i)
+    return cls
 
 
 VOTE_POOL = ["4", "four", " 4 ", "4.0", "5", "5.00", "five", "7", "seven", "x", ""]
+
+
+def numeral_value(answer: str):
+    """A numeral's value ("four", "IV" and "4" are 4), else value_key."""
+    text = normalize_answer(answer)
+    return _NUMERALS.get(text, value_key(text))
+
+
+class NumeralJudge:
+    """A transitive keyless judge that equates numerals of equal value."""
+
+    def equivalent(self, a: str, b: str) -> bool:
+        return numeral_value(a) == numeral_value(b)
 
 
 class TestVoteOverDistinctAnswers:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
     def test_matches_all_pairs_reference(self, answers, seed):
-        label, sizes, score, acc = all_pairs_vote(answers, SeededJudge(seed))
+        cls = representatives_of(answers, SeededJudge(seed))
+        label, sizes, score, acc = ranked_vote(answers, cls)
         vote = majority_vote(answers, SeededJudge(seed))
         assert (vote.label, vote.class_sizes, vote.score) == (label, sizes, score)
         probe = probe_from_answers(answers, SeededJudge(seed))
         assert probe.vote == vote
         assert probe.accuracy == acc
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(VOTE_POOL + ["IV", "VII", "1", "01"]), min_size=1, max_size=12))
+    def test_transitive_judges_match_the_closure(self, answers):
+        # For an equivalence relation the representative rule finds its
+        # classes, which are exactly the closure of all K x K verdicts.
+        for judge in (KeylessJudge(), ValueJudge(), NumeralJudge()):
+            label, sizes, score, acc = all_pairs_vote(answers, judge)
+            vote = majority_vote(answers, judge)
+            assert (vote.label, vote.class_sizes, vote.score) == (label, sizes, score)
+            assert probe_from_answers(answers, judge).accuracy == acc
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
     def test_asks_the_per_answer_keys_once_each(self, answers, seed):
-        per_answer = SeededJudge(seed)
-        components(len(answers), lambda i, j: per_answer.equivalent(answers[i], answers[j]))
+        # Each (representative, answer) key is asked at most once, and only
+        # about representatives of the classes already there.
         judge = SeededJudge(seed)
         majority_vote(answers, judge)
-        assert all(a != b for a, b in judge.calls)
         assert len(set(map(frozenset, judge.calls))) == len(judge.calls)
-        assert first_asked_pairs(judge.calls) == first_asked_pairs(per_answer.calls)
+        reps = {answers[c] for c in representatives_of(answers, SeededJudge(seed))}
+        order = canonical_order(answers)
+        for position, answer in enumerate(order):
+            before = [rep for rep in order[:position] if rep in reps]
+            asked = [rep for rep, a in judge.calls if a == answer]
+            assert set(asked) <= set(before)
+            assert len(asked) <= len(before)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(alphabet=" .,+-0123456789aB", max_size=6), min_size=1, max_size=12))
@@ -458,6 +512,15 @@ class TestRemoteJudge:
         result = majority_vote(["4", "four", "5"], WordNumberJudge())
         assert result.score == pytest.approx(2 / 3)
         assert result.label == "4"
+
+    def test_non_transitive_judge_does_not_chain(self):
+        # "4" agrees with the representative "5", and "IV" agrees with "4"
+        # but not with "5". The closure of the pairwise verdicts would make
+        # one class of all four; "IV" is asked against "5" only.
+        backend = CountingJudgeBackend()
+        vote = majority_vote(["5", "5", "4", "IV"], RemoteJudge(backend, question="q"))
+        assert (vote.label, vote.class_sizes, vote.score) == ("4", (3, 1), 3 / 4)
+        assert backend.asked == Counter({("4", "5"): 1, ("5", "iv"): 1})
 
     def test_consensus_result_type(self):
         result = majority_vote(["x"], ExactNormalizedJudge())

@@ -516,13 +516,15 @@ class RecordingTransport:
 # domain (so the active set's searcher requests split 16 + 4). A change to
 # the bytes of any prompt or payload changes these. The judge's 30 bodies
 # are distinct: the engine's verdict memo sends each payload once per run,
-# and each pair of normalized answers is asked in one order only.
+# and each pair of normalized answers is asked in one order only. The
+# judge's verdicts are not transitive, so the vote's class rule decides which
+# items reach d_train_star, and with them stage 3's solver bodies.
 PAYLOAD_GOLDEN = {
     "embed": (46, "55bbd88a08e355495b0c484f0796ad4defdacdc667d0f040d93d11faddcfd17a"),
     "judge": (30, "5a8bbd3c99dc6217c0025e2f3e339b63175a8088b9055c7ce1e37f3d3faa7975"),
     "questioner": (77, "3339c7bb816547457ae86d7cc9d0c07aee7cdeb7fdf3c5628b86636b3f670784"),
     "searcher": (12, "d920a7964d464b835a86e57ed5e3b93159ba75e15e3b3226fc24ec8e2a8e71a8"),
-    "solver": (109, "2de4186860a78a70487d442786c6beab2cdfff4c14335bf13db418583687a114"),
+    "solver": (109, "ea2e43b4c6d0818e530ca108912e0b5c5b526b6958c43f7e5dda27e0841de57d"),
 }
 
 

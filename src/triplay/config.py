@@ -41,9 +41,6 @@ class IterationConfig:
     questioner_steps: int = 10
     solver_steps: int = 30
     cycles: int = 3
-    probe_questions_per_image: int = 1
-    stage2_images_per_step: int = 4
-    stage3_items_per_step: int = 4
 
 
 @dataclass
@@ -76,7 +73,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             f"difficulty window is inverted or out of range: "
             f"tau_low={it.tau_low}, tau_high={it.tau_high} (need 0 <= low < high <= 1)"
         )
-    if it.tau_txt < 0 or it.tau_vis < 0:
+    # NaN (JSON parses it) fails every ordered comparison, so only this form refuses it.
+    if not (it.tau_txt >= 0 and it.tau_vis >= 0):
         raise ConfigError(
             f"clustering thresholds must be >= 0: tau_txt={it.tau_txt}, tau_vis={it.tau_vis}"
         )
@@ -88,9 +86,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         ("queries_per_iteration", 1),
         ("top_k", 1),
         ("cycles", 1),
-        ("probe_questions_per_image", 1),
-        ("stage2_images_per_step", 1),
-        ("stage3_items_per_step", 1),
         ("searcher_steps", 0),
         ("questioner_steps", 0),
         ("solver_steps", 0),

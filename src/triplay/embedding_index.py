@@ -181,6 +181,11 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return cols[rank < k].reshape(len(scores), k)
 
 
+def _norm_problem(norm: float) -> str:
+    """Why a vector of this norm does not normalize; only 0 < norm < inf does."""
+    return "all-zero embedding" if norm == 0.0 else f"embedding norm is {norm}, not finite"
+
+
 class EmbeddingIndex:
     """Immutable flat index over an IndexManifest; safe for concurrent reads."""
 
@@ -196,11 +201,13 @@ class EmbeddingIndex:
                     f"{rec.embedding.shape[0]}, index expects {manifest.dimension}"
                 )
         matrix = np.stack([r.embedding for r in records]) if records else np.zeros((0, manifest.dimension))
-        nonzero = matrix.any(axis=1)
-        if not nonzero.all():
-            first = records[int(np.argmin(nonzero))]
-            raise ZeroVector(f"record {first.id}: all-zero embedding")
-        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        norms = np.linalg.norm(matrix, axis=1)
+        # JSON parses NaN and Infinity, and a vector holding one scores NaN.
+        unnormalizable = ~((norms > 0.0) & (norms < np.inf))
+        if unnormalizable.any():
+            i = int(np.argmax(unnormalizable))
+            raise ZeroVector(f"record {records[i].id}: {_norm_problem(norms[i])}")
+        matrix /= norms[:, np.newaxis]
         self.dimension = manifest.dimension
         self._records = records
         self._by_id = {r.id: r for r in records}
@@ -223,8 +230,8 @@ class EmbeddingIndex:
                 f"query has dimension {q.shape}, index expects ({self.dimension},)"
             )
         norm = float(np.linalg.norm(q))
-        if norm == 0.0:
-            raise ZeroVector("query embedding is the zero vector")
+        if not 0.0 < norm < np.inf:
+            raise ZeroVector(f"query: {_norm_problem(norm)}")
         return q / norm
 
     def retrieve(self, query, k: int) -> list[tuple[ImageRecord, float]]:

@@ -29,10 +29,6 @@ class EmptyAnswers(EngineError):
     pass
 
 
-class EmptyProbes(EngineError):
-    pass
-
-
 class InvalidWindow(EngineError):
     pass
 

@@ -103,6 +103,16 @@ logger = logging.getLogger(__name__)
 
 VALID_QUESTION_TYPES = ("short_answer", "numeric_value")
 
+
+def _parse_question(text: str) -> tuple[str, str] | None:
+    """(question, type) of a questioner output with a nonempty question and
+    answer and a valid type, else None: every stage's one rule."""
+    question, qtype = extract_tagged(text, "question"), extract_tagged(text, "type")
+    if question and extract_tagged(text, "answer") and qtype in VALID_QUESTION_TYPES:
+        return question, qtype
+    return None
+
+
 # Entry bounds of each engine's memos: query text -> stage-1 top-1 hit, and
 # unordered text pair -> BLEU distance. Remote query text is unbounded, so
 # the memos evict least-recently-used entries past these sizes.
@@ -386,6 +396,11 @@ def _batch_records(stage: str, step: int, groups: list[Group]) -> list[BatchReco
     ]
 
 
+# At most this many active images per stage-2 step, and items per stage-3 step.
+STAGE2_IMAGES_PER_STEP = 4
+STAGE3_ITEMS_PER_STEP = 4
+
+
 class Engine:
     """Binds the three agent roles, the index, and the judge to one config."""
 
@@ -445,18 +460,13 @@ class Engine:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
 
-    def _probes(self, image: ImageRecord, rng: np.random.Generator) -> list[ProbeResult | None]:
-        """Stage 1's probe questions on an image, each scored by m rollouts;
-        None stands for an unparsable or empty probe question."""
-        it = self.cfg.iteration
-        probes = []
-        for _ in range(it.probe_questions_per_image):
-            sample = self.questioner.sample(image, 1, rng)[0]
-            question = extract_tagged(sample.text, "question")
-            probes.append(
-                self._score(image, question, it.probe_rollouts, rng) if question else None
-            )
-        return probes
+    def _probe(self, image: ImageRecord, rng: np.random.Generator) -> ProbeResult | None:
+        """Stage 1's probe of an image: one question, scored by m rollouts;
+        None when the questioner's output is not a well-formed question."""
+        parsed = _parse_question(self.questioner.sample(image, 1, rng)[0].text)
+        if parsed is None:
+            return None
+        return self._score(image, parsed[0], self.cfg.iteration.probe_rollouts, rng)
 
     def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
         """One searcher optimization step across every domain."""
@@ -473,11 +483,11 @@ class Engine:
             # and the embedding requests do not depend on the fan-out.
             queries = [extract_tagged(s.text, "query") for s in samples]
             records = [self._top1(q)[0] if q else None for q in queries]
-            scored = self._fan_out(
-                lambda record: self._probes(record, rng) if record is not None else [], records
+            probes = self._fan_out(
+                lambda record: self._probe(record, rng) if record is not None else None, records
             )
-            kept = []  # (row, image, probes)
-            for row, query, record, probes in zip(rows, queries, records, scored):
+            kept = []  # (row, image, probe)
+            for row, query, record, probe in zip(rows, queries, records, probes):
                 if record is None:
                     logger.warning(
                         "stage1 step %d domain %s: query tag missing, reward 0",
@@ -486,19 +496,17 @@ class Engine:
                     )
                     continue
                 row.update(query=query, image_id=record.id)
-                for _ in range(probes.count(None)):
+                if probe is None:
                     logger.warning("probe question unparsable for image %s", record.id)
-                probes = [p for p in probes if p is not None]
-                if probes:
-                    kept.append((row, record, probes))
+                else:
+                    kept.append((row, record, probe))
             if kept:
                 penalties = repetition_penalty(
                     [(row["query"], rec.embedding) for row, rec, _ in kept],
                     it.tau_txt, it.tau_vis, self._text_distance,
                 )
-                for (row, _, probes), penalty in zip(kept, penalties):
-                    acc = float(np.mean([p.accuracy for p in probes]))
-                    _record_reward(row, acc, uncertainty_reward(probes, penalty))
+                for (row, _, probe), penalty in zip(kept, penalties):
+                    _record_reward(row, probe.accuracy, uncertainty_reward(probe, penalty))
             result.rows += rows
             rewards = [row["r_final"] for row in rows]
             groups.append(Group(domain.category, domain.category, samples, rewards, []))
@@ -564,7 +572,7 @@ class Engine:
             raise EmptyIndex("stage2 requires a nonempty active dataset")
         result = StepResult(rows=[], batches=[])
         groups: list[Group] = []
-        n_images = min(it.stage2_images_per_step, len(d_active))
+        n_images = min(STAGE2_IMAGES_PER_STEP, len(d_active))
         picks = rng.choice(len(d_active), size=n_images, replace=False)
         for pick in picks:
             image_id = d_active[int(pick)]["image_id"]
@@ -572,16 +580,14 @@ class Engine:
             samples = self.questioner.sample(image, it.group_size, rng)
             rows = []
             for s in samples:
-                question = extract_tagged(s.text, "question")
-                qtype = extract_tagged(s.text, "type")
-                answer = extract_tagged(s.text, "answer")
-                if not question or not answer or qtype not in VALID_QUESTION_TYPES:
+                parsed = _parse_question(s.text)
+                if parsed is None:
                     logger.warning(
                         "stage2 step %d image %s: malformed question output, reward 0",
                         step,
                         image_id,
                     )
-                    question = None
+                question = parsed[0] if parsed else None
                 rows.append(dict(step=step, image_id=image_id, question=question, **_UNSCORED))
             kept = [row for row in rows if row["question"] is not None]
             if kept:
@@ -593,7 +599,7 @@ class Engine:
                     kept,
                 )
                 for row, probe, penalty in zip(kept, probes, penalties):
-                    _record_reward(row, probe.accuracy, uncertainty_reward([probe], penalty))
+                    _record_reward(row, probe.accuracy, uncertainty_reward(probe, penalty))
             finals = [row["r_final"] for row in rows]
             group = Group(
                 key=image_id,
@@ -620,22 +626,18 @@ class Engine:
             # Sample, roll out and vote on one image; the vote runs in the
             # worker so remote judge calls fan out with the rollouts.
             image = self.index.get(row["image_id"])
-            sample = self.questioner.sample(image, 1, rng)[0]
-            question = extract_tagged(sample.text, "question")
-            qtype = extract_tagged(sample.text, "type")
-            if not question or qtype not in VALID_QUESTION_TYPES:
-                return image.id, None, None, None
+            parsed = _parse_question(self.questioner.sample(image, 1, rng)[0].text)
+            if parsed is None:
+                return image.id, None, None
             try:
-                return image.id, question, qtype, self._score(
-                    image, question, it.vote_trajectories, rng
-                )
+                return image.id, parsed, self._score(image, parsed[0], it.vote_trajectories, rng)
             except JudgeFailure as exc:
-                return image.id, question, qtype, exc
+                return image.id, parsed, exc
 
         d_train: list[CurriculumItem] = []
         d_star: list[CurriculumItem] = []
-        for image_id, question, qtype, probe in self._fan_out(harvest, d_active):
-            if question is None:
+        for image_id, parsed, probe in self._fan_out(harvest, d_active):
+            if parsed is None:
                 logger.warning("build_training: dropping %s (malformed question)", image_id)
                 continue
             if isinstance(probe, JudgeFailure):
@@ -646,8 +648,8 @@ class Engine:
                 continue
             item = CurriculumItem(
                 image_id=image_id,
-                question=question,
-                question_type=qtype,
+                question=parsed[0],
+                question_type=parsed[1],
                 pseudo_label=probe.vote.label,
                 consensus_score=probe.vote.score,
                 accuracy=probe.accuracy,
@@ -664,7 +666,7 @@ class Engine:
         it = self.cfg.iteration
         if not d_train_star:
             return StepResult(rows=[], batches=[])
-        n_items = min(it.stage3_items_per_step, len(d_train_star))
+        n_items = min(STAGE3_ITEMS_PER_STEP, len(d_train_star))
         picks = rng.choice(len(d_train_star), size=n_items, replace=False)
         items = [d_train_star[int(pick)] for pick in picks]
 

@@ -4,10 +4,9 @@ difficulty window, and probe_from_answers, the one rule that scores a question."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import fmean
 
 from .consensus import AnswerJudge, ConsensusResult, ExactNormalizedJudge, majority_vote
-from .errors import EmptyProbes, InvalidWindow, OutOfRange
+from .errors import InvalidWindow, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,10 @@ class RewardRecord:
     final: float
 
 
-def uncertainty_reward(probes: list[ProbeResult], penalty: float) -> RewardRecord:
-    """Mean challenge reward over the probes, minus the repetition penalty,
-    clamped at zero: the searcher's reward over an image's probe questions,
-    and the questioner's over its one question."""
-    if not probes:
-        raise EmptyProbes("uncertainty reward needs at least one probe")
-    challenge = fmean(challenge_reward(p.accuracy) for p in probes)
+def uncertainty_reward(probe: ProbeResult, penalty: float) -> RewardRecord:
+    """The probe's challenge reward minus the repetition penalty, clamped at
+    zero: the searcher's reward for a query, the questioner's for a question."""
+    challenge = challenge_reward(probe.accuracy)
     return RewardRecord(
         challenge=challenge,
         penalty=penalty,

@@ -105,10 +105,14 @@ class ScriptedEmbeddingBackend:
 
 
 def neutral_sample(image, g, rng) -> list[Sample]:
-    """Stand-in for the questioner's sample in stage 1: one fixed question
-    without a marker word, so question_delta is 0 and every image is probed at
-    its own difficulty."""
-    return [Sample(text="<question>What value does the figure report?</question>")] * g
+    """Stand-in for the questioner's sample in stage 1: one fixed, well-formed
+    question without a marker word, so question_delta is 0 and every image is
+    probed at its own difficulty."""
+    text = (
+        "<type>numeric_value</type>\n<question>What value does the figure report?</question>\n"
+        "<answer>0</answer>"
+    )
+    return [Sample(text=text)] * g
 
 
 def stage1_stats(engine, steps: int, seed: int) -> list[dict]:

@@ -129,6 +129,21 @@ class TestIndexCommands:
         assert err.startswith(f"error[ManifestError]: {query_file}:2: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=("nan", "inf"))
+    def test_non_finite_query_exits_one(self, manifest, tmp_path, capsys, bad):
+        # JSON parses NaN and Infinity. Unchecked, such a query was searched
+        # and every score printed as NaN.
+        embedding = read_jsonl(manifest)[1]["embedding"]
+        embedding[0] = bad
+        query_file = tmp_path / "queries.jsonl"
+        query_file.write_text(json.dumps(embedding) + "\n")
+        code, out, err = run_cli(
+            capsys,
+            ["index", "search", "--manifest", str(manifest), "--query-file", str(query_file), "--k", "1"],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error[ZeroVector]: query: embedding norm is {bad}, not finite\n"
+
 
 class TestSynthGen:
     def test_seed_reproducible(self, tmp_path, capsys):
@@ -392,6 +407,10 @@ class TestRunCommand:
         [
             (None, ["--synthetic", "--world-count", "0"],
              "error[ConfigError]: count must be >= 1, got 0"),
+            (None, ["--synthetic", "--tau-txt", "nan"],
+             "error[ConfigError]: clustering thresholds must be >= 0: tau_txt=nan"),
+            (None, ["--synthetic", "--tau-vis", "nan"],
+             "error[ConfigError]: clustering thresholds must be >= 0: tau_txt=0.5, tau_vis=nan"),
             (
                 {
                     "mode": "remote",
@@ -407,7 +426,7 @@ class TestRunCommand:
                 "error[ManifestError]: ",
             ),
         ],
-        ids=("world_count_zero", "remote_bad_manifest"),
+        ids=("world_count_zero", "tau_txt_nan", "tau_vis_nan", "remote_bad_manifest"),
     )
     def test_config_refused_by_the_engine_leaves_no_run_dir(
         self, tmp_path, capsys, config, flags, message

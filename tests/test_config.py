@@ -55,6 +55,9 @@ REMOVED_SETTINGS = [
     ("world", "noise", 0.02),
     ("world", "solver_skill", 0.5),
     ("world", "solver_noise_temperature", 0.15),
+    ("iteration", "probe_questions_per_image", 1),
+    ("iteration", "stage2_images_per_step", 4),
+    ("iteration", "stage3_items_per_step", 4),
 ]
 
 
@@ -143,12 +146,27 @@ class TestValidation:
     def test_removed_setting_is_an_unknown_key(self, section, key, value):
         # No caller varied them: the agents are never reset between cycles,
         # the advantage guard is grpo.STD_EPSILON, and the clip range, the
-        # toy learning law and the world's shape are simulator constants. A
-        # config that still names one is refused, not migrated; the grpo
-        # section is refused as a whole.
+        # toy learning law and the world's shape are simulator constants.
+        # Stage 1 asks one probe question per query, and the stage-2 and
+        # stage-3 step sizes are orchestrator constants. A config that still
+        # names one is refused, not migrated; the grpo section is refused as
+        # a whole.
         where = "config: grpo" if section == "grpo" else f"config section '{section}': {key}"
         with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {where}")):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("value", ["NaN", "-0.1"])
+    @pytest.mark.parametrize("name", ["tau_txt", "tau_vis"])
+    def test_clustering_threshold_refused(self, name, value, tmp_path):
+        # NaN passed a "< 0" test, and then not even identical texts
+        # clustered. JSON parses NaN, so a config file can carry one.
+        message = re.escape(f"{name}={float(value)}")
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"iteration": {name: float(value)}})
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"iteration": {{"{name}": {value}}}}}')
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
     def test_group_size_floor(self):
         with pytest.raises(ConfigError, match="group_size"):
@@ -157,9 +175,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "name, value, floor",
         [
-            ("probe_questions_per_image", 0, 1),
-            ("stage2_images_per_step", -1, 1),
-            ("stage3_items_per_step", -2, 1),
             ("searcher_steps", -3, 0),
             ("questioner_steps", -1, 0),
             ("solver_steps", -1, 0),

@@ -116,6 +116,15 @@ class TestRetrieve:
         with pytest.raises(ZeroVector):
             index.retrieve([0, 0], 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=("nan", "inf", "-inf"))
+    def test_non_finite_query(self, bad):
+        # Unchecked, a NaN query retrieved r0 and r1 with score NaN.
+        index = make_index({f"r{i}": np.eye(4)[i] for i in range(4)})
+        with pytest.raises(ZeroVector, match=r"^query: embedding norm is (nan|inf), not finite$"):
+            index.retrieve([bad, 0, 0, 1], 2)
+        with pytest.raises(ZeroVector):
+            index.retrieve_batch([[1, 0, 0, 0], [bad, 0, 0, 1]], 2)
+
 
 def brute_force(index: EmbeddingIndex, query, k: int):
     scored = []
@@ -343,6 +352,16 @@ class TestManifest:
     def test_zero_embedding_rejected(self):
         records = [ImageRecord(id="a", embedding=[0.0, 0.0], category="c")]
         with pytest.raises(ZeroVector):
+            EmbeddingIndex(IndexManifest(dimension=2, records=records))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=("nan", "inf"))
+    def test_non_finite_embedding_rejected(self, bad):
+        # Unchecked, a record [nan, 1.0] was accepted into the index.
+        records = [
+            ImageRecord(id="a", embedding=[1.0, 0.0], category="c"),
+            ImageRecord(id="b", embedding=[bad, 1.0], category="c"),
+        ]
+        with pytest.raises(ZeroVector, match=rf"^record b: embedding norm is {bad}, not finite$"):
             EmbeddingIndex(IndexManifest(dimension=2, records=records))
 
     def test_first_zero_record_in_id_order_is_named(self):

@@ -165,21 +165,32 @@ class TestStage1FailurePaths:
             assert row["r_final"] == 0.0
 
     def test_empty_probe_question_is_dropped(self, tmp_path, caplog):
-        # Stage 1 drops an empty probe question, as stage 2 and the training set do.
+        # Stage 1 and the training set drop what stage 2 drops: an empty
+        # question, and a question without a valid type or a nonempty answer.
         cfg = small_cfg(tmp_path, group_size=4)
         engine = build_engine(cfg)
-        engine.questioner.sample = lambda image, g, rng: [
-            Sample(text="<question> </question>")
-        ] * g
-        with caplog.at_level(logging.WARNING, logger="triplay.orchestrator"):
-            result = engine.stage1_step(0, np.random.default_rng(6))
-        assert len(result.rows) == 4 * len(cfg.iteration.domains)
-        for row in result.rows:
-            assert row["query"] and row["image_id"]
-            assert row["acc"] is None
-            assert row["r_final"] == 0.0
-        dropped = [m for m in caplog.messages if "probe question unparsable" in m]
-        assert len(dropped) == len(result.rows) * cfg.iteration.probe_questions_per_image
+        d_active = engine.build_active_dataset(np.random.default_rng(5))[:6]
+        for text in (
+            "<type>numeric_value</type><question> </question><answer>1</answer>",
+            "<question>What value does the figure report?</question>",
+            "<type>numeric_value</type><question>What value?</question><answer> </answer>",
+            "<type>bogus_kind</type><question>What value?</question><answer>1</answer>",
+        ):
+            engine.questioner.sample = lambda image, g, rng: [Sample(text=text)] * g
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="triplay.orchestrator"):
+                result = engine.stage1_step(0, np.random.default_rng(6))
+                d_train, _ = engine.build_training_set(d_active, np.random.default_rng(7))
+            assert len(result.rows) == 4 * len(cfg.iteration.domains)
+            for row in result.rows:
+                assert row["query"] and row["image_id"]
+                assert row["acc"] is None
+                assert row["r_final"] == 0.0
+            dropped = [m for m in caplog.messages if "probe question unparsable" in m]
+            assert len(dropped) == len(result.rows), text
+            assert d_train == [], text
+            dropped = [m for m in caplog.messages if "(malformed question)" in m]
+            assert len(dropped) == len(d_active), text
 
 
 class TestBuildActive:
@@ -359,7 +370,7 @@ class TestStage2:
         d_active = engine.build_active_dataset(np.random.default_rng(11))
         result = engine.stage2_step(0, d_active, np.random.default_rng(12))
         it = engine.cfg.iteration
-        expected = it.stage2_images_per_step * it.group_size
+        expected = orchestrator.STAGE2_IMAGES_PER_STEP * it.group_size
         assert len(result.rows) == expected
         assert len(result.batches) == expected
         active_ids = {r["image_id"] for r in d_active}
@@ -503,7 +514,7 @@ class TestStage3:
         engine.solver = RecordingSolver(engine.solver)
         result = engine.stage3_step(0, star_items, np.random.default_rng(28))
         # The step's first draw picks its items.
-        n_items = min(engine.cfg.iteration.stage3_items_per_step, len(star_items))
+        n_items = min(orchestrator.STAGE3_ITEMS_PER_STEP, len(star_items))
         picks = np.random.default_rng(28).choice(len(star_items), size=n_items, replace=False)
         [groups] = engine.solver.applied
         assert [g.key for g in groups] == [star_items[int(p)].image_id for p in picks]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from triplay.consensus import ConsensusResult, ExactNormalizedJudge
-from triplay.errors import EmptyProbes, InvalidWindow, OutOfRange
+from triplay.errors import InvalidWindow, OutOfRange
 from triplay.rewards import (
     ProbeResult,
     challenge_reward,
@@ -72,59 +72,50 @@ class TestEmpiricalAccuracy:
             assert (p.accuracy * m) == pytest.approx(round(p.accuracy * m))
 
 
-class TestSearcherReward:
-    """uncertainty_reward as stage 1 calls it, over an image's probes."""
-
-    def test_single_probe(self):
-        rec = uncertainty_reward([probe(0.5)], penalty=0.5)
-        assert rec.final == pytest.approx(0.5)
-
-    def test_clamp_at_zero(self):
-        rec = uncertainty_reward([probe(1.0)], penalty=0.7)
-        assert rec.final == 0.0
-
-    def test_mean_over_probes(self):
-        rec = uncertainty_reward([probe(0.4), probe(0.6)], penalty=0.2)
-        assert rec.challenge == pytest.approx(0.8)
-        assert rec.final == pytest.approx(0.6)
-
-    def test_empty_probes(self):
-        with pytest.raises(EmptyProbes):
-            uncertainty_reward([], penalty=0.0)
-
-    def test_monotone_in_penalty(self):
-        finals = [uncertainty_reward([probe(0.5)], penalty=p).final for p in (0, 0.3, 0.8, 1.5)]
-        assert finals == sorted(finals, reverse=True)
-        assert all(0.0 <= f <= 1.0 for f in finals)
-
-
 class TestQuestionerReward:
-    """uncertainty_reward as stage 2 calls it, over one question's probe."""
+    """uncertainty_reward over one probe: the searcher's reward for a query and
+    the questioner's for a question, one rule."""
 
     def test_peak_no_penalty(self):
-        assert uncertainty_reward([probe(0.5)], 0.0).final == 1.0
+        assert uncertainty_reward(probe(0.5), 0.0).final == 1.0
 
     def test_clamp(self):
-        assert uncertainty_reward([probe(0.5)], 1.2).final == 0.0
+        assert uncertainty_reward(probe(0.5), 1.2).final == 0.0
 
     def test_substitution(self):
-        rec = uncertainty_reward([probe(0.7)], 0.1)
+        rec = uncertainty_reward(probe(0.7), 0.1)
         assert rec.challenge == pytest.approx(0.6, abs=1e-12)
         assert rec.final == pytest.approx(0.5, abs=1e-12)
 
+    def test_monotone_in_penalty(self):
+        finals = [uncertainty_reward(probe(0.5), penalty=p).final for p in (0, 0.3, 0.8, 1.5)]
+        assert finals == sorted(finals, reverse=True)
+        assert all(0.0 <= f <= 1.0 for f in finals)
+
     def test_one_probe_is_its_challenge_exactly(self):
-        # Stage 2 passes [probe]: the mean of one value is that value, bit
-        # for bit, so the reward is challenge - penalty as computed alone.
+        # The reward is challenge - penalty as computed alone, bit for bit.
         for acc in np.linspace(0.0, 1.0, 41):
             one = ProbeResult(vote=probe(0.5).vote, accuracy=float(acc))
             for penalty in (0.0, 0.1, 0.37):
-                rec = uncertainty_reward([one], penalty)
+                rec = uncertainty_reward(one, penalty)
                 assert rec.challenge == challenge_reward(float(acc))
                 assert rec.final == max(0.0, challenge_reward(float(acc)) - penalty)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            uncertainty_reward([ProbeResult(vote=probe(0.5).vote, accuracy=-0.5)], 0.0)
+            uncertainty_reward(ProbeResult(vote=probe(0.5).vote, accuracy=-0.5), 0.0)
+
+
+class TestSearcherReward:
+    """uncertainty_reward as stage 1 calls it, over a query's one probe."""
+
+    def test_single_probe(self):
+        rec = uncertainty_reward(probe(0.5), penalty=0.5)
+        assert rec.final == pytest.approx(0.5)
+
+    def test_clamp_at_zero(self):
+        rec = uncertainty_reward(probe(1.0), penalty=0.7)
+        assert rec.final == 0.0
 
 
 class TestSolverReward:

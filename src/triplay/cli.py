@@ -146,14 +146,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_dataset_filter(args: argparse.Namespace) -> int:
     """Keep the rows whose accuracy lies inside (--low, --high). A row that is
-    not a JSON object with a numeric accuracy raises ManifestError naming the
-    file and line."""
+    not a JSON object with a numeric accuracy in [0, 1] raises ManifestError
+    naming the file and line."""
     check_window(args.low, args.high)
     rows = []
     for lineno, row in _json_lines(args.input):
-        # JSON true and false are not numbers, although Python counts a bool as an int.
-        if not isinstance(row, dict) or type(row.get("accuracy")) not in (int, float):
-            raise ManifestError(f"{args.input}:{lineno}: a row needs a numeric accuracy")
+        # JSON true and false are not numbers, although Python counts a bool as
+        # an int; JSON NaN fails the range check, as no comparison holds for it.
+        accuracy = row.get("accuracy") if isinstance(row, dict) else None
+        if type(accuracy) not in (int, float) or not 0.0 <= accuracy <= 1.0:
+            raise ManifestError(f"{args.input}:{lineno}: a row needs a numeric accuracy in [0, 1]")
         rows.append(row)
     kept = [r for r in rows if difficulty_filter(r["accuracy"], args.low, args.high)]
     orchestrator.write_jsonl(Path(args.output), kept)

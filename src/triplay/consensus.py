@@ -9,6 +9,8 @@ between threads.
 
 majority_vote groups answers by key under ExactNormalizedJudge, and asks a
 RemoteJudge about one representative per class: only a remote vote costs calls.
+A remote vote does not ask about classes that can no longer win, which
+changes no label or score.
 
 A RemoteJudge sends one request per question and pair of normalized
 answers, in sorted order. Its verdicts live in a VerdictMemo, which an Engine
@@ -148,7 +150,7 @@ def remote_judge(backend, question: str, gold: str, pred: str) -> bool:
     return verdict
 
 
-# Entry bound of a VerdictMemo, well above the 1.1k keys that one run of the
+# Entry bound of a VerdictMemo, well above the 0.86k keys that one run of the
 # benchmark's remote_cycle workload ends with (seed 7).
 _VERDICT_MEMO_SIZE = 16384
 
@@ -231,11 +233,50 @@ class RemoteJudge:
 
 @dataclass(frozen=True)
 class ConsensusResult:
-    """Majority-vote outcome: label, class sizes (descending), top share."""
+    """Majority-vote outcome: the winning label and its class's share."""
 
     label: str
-    class_sizes: tuple[int, ...]
     score: float
+
+
+def _contenders(counts: Counter, judge: AnswerJudge) -> dict[str, list[str]]:
+    """majority_vote's keyless classes, less those that can no longer win.
+
+    Before an answer of count c, with `remaining` copies after it and `top`
+    the largest class so far, a class of `size` can still win while size + c
+    + remaining >= top (a tie can win on its label), and the answer's own
+    class while c + remaining >= top. If its own class can win, the answer is
+    asked against every representative; if not, only up to the last class
+    that can still win, and it is left out if none of those accepts it.
+
+    Why the largest class and its label are exact: a class that cannot win
+    never can again, since `top` only grows and an answer placed in it keeps
+    size + c + remaining. Counts fall along the order, so once an answer's
+    own class cannot win, no later one's can. An answer left out would have
+    joined or started such a class, so the classes up to the last one that
+    can win are the full rule's, in its order, and every answer that joins
+    one of them is asked what the full rule asks it.
+    """
+    classes: dict[str, list[str]] = {}
+    sizes: dict[str, int] = {}
+    remaining = sum(counts.values())
+    top = 0
+    for answer in sorted(counts, key=lambda a: (-counts[a], normalize_answer(a), a)):
+        count = counts[answer]
+        remaining -= count
+        reach = count + remaining
+        reps = list(sizes)
+        if reach < top:
+            reps = reps[: 1 + max(i for i, rep in enumerate(reps) if sizes[rep] + reach >= top)]
+        rep = next((rep for rep in reps if judge.equivalent(rep, answer)), None)
+        if rep is None:
+            if reach < top:
+                continue
+            rep = answer
+        classes.setdefault(rep, []).append(answer)
+        sizes[rep] = sizes.get(rep, 0) + count
+        top = max(top, sizes[rep])
+    return classes
 
 
 def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
@@ -247,10 +288,12 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
     not asked. Without one (RemoteJudge) the answers go by count descending,
     then normal form, then string, an order fixed by the multiset, and each
     joins the first class whose representative the judge accepts, or starts
-    one it represents: at most (distinct - 1) x classes calls, the semantic
-    clustering rule of Kuhn et al. 2023 (arXiv:2302.09664). A transitive
-    judge gets its equivalence classes; under a non-transitive one an answer
-    linked to a class only through another member stays out of it.
+    one it represents: the semantic clustering rule of Kuhn et al. 2023
+    (arXiv:2302.09664), asked at most (distinct - 1) x classes times. A
+    transitive judge gets its equivalence classes; under a non-transitive
+    one an answer linked to a class only through another member stays out
+    of it. The vote skips classes that can no longer win (_contenders), which
+    changes no label or score for any judge.
 
     The label is the lexicographically smallest normalized member of the
     winning class; ties between equal-size classes go to the smaller label.
@@ -258,21 +301,15 @@ def majority_vote(answers: list[str], judge: AnswerJudge) -> ConsensusResult:
     if not answers:
         raise EmptyAnswers("majority vote needs at least one answer")
     counts = Counter(answers)
-    distinct = list(counts)
-    classes: dict[object, list[str]] = {}
     key = getattr(judge, "key", None)
     if key is None:
-        distinct.sort(key=lambda a: (-counts[a], normalize_answer(a), a))
-        key = lambda answer: next((rep for rep in classes if judge.equivalent(rep, answer)), answer)
-    for answer in distinct:
-        classes.setdefault(key(answer), []).append(answer)
-    ranked = sorted(
-        (
-            (-sum(counts[m] for m in members), min(normalize_answer(m) for m in members))
-            for members in classes.values()
-        ),
+        classes = _contenders(counts, judge)
+    else:
+        classes = {}
+        for answer in counts:
+            classes.setdefault(key(answer), []).append(answer)
+    size, label = min(
+        (-sum(counts[m] for m in members), min(normalize_answer(m) for m in members))
+        for members in classes.values()
     )
-    top_size = -ranked[0][0]
-    label = ranked[0][1]
-    sizes = tuple(-size for size, _ in ranked)
-    return ConsensusResult(label=label, class_sizes=sizes, score=top_size / len(answers))
+    return ConsensusResult(label=label, score=-size / len(answers))

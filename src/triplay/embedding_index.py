@@ -101,9 +101,12 @@ def _json_lines(path: str | Path):
                 yield lineno, _json_line(path, lineno, line)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _embedding(path: Path, lineno: int, value) -> np.ndarray:
     # JSON true and false are not numbers, although Python counts a bool as an int.
-    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+    if not isinstance(value, list) or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise ManifestError(f"{path}:{lineno}: the embedding is not a list of numbers")
     return np.asarray(value, dtype=np.float64)
 
@@ -200,7 +203,8 @@ class EmbeddingIndex:
                     f"record {rec.id}: embedding has dimension "
                     f"{rec.embedding.shape[0]}, index expects {manifest.dimension}"
                 )
-        matrix = np.stack([r.embedding for r in records]) if records else np.zeros((0, manifest.dimension))
+        rows = [r.embedding for r in records] or [np.zeros(0)]
+        matrix = np.concatenate(rows).reshape(len(records), manifest.dimension)
         norms = np.linalg.norm(matrix, axis=1)
         # JSON parses NaN and Infinity, and a vector holding one scores NaN.
         unnormalizable = ~((norms > 0.0) & (norms < np.inf))

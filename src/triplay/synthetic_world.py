@@ -134,8 +134,10 @@ def gen_corpus(
 
     Draws are per image in seed order (a uniform, then dim normals): numpy's
     normal sampler rejects and redraws, so one batched draw would change the
-    stream. The rest is in-place passes over one (count, dim) matrix, whose
-    rows the records' embeddings view.
+    stream. They are taken as random() and standard_normal(), the same values
+    that uniform() and normal() return but for the sign of a zero normal,
+    which the += 0.0 pass clears. The rest is in-place passes over one
+    (count, dim) matrix, whose rows the records' embeddings view.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
@@ -147,8 +149,8 @@ def gen_corpus(
     difficulties = np.empty(count)
     vecs = np.empty((count, dim))
     for i in range(count):
-        difficulties[i] = rng.uniform()
-        vecs[i] = rng.normal(size=dim)
+        difficulties[i] = rng.random()
+        rng.standard_normal(out=vecs[i])
     vecs *= noise
     # The curve is +0.0 off its block, and +0.0 + -0.0 is +0.0: a noise term
     # of -0.0 must read +0.0 wherever no curve is added to it.

@@ -543,14 +543,17 @@ class TestDatasetCommands:
             ('{"accuracy": "0.5"}\n', [], ":1: a row needs a numeric accuracy"),
             ('{"accuracy": true}\n', [], ":1: a row needs a numeric accuracy"),
             ("", ["--low", "0.8", "--high", "0.3"], "invalid window (0.8, 0.3)"),
+            ('{"accuracy": 0.5}\n{"accuracy": NaN}\n', [], ":2: a row needs a numeric accuracy in [0, 1]"),
+            ('{"accuracy": 1.5}\n', [], ":1: a row needs a numeric accuracy in [0, 1]"),
         ],
         ids=("not_json", "no_accuracy", "string_accuracy", "boolean_accuracy",
-             "inverted_window_on_empty_input"),
+             "inverted_window_on_empty_input", "nan_accuracy", "accuracy_above_one"),
     )
     def test_filter_bad_input_exits_one(self, tmp_path, capsys, text, window, message):
         # Unchecked, these ended in a raw JSONDecodeError, KeyError or
-        # TypeError traceback, read true as accuracy 1, or (an inverted window
-        # on an empty input) exited 0.
+        # TypeError traceback, read true as accuracy 1, dropped a NaN or
+        # out-of-range accuracy without a word, or (an inverted window on an
+        # empty input) exited 0.
         src = tmp_path / "d_train.jsonl"
         src.write_text(text)
         dst = tmp_path / "d_train_star.jsonl"

@@ -149,7 +149,7 @@ class TestNormalizeAnswer:
         # "42".
         probe = probe_from_answers(["42 ."] * 5 + ["41"] * 2)
         assert probe.vote.label == "42"
-        assert probe.vote.class_sizes == (5, 2)
+        assert probe.vote.score == pytest.approx(5 / 7)
         assert probe.accuracy == pytest.approx(5 / 7)
 
     @settings(max_examples=300, deadline=None)
@@ -198,10 +198,9 @@ class TestMajorityVote:
         with pytest.raises(EmptyAnswers):
             majority_vote([], ExactNormalizedJudge())
 
-    def test_class_sizes_partition(self):
+    def test_largest_class_wins(self):
         result = majority_vote(["a", "a", "b", "c", "c", "c"], ExactNormalizedJudge())
-        assert result.class_sizes == (3, 2, 1)
-        assert sum(result.class_sizes) == 6
+        assert (result.label, result.score) == ("c", 3 / 6)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)
@@ -268,7 +267,7 @@ class TestKeyedVote:
 
         monkeypatch.setattr(ExactNormalizedJudge, "equivalent", unasked)
         result = majority_vote(["4", " 4 ", "5", "4.0", "five"], ExactNormalizedJudge())
-        assert (result.label, result.class_sizes) == ("4", (3, 1, 1))
+        assert (result.label, result.score) == ("4", 3 / 5)
 
     def test_probe_asks_the_judge_nothing(self, monkeypatch):
         # A probe's accuracy is its vote's score: a keyed probe asks the judge
@@ -287,7 +286,7 @@ class TestKeyedVote:
         vote = majority_vote(answers, RemoteJudge(vote_backend, question="q"))
         probe = probe_from_answers(answers, RemoteJudge(probe_backend, question="q"))
         assert (probe.vote, probe.accuracy) == (vote, 4 / 5)
-        assert (vote.label, vote.class_sizes) == ("4", (4, 1))
+        assert (vote.label, vote.score) == ("4", 4 / 5)
         assert probe_backend.asked == vote_backend.asked == Counter(
             {("4", "5"): 1, ("4", "7"): 1, ("4", "five"): 1}
         )
@@ -309,8 +308,8 @@ class SeededJudge:
         return random.Random(f"{self.seed}|{lo}|{hi}").random() < 0.4
 
 
-def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], float, float]:
-    """(label, class sizes, score, accuracy) from the judge over all K x K
+def all_pairs_vote(answers: list[str], judge) -> tuple[str, float, float]:
+    """(label, score, accuracy) from the judge over all K x K
     answer pairs: classes are the closure of the full relation, and the
     accuracy is the winning class's share (0.0 for an empty label)."""
     k = len(answers)
@@ -326,16 +325,15 @@ def all_pairs_vote(answers: list[str], judge) -> tuple[str, tuple[int, ...], flo
     return ranked_vote(answers, cls)
 
 
-def ranked_vote(answers: list[str], cls: list[int]) -> tuple[str, tuple[int, ...], float, float]:
-    """(label, class sizes, score, accuracy) of answers whose class ids are cls."""
+def ranked_vote(answers: list[str], cls: list[int]) -> tuple[str, float, float]:
+    """(label, score, accuracy) of answers whose class ids are cls."""
     groups: dict[int, list[str]] = {}
     for answer, c in zip(answers, cls):
         groups.setdefault(c, []).append(answer)
     ranked = sorted((-len(m), min(normalize_answer(a) for a in m)) for m in groups.values())
     label = ranked[0][1]
-    sizes = tuple(sorted((len(m) for m in groups.values()), reverse=True))
     score = -ranked[0][0] / len(answers)
-    return label, sizes, score, score if label else 0.0
+    return label, score, score if label else 0.0
 
 
 def canonical_order(answers: list[str]) -> list[str]:
@@ -382,9 +380,9 @@ class TestVoteOverDistinctAnswers:
     @given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=12), st.integers(0, 2**16))
     def test_matches_all_pairs_reference(self, answers, seed):
         cls = representatives_of(answers, SeededJudge(seed))
-        label, sizes, score, acc = ranked_vote(answers, cls)
+        label, score, acc = ranked_vote(answers, cls)
         vote = majority_vote(answers, SeededJudge(seed))
-        assert (vote.label, vote.class_sizes, vote.score) == (label, sizes, score)
+        assert (vote.label, vote.score) == (label, score)
         probe = probe_from_answers(answers, SeededJudge(seed))
         assert probe.vote == vote
         assert probe.accuracy == acc
@@ -395,9 +393,9 @@ class TestVoteOverDistinctAnswers:
         # For an equivalence relation the representative rule finds its
         # classes, which are exactly the closure of all K x K verdicts.
         for judge in (KeylessJudge(), ValueJudge(), NumeralJudge()):
-            label, sizes, score, acc = all_pairs_vote(answers, judge)
+            label, score, acc = all_pairs_vote(answers, judge)
             vote = majority_vote(answers, judge)
-            assert (vote.label, vote.class_sizes, vote.score) == (label, sizes, score)
+            assert (vote.label, vote.score) == (label, score)
             assert probe_from_answers(answers, judge).accuracy == acc
 
     @settings(max_examples=150, deadline=None)
@@ -519,8 +517,29 @@ class TestRemoteJudge:
         # one class of all four; "IV" is asked against "5" only.
         backend = CountingJudgeBackend()
         vote = majority_vote(["5", "5", "4", "IV"], RemoteJudge(backend, question="q"))
-        assert (vote.label, vote.class_sizes, vote.score) == ("4", (3, 1), 3 / 4)
+        assert (vote.label, vote.score) == ("4", 3 / 4)
         assert backend.asked == Counter({("4", "5"): 1, ("5", "iv"): 1})
+
+    def test_skips_classes_that_can_no_longer_win(self):
+        # The judge rejects every pair. Once "4" holds 6 of 10 answers, no
+        # singleton class can reach it: each later answer is asked against
+        # "4" alone, 4 requests where asking every class would send
+        # 1 + 2 + 3 + 4 = 10, for the same label and score.
+        backend = FakeJudgeBackend(["incorrect"] * 10)
+        answers = ["4"] * 6 + ["5", "6", "7", "8"]
+        vote = majority_vote(answers, RemoteJudge(backend, question="q"))
+        assert (vote.label, vote.score) == ("4", 6 / 10)
+        asked = [_JUDGE_SLOTS.search(r.prompt).groups() for r in backend.requests]
+        assert asked == [("4", "5"), ("4", "6"), ("4", "7"), ("4", "8")]
+
+    def test_a_class_that_can_tie_is_still_asked(self):
+        # After "7" (2) and "4" (1), "IV" could still bring "4" level with
+        # "7", and a tie goes to the smaller label, so "IV" is asked against
+        # both representatives.
+        backend = CountingJudgeBackend()
+        vote = majority_vote(["7", "7", "4", "IV"], RemoteJudge(backend, question="q"))
+        assert (vote.label, vote.score) == ("4", 2 / 4)
+        assert backend.asked == Counter({("4", "7"): 1, ("7", "iv"): 1, ("4", "iv"): 1})
 
     def test_consensus_result_type(self):
         result = majority_vote(["x"], ExactNormalizedJudge())
@@ -609,9 +628,9 @@ class TestRemoteJudgeMemo:
         backend = CountingJudgeBackend()
         base = majority_vote(answers, RemoteJudge(backend, question="q"))
         again = majority_vote(shuffled, RemoteJudge(backend, question="q"))
-        assert (again.label, again.class_sizes) == (base.label, base.class_sizes)
+        assert again == base
         plain = majority_vote(answers, UnmemoizedJudge(backend, question="q"))
-        assert (base.label, base.class_sizes) == (plain.label, plain.class_sizes)
+        assert plain == base
 
 
 class ThreadSafeCountingBackend(CountingJudgeBackend):

@@ -15,8 +15,7 @@ from triplay.rewards import (
 
 def probe(acc: float, m: int = 10) -> ProbeResult:
     hits = round(acc * m)
-    sizes = tuple(sorted([hits] + [1] * (m - hits), reverse=True))
-    vote = ConsensusResult(label="1", class_sizes=sizes, score=max(sizes) / m)
+    vote = ConsensusResult(label="1", score=max(hits, 1) / m)
     return ProbeResult(vote=vote, accuracy=hits / m)
 
 
@@ -60,7 +59,7 @@ class TestEmpiricalAccuracy:
         # vote, and an empty label earns no accuracy.
         p = probe_from_answers(["", "", "", "", "", "", "7", "7", "8", "9"])
         assert p.vote.label == ""
-        assert p.vote.class_sizes == (6, 2, 1, 1)
+        assert p.vote.score == 6 / 10
         assert p.accuracy == 0.0
 
     def test_accuracy_is_quantized(self):

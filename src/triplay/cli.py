@@ -166,7 +166,7 @@ def _cmd_dataset_filter(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "config.json")
-    report = orchestrator.compute_stats(cfg, run_dir, orchestrator.build_index(cfg))
+    report = orchestrator.compute_stats(cfg, run_dir, orchestrator.build_engine(cfg).index)
     out = Path(args.out) if args.out else run_dir / "stats.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(str(out))

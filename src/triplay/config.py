@@ -226,7 +226,7 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def resolve_run_dir(cfg: RunConfig, root: str | Path = "runs") -> Path:
+def resolve_run_dir(cfg: RunConfig) -> Path:
     if cfg.run_dir:
         return Path(cfg.run_dir)
-    return Path(root) / f"{config_hash(cfg)}-seed{cfg.seed}"
+    return Path("runs") / f"{config_hash(cfg)}-seed{cfg.seed}"

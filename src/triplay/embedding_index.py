@@ -225,7 +225,11 @@ class EmbeddingIndex:
         return list(self._records)
 
     def get(self, record_id: str) -> ImageRecord:
-        return self._by_id[record_id]
+        """The record of an id; an id the index lacks raises ManifestError."""
+        try:
+            return self._by_id[record_id]
+        except KeyError:
+            raise ManifestError(f"no image {record_id!r} in the index") from None
 
     def _normalize_query(self, query) -> np.ndarray:
         q = np.asarray(query, dtype=np.float64)

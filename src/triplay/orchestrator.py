@@ -150,23 +150,6 @@ class Group:
     advantages: list[float]
 
 
-@dataclass
-class CurriculumItem:
-    image_id: str
-    question: str
-    question_type: str
-    pseudo_label: str
-    consensus_score: float
-    accuracy: float
-
-    def to_row(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_row(cls, row: dict) -> "CurriculumItem":
-        return cls(**row)
-
-
 # ---------------------------------------------------------------------------
 # Role adapters
 
@@ -617,9 +600,11 @@ class Engine:
 
     def build_training_set(
         self, d_active: list[dict], rng: np.random.Generator
-    ) -> tuple[list[CurriculumItem], list[CurriculumItem]]:
+    ) -> tuple[list[dict], list[dict]]:
         """One question per active image; K rollouts; majority-vote pseudo-label;
-        difficulty-window filter selects the starred subset."""
+        difficulty-window filter selects the starred subset. Each item is a
+        d_train row: image_id, question, question_type, pseudo_label,
+        consensus_score and accuracy."""
         it = self.cfg.iteration
 
         def harvest(row: dict):
@@ -634,8 +619,8 @@ class Engine:
             except JudgeFailure as exc:
                 return image.id, parsed, exc
 
-        d_train: list[CurriculumItem] = []
-        d_star: list[CurriculumItem] = []
+        d_train: list[dict] = []
+        d_star: list[dict] = []
         for image_id, parsed, probe in self._fan_out(harvest, d_active):
             if parsed is None:
                 logger.warning("build_training: dropping %s (malformed question)", image_id)
@@ -646,23 +631,25 @@ class Engine:
             if not probe.vote.label:
                 logger.warning("build_training: dropping %s (empty consensus)", image_id)
                 continue
-            item = CurriculumItem(
-                image_id=image_id,
-                question=parsed[0],
-                question_type=parsed[1],
-                pseudo_label=probe.vote.label,
-                consensus_score=probe.vote.score,
-                accuracy=probe.accuracy,
-            )
+            item = {
+                "image_id": image_id,
+                "question": parsed[0],
+                "question_type": parsed[1],
+                "pseudo_label": probe.vote.label,
+                "consensus_score": probe.vote.score,
+                "accuracy": probe.accuracy,
+            }
             d_train.append(item)
-            if difficulty_filter(item.accuracy, it.tau_low, it.tau_high):
+            if difficulty_filter(probe.accuracy, it.tau_low, it.tau_high):
                 d_star.append(item)
         return d_train, d_star
 
     def stage3_step(
-        self, step: int, d_train_star: list[CurriculumItem], rng: np.random.Generator
+        self, step: int, d_train_star: list[dict], rng: np.random.Generator
     ) -> StepResult:
-        """One solver optimization step: G rollouts per item, binary rewards."""
+        """One solver optimization step: G rollouts per item, binary rewards.
+        An item is a d_train row; only its image_id, question and pseudo_label
+        are read."""
         it = self.cfg.iteration
         if not d_train_star:
             return StepResult(rows=[], batches=[])
@@ -670,19 +657,20 @@ class Engine:
         picks = rng.choice(len(d_train_star), size=n_items, replace=False)
         items = [d_train_star[int(pick)] for pick in picks]
 
-        def rollout(item: CurriculumItem):
+        def rollout(item: dict):
             # G rollouts and their judged rewards; an unboxed rollout earns 0.
-            image = self.index.get(item.image_id)
-            raw = self.solver.solve(image, item.question, it.group_size, rng)
-            judge = self.judge_for(item.question)
+            image = self.index.get(item["image_id"])
+            question = item["question"]
+            raw = self.solver.solve(image, question, it.group_size, rng)
+            judge = self.judge_for(question)
             boxed = [extract_boxed(text) for text in raw]
             return image, raw, [
-                0 if b is None else solver_reward(b, item.pseudo_label, judge) for b in boxed
+                0 if b is None else solver_reward(b, item["pseudo_label"], judge) for b in boxed
             ]
 
         groups = [
             Group(
-                key=item.image_id,
+                key=item["image_id"],
                 domain=image.category,
                 samples=[Sample(text=text) for text in raw],
                 rewards=rewards,
@@ -710,27 +698,17 @@ class Engine:
         self.solver.restore(state["solver"])
 
 
-def _synthetic_world(cfg: RunConfig) -> SyntheticWorld:
-    return SyntheticWorld.generate(
-        seed=cfg.seed,
-        count=cfg.world.count,
-        dim=cfg.world.dim,
-        categories=[d.category for d in cfg.iteration.domains],
-    )
-
-
-def build_index(cfg: RunConfig) -> EmbeddingIndex:
-    """The run's image index alone, the same one build_engine gives the engine."""
-    cfg = validate_config(cfg)
-    if cfg.mode == "synthetic":
-        return _synthetic_world(cfg).index
-    return EmbeddingIndex(load_manifest(cfg.manifest_path))
-
-
 def build_engine(cfg: RunConfig) -> Engine:
+    """The run's engine over its synthetic world or its manifest's index. No
+    backend is contacted until a stage runs."""
     cfg = validate_config(cfg)
     if cfg.mode == "synthetic":
-        world = _synthetic_world(cfg)
+        world = SyntheticWorld.generate(
+            seed=cfg.seed,
+            count=cfg.world.count,
+            dim=cfg.world.dim,
+            categories=[d.category for d in cfg.iteration.domains],
+        )
         return Engine(
             cfg,
             index=world.index,
@@ -740,7 +718,7 @@ def build_engine(cfg: RunConfig) -> Engine:
             embedder=world,
             world=world,
         )
-    index = build_index(cfg)
+    index = EmbeddingIndex(load_manifest(cfg.manifest_path))
     backend = HttpChatBackend(cfg.backend)
     embedder = HttpEmbeddingBackend(cfg.backend)
     exemplars = {d.category: d.exemplar for d in cfg.iteration.domains}
@@ -767,19 +745,23 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
     tmp.replace(path)
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The rows of a JSON-lines artifact; a line that is not a JSON object
-    raises ManifestError naming the file and line."""
+def read_jsonl(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict]:
+    """The rows of a JSON-lines artifact. A line that is not a JSON object, or
+    an object that lacks one of the named columns, raises ManifestError naming
+    the file and line."""
     rows = []
     for lineno, row in _json_lines(path):
         if not isinstance(row, dict):
             raise ManifestError(f"{path}:{lineno}: a row must be a JSON object")
+        for column in columns:
+            if column not in row:
+                raise ManifestError(f"{path}:{lineno}: a row lacks the {column!r} column")
         rows.append(row)
     return rows
 
 
-def _read_optional(path: Path) -> list[dict]:
-    return read_jsonl(path) if path.exists() else []
+def _read_optional(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
+    return read_jsonl(path, columns) if path.exists() else []
 
 
 class Journal:
@@ -875,10 +857,12 @@ def run(cfg: RunConfig) -> dict:
     it = cfg.iteration
 
     def d_active(cycle_dir: Path) -> list[dict]:
-        return read_jsonl(cycle_dir / "d_active.jsonl")
+        return read_jsonl(cycle_dir / "d_active.jsonl", ("image_id",))
 
-    def d_star(cycle_dir: Path) -> list[CurriculumItem]:
-        return [CurriculumItem.from_row(r) for r in read_jsonl(cycle_dir / "d_train_star.jsonl")]
+    def d_star(cycle_dir: Path) -> list[dict]:
+        return read_jsonl(
+            cycle_dir / "d_train_star.jsonl", ("image_id", "question", "pseudo_label")
+        )
 
     # (name, stage fn, artifacts): the stage fn takes (rng, cycle_dir) and
     # returns one payload per artifact; *_batches.jsonl payloads are batch
@@ -895,9 +879,7 @@ def run(cfg: RunConfig) -> dict:
              it.questioner_steps, engine.stage2_step, d_active(cycle_dir), rng),
          ("questions.jsonl", "questioner_batches.jsonl")),
         ("build_training",
-         lambda rng, cycle_dir: [
-             [item.to_row() for item in items]
-             for items in engine.build_training_set(d_active(cycle_dir), rng)],
+         lambda rng, cycle_dir: engine.build_training_set(d_active(cycle_dir), rng),
          ("d_train.jsonl", "d_train_star.jsonl")),
         ("stage3",
          lambda rng, cycle_dir: _run_steps(
@@ -985,12 +967,12 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) ->
         cycle_dir = run_dir / f"cycle{cycle}"
         if not cycle_dir.exists():
             continue
-        d_active = _read_optional(cycle_dir / "d_active.jsonl")
-        d_train = _read_optional(cycle_dir / "d_train.jsonl")
+        d_active = _read_optional(cycle_dir / "d_active.jsonl", ("image_id",))
+        d_train = _read_optional(cycle_dir / "d_train.jsonl", ("consensus_score",))
         d_star = _read_optional(cycle_dir / "d_train_star.jsonl")
-        queries = _read_optional(cycle_dir / "queries.jsonl")
-        questions = _read_optional(cycle_dir / "questions.jsonl")
-        solver_rows = _read_optional(cycle_dir / "solver_steps.jsonl")
+        queries = _read_optional(cycle_dir / "queries.jsonl", ("step",))
+        questions = _read_optional(cycle_dir / "questions.jsonl", ("step",))
+        solver_rows = _read_optional(cycle_dir / "solver_steps.jsonl", ("step",))
         cycles.append(
             {
                 "cycle": cycle,

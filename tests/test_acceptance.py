@@ -268,13 +268,13 @@ def test_criterion_09_consensus_shift(trained_pipeline):
         d_active = engine.build_active_dataset(rng)
         assert d_active
         d_train, _ = engine.build_training_set(d_active, np.random.default_rng(22))
-        hist_trained = consensus_histogram([i.to_row() for i in d_train], k)
+        hist_trained = consensus_histogram(d_train, k)
 
         d_random = random_active(engine, len(d_active), np.random.default_rng(23))
         d_train_random, _ = engine.build_training_set(
             d_random, np.random.default_rng(22)
         )
-        hist_random = consensus_histogram([i.to_row() for i in d_train_random], k)
+        hist_random = consensus_histogram(d_train_random, k)
 
         mass_trained = hist_trained["counts"][1] / hist_trained["total"]
         mass_random = hist_random["counts"][1] / hist_random["total"]

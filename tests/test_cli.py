@@ -350,6 +350,36 @@ class TestRunCommand:
         assert_same_artifacts(whole, copy)
         assert (copy / "config.json").read_bytes() == (stopped / "config.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        ("stop_key", "artifact", "row", "message"),
+        [
+            ("cycle1:build_training", "d_train_star.jsonl", {"image_id": "x"},
+             ":1: a row lacks the 'question' column"),
+            ("cycle1:build_active", "d_active.jsonl", {}, ":1: a row lacks the 'image_id' column"),
+            ("cycle1:build_active", "d_active.jsonl", {"image_id": "nope"},
+             "no image 'nope' in the index"),
+        ],
+        ids=("star_row_lacks_question", "active_row_lacks_image_id", "unknown_image_id"),
+    )
+    def test_resume_over_a_broken_row_exits_one(
+        self, tmp_path, capsys, monkeypatch, stop_key, artifact, row, message
+    ):
+        # Unchecked, these ended in a raw TypeError or KeyError traceback from
+        # the next stage.
+        run_dir = tmp_path / "run"
+        argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
+        end_run_after(monkeypatch, stop_key)
+        with pytest.raises(Stopped):
+            main(argv)
+        path = run_dir / "cycle1" / artifact
+        path.write_text(json.dumps(row) + "\n")
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[ManifestError]: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not (run_dir / "stats.json").exists()
+
     @pytest.mark.parametrize("content", ["garbage", "[1]"], ids=("not_json", "not_an_object"))
     def test_resume_under_unreadable_config_json_refused(
         self, tmp_path, capsys, monkeypatch, content
@@ -591,6 +621,37 @@ class TestDatasetCommands:
         assert err == (
             f"error[ManifestError]: {queries}:{lineno}: a row must be a JSON object\n"
         )
+
+    @pytest.mark.parametrize(
+        ("artifact", "column"),
+        [
+            ("d_train.jsonl", "consensus_score"),
+            ("d_active.jsonl", "image_id"),
+            ("queries.jsonl", "step"),
+            ("solver_steps.jsonl", "step"),
+        ],
+        ids=("d_train", "d_active", "queries", "solver_steps"),
+    )
+    def test_report_on_row_lacking_a_column_exits_one(
+        self, finished_run, capsys, artifact, column
+    ):
+        # Unchecked, an object row without a column the stats read ended in a
+        # raw KeyError traceback.
+        path = finished_run / "cycle1" / artifact
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{}\n")
+        code, out, err = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
+        assert (code, out) == (1, "")
+        assert err == f"error[ManifestError]: {path}:{lineno}: a row lacks the {column!r} column\n"
+
+    def test_report_on_unknown_image_id_exits_one(self, finished_run, capsys):
+        # Unchecked, this ended in a raw KeyError traceback from the index.
+        with open(finished_run / "cycle1" / "d_active.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"image_id": "nope"}\n')
+        code, out, err = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
+        assert (code, out) == (1, "")
+        assert err == "error[ManifestError]: no image 'nope' in the index\n"
 
     def test_stats_and_report(self, finished_run, tmp_path, capsys):
         out_path = tmp_path / "report.json"

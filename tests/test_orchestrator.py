@@ -22,7 +22,6 @@ from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
     SOLVER_GAIN,
     TOY_LEARNING_RATE,
-    CurriculumItem,
     Engine,
     Group,
     Journal,
@@ -447,28 +446,28 @@ class TestBuildTraining:
         it = engine.cfg.iteration
         assert d_train
         assert len(d_star) <= len(d_train) <= 60
-        star_ids = {(i.image_id, i.question) for i in d_star}
+        star_ids = {(i["image_id"], i["question"]) for i in d_star}
         for item in d_train:
-            in_window = it.tau_low < item.accuracy < it.tau_high
-            assert ((item.image_id, item.question) in star_ids) == in_window
-            assert item.question_type in ("short_answer", "numeric_value")
-            assert 0.0 < item.consensus_score <= 1.0
+            in_window = it.tau_low < item["accuracy"] < it.tau_high
+            assert ((item["image_id"], item["question"]) in star_ids) == in_window
+            assert item["question_type"] in ("short_answer", "numeric_value")
+            assert 0.0 < item["consensus_score"] <= 1.0
 
     def test_high_accuracy_excluded_from_star(self, engine):
         d_active = engine.build_active_dataset(np.random.default_rng(19))
         d_train, d_star = engine.build_training_set(
             d_active[:60], np.random.default_rng(20)
         )
-        high = [i for i in d_train if i.accuracy >= 0.9]
+        high = [i for i in d_train if i["accuracy"] >= 0.9]
         assert high, "expected some easy items in a random active set"
-        star_keys = {(i.image_id, i.question) for i in d_star}
-        assert all((i.image_id, i.question) not in star_keys for i in high)
+        star_keys = {(i["image_id"], i["question"]) for i in d_star}
+        assert all((i["image_id"], i["question"]) not in star_keys for i in high)
 
     def test_accuracy_matches_consensus_for_exact_judge(self, engine):
         d_active = engine.build_active_dataset(np.random.default_rng(21))
         d_train, _ = engine.build_training_set(d_active[:30], np.random.default_rng(22))
         for item in d_train:
-            assert item.accuracy == pytest.approx(item.consensus_score)
+            assert item["accuracy"] == pytest.approx(item["consensus_score"])
 
 
 class TestStage3:
@@ -517,7 +516,7 @@ class TestStage3:
         n_items = min(orchestrator.STAGE3_ITEMS_PER_STEP, len(star_items))
         picks = np.random.default_rng(28).choice(len(star_items), size=n_items, replace=False)
         [groups] = engine.solver.applied
-        assert [g.key for g in groups] == [star_items[int(p)].image_id for p in picks]
+        assert [g.key for g in groups] == [star_items[int(p)]["image_id"] for p in picks]
         size = engine.cfg.iteration.group_size
         assert len(result.batches) == size * len(groups)
         for i, group in enumerate(groups):
@@ -880,14 +879,3 @@ class TestEngineWiring:
             for stage in ("stage1", "build_active", "stage2")
         }
         assert len(seeds) == 6
-
-    def test_curriculum_item_round_trip(self):
-        item = CurriculumItem(
-            image_id="a",
-            question="q",
-            question_type="numeric_value",
-            pseudo_label="4",
-            consensus_score=5 / 9,
-            accuracy=5 / 9,
-        )
-        assert CurriculumItem.from_row(item.to_row()) == item

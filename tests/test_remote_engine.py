@@ -248,7 +248,7 @@ class TestRemoteWiring:
         assert d_active
         d_train, d_star = engine.build_training_set(d_active, np.random.default_rng(2))
         assert d_train
-        assert all(item.pseudo_label for item in d_train)
+        assert all(item["pseudo_label"] for item in d_train)
         result = engine.stage3_step(0, d_train, np.random.default_rng(3))
         assert result.batches
 
@@ -459,7 +459,7 @@ class TestJudgeFailure:
         assert "'maybe'" in aborted[0].getMessage()
         dropped = [item for item in clean if item not in d_train]
         assert len(dropped) == 1
-        assert dropped[0].image_id in aborted[0].getMessage()
+        assert dropped[0]["image_id"] in aborted[0].getMessage()
         assert d_train == [item for item in clean if item is not dropped[0]]
 
 

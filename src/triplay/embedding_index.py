@@ -231,7 +231,9 @@ class EmbeddingIndex:
         except KeyError:
             raise ManifestError(f"no image {record_id!r} in the index") from None
 
-    def _normalize_query(self, query) -> np.ndarray:
+    def normalize_query(self, query) -> np.ndarray:
+        """The query as a unit vector; a wrong dimension or a norm outside
+        (0, inf) raises."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dimension,):
             raise DimensionMismatch(
@@ -258,7 +260,7 @@ class EmbeddingIndex:
         queries = list(queries)
         for start in range(0, len(queries), chunk):
             block = np.stack(
-                [self._normalize_query(q) for q in queries[start : start + chunk]]
+                [self.normalize_query(q) for q in queries[start : start + chunk]]
             )
             scores = block @ self._matrix.T
             for row, picks in enumerate(_top_k(scores, k)):

@@ -20,16 +20,17 @@ Results are consumed, and drop warnings logged, in input order from the
 calling thread. Synthetic roles draw from the stage's shared RNG, so
 synthetic mode runs all of it serially.
 
-Each distinct piece of work is done once. build_active_dataset embeds and
-retrieves each distinct query of a domain once. An Engine memoizes, per
-engine and within fixed bounds, the stage-1 top-1 hit of each query text, the
-BLEU distance of each pair of texts, and the remote judge's verdict on each
-question and pair of answers (one VerdictMemo shared by every judge it
-makes). The dedup and the query memo assume a deterministic embedding
-backend, and the verdict memo a temperature-0 judge; the memos hold no agent
-state and are not journaled. A synthetic toy-policy role keeps each domain's
-action distribution until its logits change, and the offline judge's votes
-group answers by normalized form instead of judging pairs.
+Each distinct piece of work is done once. An Engine memoizes, per engine and
+within fixed bounds, the embedding of each query text (one memo read by
+stage 1 and by build_active_dataset in every cycle), the stage-1 top-1 hit of
+each query text, the BLEU distance of each pair of texts, and the remote
+judge's verdict on each question and pair of answers (one VerdictMemo shared
+by every judge it makes). build_active_dataset retrieves each distinct query
+of a domain once. The dedup and the query memos assume a deterministic
+embedding backend, and the verdict memo a temperature-0 judge; the memos hold
+no agent state and are not journaled. A synthetic toy-policy role keeps each
+domain's action distribution until its logits change, and the offline judge's
+votes group answers by normalized form instead of judging pairs.
 """
 
 from __future__ import annotations
@@ -113,9 +114,16 @@ def _parse_question(text: str) -> tuple[str, str] | None:
     return None
 
 
-# Entry bounds of each engine's memos: query text -> stage-1 top-1 hit, and
-# unordered text pair -> BLEU distance. Remote query text is unbounded, so
-# the memos evict least-recently-used entries past these sizes.
+def _is_finite(value) -> bool:
+    # JSON true and false are not numbers, although Python counts a bool as an int.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# Entry bounds of each engine's memos: query text -> embedding (at most
+# 4096 x dimension x 8 bytes: 1 MiB at 32-d, 32 MiB at 1024-d), query text ->
+# stage-1 top-1 hit, and unordered text pair -> BLEU distance. Remote query
+# text is unbounded, so the memos evict least-recently-used entries past
+# these sizes.
 _QUERY_MEMO_SIZE = 4096
 _TEXT_PAIR_MEMO_SIZE = 16384
 
@@ -278,8 +286,7 @@ class SyntheticSolverRole:
 
     def restore(self, state: dict) -> None:
         skill = state["skill"]
-        # JSON true and false are not numbers, although Python counts a bool as an int.
-        if type(skill) not in (int, float) or not math.isfinite(skill):
+        if not _is_finite(skill):
             raise ValueError(f"skill must be a finite number, got {skill!r}")
         self.skill = float(skill)
 
@@ -411,14 +418,23 @@ class Engine:
             raise DimensionMismatch(
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
-        # lru_cache caches no exception, so a failed embed or a
-        # DimensionMismatch leaves no entry behind.
+        # lru_cache caches no exception, so a failed embed or a vector the
+        # index refuses leaves no entry behind in either query memo.
+        self._embedding = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._embed_query)
         self._top1 = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._retrieve_top1)
         self._text_distance = memoized_text_distance(_TEXT_PAIR_MEMO_SIZE)
         self._verdicts = VerdictMemo()
 
+    def _embed_query(self, query: str) -> np.ndarray:
+        # self.embedder.embed is looked up per call, so a wrapper set on the
+        # embedder after the engine is built sees every request. A vector the
+        # index would refuse raises here, so the memo never holds one.
+        vector = self.embedder.embed(query)
+        self.index.normalize_query(vector)
+        return vector
+
     def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
-        return self.index.retrieve(self.embedder.embed(query), 1)[0]
+        return self.index.retrieve(self._embedding(query), 1)[0]
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
@@ -506,9 +522,9 @@ class Engine:
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
         """Sample queries from the searcher, retrieve top-k per query, dedup by id.
 
-        Each distinct query of a domain is embedded and retrieved once, in
-        first-seen order: a repeat could add no row, since every id it
-        retrieves is already in `seen`."""
+        Each distinct query of a domain is retrieved once, in first-seen
+        order: a repeat could add no row, since every id it retrieves is
+        already in `seen`. Its embedding comes from the engine's query memo."""
         it = self.cfg.iteration
         rows: list[dict] = []
         seen: set[str] = set()
@@ -529,7 +545,7 @@ class Engine:
             if not queries:
                 continue
             distinct = list(dict.fromkeys(queries))
-            embeddings = self._fan_out(self.embedder.embed, distinct)
+            embeddings = self._fan_out(self._embedding, distinct)
             results = self.index.retrieve_batch(embeddings, it.top_k)
             for query, ranked in zip(distinct, results):
                 for rank, (record, score) in enumerate(ranked, start=1):
@@ -745,17 +761,36 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
     tmp.replace(path)
 
 
+_TEXT = ("a string", lambda value: type(value) is str)
+_REWARD = ("a finite number or null", lambda value: value is None or _is_finite(value))
+
+# What each artifact column a reader may name must hold: (what, check).
+_COLUMN_TYPES = {
+    **dict.fromkeys(("image_id", "question", "pseudo_label"), _TEXT),
+    "step": ("an integer", lambda value: type(value) is int),
+    "consensus_score": ("a finite number", _is_finite),
+    **dict.fromkeys(("r_chal", "p_rep", "r_final", "mean_reward"), _REWARD),
+}
+
+
 def read_jsonl(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict]:
     """The rows of a JSON-lines artifact. A line that is not a JSON object, or
-    an object that lacks one of the named columns, raises ManifestError naming
-    the file and line."""
+    an object that lacks one of the named columns or holds a value of the
+    wrong type in it (_COLUMN_TYPES), raises ManifestError naming the file
+    and line."""
+    checks = [(column, *_COLUMN_TYPES[column]) for column in columns]
     rows = []
     for lineno, row in _json_lines(path):
         if not isinstance(row, dict):
             raise ManifestError(f"{path}:{lineno}: a row must be a JSON object")
-        for column in columns:
+        for column, what, check in checks:
             if column not in row:
                 raise ManifestError(f"{path}:{lineno}: a row lacks the {column!r} column")
+            if not check(row[column]):
+                raise ManifestError(
+                    f"{path}:{lineno}: the {column!r} column must hold {what}, "
+                    f"not {row[column]!r}"
+                )
         rows.append(row)
     return rows
 
@@ -970,9 +1005,10 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) ->
         d_active = _read_optional(cycle_dir / "d_active.jsonl", ("image_id",))
         d_train = _read_optional(cycle_dir / "d_train.jsonl", ("consensus_score",))
         d_star = _read_optional(cycle_dir / "d_train_star.jsonl")
-        queries = _read_optional(cycle_dir / "queries.jsonl", ("step",))
-        questions = _read_optional(cycle_dir / "questions.jsonl", ("step",))
-        solver_rows = _read_optional(cycle_dir / "solver_steps.jsonl", ("step",))
+        rewards = ("r_chal", "p_rep", "r_final")
+        queries = _read_optional(cycle_dir / "queries.jsonl", ("step", *rewards))
+        questions = _read_optional(cycle_dir / "questions.jsonl", ("step", *rewards))
+        solver_rows = _read_optional(cycle_dir / "solver_steps.jsonl", ("step", "mean_reward"))
         cycles.append(
             {
                 "cycle": cycle,
@@ -981,8 +1017,8 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) ->
                 ),
                 "category_distribution": category_distribution(index, d_active),
                 "reward_series": {
-                    "searcher": _series(queries, ("r_chal", "p_rep", "r_final")),
-                    "questioner": _series(questions, ("r_chal", "p_rep", "r_final")),
+                    "searcher": _series(queries, rewards),
+                    "questioner": _series(questions, rewards),
                     "solver": _series(solver_rows, ("mean_reward",)),
                 },
                 "dataset_sizes": {

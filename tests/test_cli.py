@@ -645,6 +645,38 @@ class TestDatasetCommands:
         assert (code, out) == (1, "")
         assert err == f"error[ManifestError]: {path}:{lineno}: a row lacks the {column!r} column\n"
 
+    @pytest.mark.parametrize(
+        ("artifact", "row", "column", "what"),
+        [
+            ("d_train.jsonl", '{"consensus_score": "0.5"}', "consensus_score", "a finite number"),
+            ("d_train.jsonl", '{"consensus_score": NaN}', "consensus_score", "a finite number"),
+            ("queries.jsonl", '{"step": [1]}', "step", "an integer"),
+            ("queries.jsonl", '{"step": 0, "r_chal": "x"}', "r_chal", "a finite number or null"),
+            ("d_active.jsonl", '{"image_id": ["a"]}', "image_id", "a string"),
+            ("solver_steps.jsonl", '{"step": 0, "mean_reward": true}', "mean_reward",
+             "a finite number or null"),
+        ],
+        ids=("string_consensus", "nan_consensus", "list_step", "string_reward",
+             "list_image_id", "boolean_mean_reward"),
+    )
+    def test_wrongly_typed_column_exits_one(
+        self, finished_run, capsys, artifact, row, column, what
+    ):
+        # Unchecked, these ended report and a resumed run in a raw TypeError
+        # or ValueError traceback, or (a boolean mean_reward) counted true as 1.
+        path = finished_run / "cycle1" / artifact
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        expected = (
+            f"error[ManifestError]: {path}:{lineno}: the {column!r} column must hold {what}, not "
+        )
+        for argv in (["report"], ["run"] + RUN_ARGS):
+            code, out, err = run_cli(capsys, argv + ["--run-dir", str(finished_run)])
+            assert (code, out) == (1, "")
+            assert err.startswith(expected)
+            assert err.count("\n") == 1
+
     def test_report_on_unknown_image_id_exits_one(self, finished_run, capsys):
         # Unchecked, this ended in a raw KeyError traceback from the index.
         with open(finished_run / "cycle1" / "d_active.jsonl", "a", encoding="utf-8") as fh:

@@ -293,6 +293,35 @@ class TestDistinctWorkOnce:
         assert set(calls.values()) == {1}
         assert len(queries) > len(calls)
 
+    def test_run_embeds_each_text_once_across_stages_and_cycles(self, tmp_path, monkeypatch):
+        # Stage 1 and build_active read one query memo, so a text stage 1
+        # embedded is not embedded again by build_active or by cycle 2.
+        cfg = small_cfg(tmp_path, cycles=2)
+        engines = []
+
+        def counted_engine(cfg):
+            engine = build_engine(cfg)
+            engines.append((engine, count_embeds(engine)))
+            return engine
+
+        monkeypatch.setattr(orchestrator, "build_engine", counted_engine)
+        run_dir = Path(run(cfg)["run_dir"])
+        (_, calls), = engines
+        assert set(calls.values()) == {1}
+        states = {e["key"]: e["state"] for e in Journal(run_dir / "journal.json").entries}
+        queries = set()
+        for cycle in (1, 2):
+            cycle_dir = run_dir / f"cycle{cycle}"
+            active = read_jsonl(cycle_dir / "d_active.jsonl")
+            queries |= {row["query"] for row in read_jsonl(cycle_dir / "queries.jsonl")}
+            queries |= {row["query"] for row in active}
+            # The searcher as it stood when the cycle's build_active ran.
+            reference = build_engine(cfg)
+            reference.restore(states[f"cycle{cycle}:stage1"])
+            rng = np.random.default_rng(stage_seed(cfg.seed, cycle, "build_active"))
+            assert active == build_active_reference(reference, rng)
+        assert queries <= set(calls)
+
     def test_stage1_image_is_brute_force_top1(self, engine):
         oracle = brute_force_top1(engine.index)
         rng = np.random.default_rng(32)
@@ -328,6 +357,7 @@ class TestDistinctWorkOnce:
         for row in rows:
             assert row["image_id"] in oracle(engine.embedder.embed(row["query"]))
         assert engine._top1.cache_info().currsize == 5
+        assert engine._embedding.cache_info().currsize == 5
         # The first step's queries were evicted, so they are retrieved anew.
         misses = engine._top1.cache_info().misses
         assert engine._top1(rows[0]["query"])[0].id == rows[0]["image_id"]

@@ -514,13 +514,15 @@ class RecordingTransport:
 # Per role: (request count, sha256 of the sorted request bodies), recorded
 # for one remote cycle of remote_cfg with a remote judge and 20 queries per
 # domain (so the active set's searcher requests split 16 + 4). A change to
-# the bytes of any prompt or payload changes these. The judge's 30 bodies
-# are distinct: the engine's verdict memo sends each payload once per run,
-# and each pair of normalized answers is asked in one order only. The
+# the bytes of any prompt or payload changes these. The 10 embed bodies are
+# distinct: the engine's query memo embeds each text once per run, for stage
+# 1 and the active set alike. The judge's 30 bodies are distinct: the
+# engine's verdict memo sends each payload once per run, and each pair of
+# normalized answers is asked in one order only. The
 # judge's verdicts are not transitive, so the vote's class rule decides which
 # items reach d_train_star, and with them stage 3's solver bodies.
 PAYLOAD_GOLDEN = {
-    "embed": (46, "55bbd88a08e355495b0c484f0796ad4defdacdc667d0f040d93d11faddcfd17a"),
+    "embed": (10, "913f95495b382165ed03e21dd875716b506dac7aba85b37143c3253a7c5ffd44"),
     "judge": (30, "5a8bbd3c99dc6217c0025e2f3e339b63175a8088b9055c7ce1e37f3d3faa7975"),
     "questioner": (77, "3339c7bb816547457ae86d7cc9d0c07aee7cdeb7fdf3c5628b86636b3f670784"),
     "searcher": (12, "d920a7964d464b835a86e57ed5e3b93159ba75e15e3b3226fc24ec8e2a8e71a8"),
@@ -541,6 +543,28 @@ def test_remote_cycle_payloads_are_byte_stable(manifest_path, tmp_path, monkeypa
         for role, bodies in sorted(transport.bodies.items())
     }
     assert observed == PAYLOAD_GOLDEN
+
+
+def test_remote_run_embeds_each_text_once_at_any_in_flight(manifest_path, tmp_path, monkeypatch):
+    # Stage 1 and the active set read one query memo per engine, so across
+    # two cycles no embedding body repeats, and neither the bodies nor the
+    # artifacts depend on how many requests are in flight.
+    embed_bodies = {}
+    for in_flight in (1, 4):
+        transport = RecordingTransport(dimension=16)
+        monkeypatch.setattr(backends, "_requests_transport", transport)
+        cfg = remote_cfg(manifest_path)
+        cfg.judge.kind = "remote"
+        cfg.iteration.cycles = 2
+        cfg.iteration.queries_per_iteration = 80
+        cfg.backend.in_flight = in_flight
+        cfg.run_dir = str(tmp_path / f"in_flight{in_flight}")
+        run(cfg)
+        bodies = transport.bodies["embed"]
+        assert len(bodies) == len(set(bodies))
+        embed_bodies[in_flight] = sorted(bodies)
+    assert embed_bodies[4] == embed_bodies[1]
+    assert_same_artifacts(tmp_path / "in_flight1", tmp_path / "in_flight4")
 
 
 def test_resume_with_empty_verdict_memo_is_byte_identical(manifest_path, tmp_path, monkeypatch):

@@ -42,6 +42,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _category_list(text: str) -> list[str]:
     categories = [c.strip() for c in text.split(",") if c.strip()]
     if not categories:
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_sub = synth.add_subparsers(dest="synth_command", required=True)
     gen = synth_sub.add_parser("gen", help="write a synthetic corpus manifest")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--count", type=_positive_int, default=10000)
     gen.add_argument("--dim", type=_positive_int, default=32)
     gen.add_argument(
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="analytic vs finite-difference gradient validation"
     )
     gcheck.add_argument("--trials", type=_positive_int, default=100)
-    gcheck.add_argument("--seed", type=int, default=0)
+    gcheck.add_argument("--seed", type=_nonnegative_int, default=0)
     gcheck.set_defaults(func=_cmd_grpo_check)
 
     report = sub.add_parser("report", help="emit the stats report for a run dir")

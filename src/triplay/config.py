@@ -67,6 +67,9 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    # numpy's seed sequences take only non-negative integers.
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     it = cfg.iteration
     if not (0.0 <= it.tau_low < it.tau_high <= 1.0):
         raise ConfigError(

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
@@ -189,47 +191,84 @@ def _norm_problem(norm: float) -> str:
     return "all-zero embedding" if norm == 0.0 else f"embedding norm is {norm}, not finite"
 
 
-class EmbeddingIndex:
-    """Immutable flat index over an IndexManifest; safe for concurrent reads."""
+def _unique(ids: list[str]) -> list[str]:
+    if len(set(ids)) != len(ids):
+        raise ManifestError("duplicate record ids in manifest")
+    return ids
 
-    def __init__(self, manifest: IndexManifest):
-        records = sorted(manifest.records, key=lambda r: r.id)
-        ids = [r.id for r in records]
-        if len(set(ids)) != len(ids):
-            raise ManifestError("duplicate record ids in manifest")
-        for rec in records:
-            if rec.embedding.shape != (manifest.dimension,):
-                raise DimensionMismatch(
-                    f"record {rec.id}: embedding has dimension "
-                    f"{rec.embedding.shape[0]}, index expects {manifest.dimension}"
-                )
-        rows = [r.embedding for r in records] or [np.zeros(0)]
-        matrix = np.concatenate(rows).reshape(len(records), manifest.dimension)
+
+class LazyRecords(Protocol):
+    """A corpus held as arrays: row i of embeddings is image ids[i], and
+    record(i) builds that image's ImageRecord."""
+
+    ids: list[str]
+    embeddings: np.ndarray
+
+    def record(self, i: int) -> ImageRecord: ...
+
+
+class EmbeddingIndex:
+    """Immutable flat index over an IndexManifest or over LazyRecords.
+
+    Both hold the ids in id order, the unit-normalized matrix, and one record
+    slot per row. A manifest's records fill their slots up front. LazyRecords
+    fill a slot the first time get, retrieve or records returns it, and only
+    once: a lock around the fill keeps one record per id, so the index is
+    safe for concurrent reads either way."""
+
+    def __init__(self, corpus: IndexManifest | LazyRecords):
+        if isinstance(corpus, IndexManifest):
+            records = sorted(corpus.records, key=lambda r: r.id)
+            ids = _unique([r.id for r in records])
+            for rec in records:
+                if rec.embedding.shape != (corpus.dimension,):
+                    raise DimensionMismatch(
+                        f"record {rec.id}: embedding has dimension "
+                        f"{rec.embedding.shape[0]}, index expects {corpus.dimension}"
+                    )
+            rows = [r.embedding for r in records] or [np.zeros(0)]
+            matrix = np.concatenate(rows).reshape(len(records), corpus.dimension)
+            self.dimension = corpus.dimension
+            self._slots: list[ImageRecord | None] = records
+        else:
+            order = sorted(range(len(corpus.ids)), key=corpus.ids.__getitem__)
+            ids = _unique([corpus.ids[i] for i in order])
+            matrix = corpus.embeddings[order]
+            self.dimension = matrix.shape[1]
+            self._slots = [None] * len(ids)
+            self._build = lambda row: corpus.record(order[row])
         norms = np.linalg.norm(matrix, axis=1)
         # JSON parses NaN and Infinity, and a vector holding one scores NaN.
         unnormalizable = ~((norms > 0.0) & (norms < np.inf))
         if unnormalizable.any():
             i = int(np.argmax(unnormalizable))
-            raise ZeroVector(f"record {records[i].id}: {_norm_problem(norms[i])}")
+            raise ZeroVector(f"record {ids[i]}: {_norm_problem(norms[i])}")
         matrix /= norms[:, np.newaxis]
-        self.dimension = manifest.dimension
-        self._records = records
-        self._by_id = {r.id: r for r in records}
         self._matrix = matrix
+        self._rows = dict(zip(ids, range(len(ids))))
+        self._fill_lock = threading.Lock()
+
+    def _record(self, row: int) -> ImageRecord:
+        record = self._slots[row]
+        if record is None:
+            with self._fill_lock:
+                record = self._slots[row] = self._slots[row] or self._build(row)
+        return record
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._slots)
 
     @property
     def records(self) -> list[ImageRecord]:
-        return list(self._records)
+        return [self._record(row) for row in range(len(self._slots))]
 
     def get(self, record_id: str) -> ImageRecord:
         """The record of an id; an id the index lacks raises ManifestError."""
         try:
-            return self._by_id[record_id]
+            row = self._rows[record_id]
         except KeyError:
             raise ManifestError(f"no image {record_id!r} in the index") from None
+        return self._record(row)
 
     def normalize_query(self, query) -> np.ndarray:
         """The query as a unit vector; a wrong dimension or a norm outside
@@ -252,7 +291,7 @@ class EmbeddingIndex:
         self, queries, k: int, chunk: int = 512
     ) -> list[list[tuple[ImageRecord, float]]]:
         """retrieve() for many queries at once; results align with input order."""
-        if not self._records:
+        if not self._slots:
             raise EmptyIndex("cannot retrieve from an empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -264,7 +303,5 @@ class EmbeddingIndex:
             )
             scores = block @ self._matrix.T
             for row, picks in enumerate(_top_k(scores, k)):
-                out.append(
-                    [(self._records[i], float(scores[row, i])) for i in picks]
-                )
+                out.append([(self._record(i), float(scores[row, i])) for i in picks])
         return out

@@ -7,6 +7,12 @@ Everything is seeded, so the full optimization loop can be validated at desk
 scale with analytic ground truth. The world is drawn per image in seed order
 and assembled in batched passes over one embedding matrix, bit-identical to
 building it one image at a time.
+
+The world keeps its draw as arrays: ids, the embedding matrix and the
+difficulties. Its index builds an image's ImageRecord the first time it
+returns that image, so set-up builds none; a default run reads a few hundred
+of its 10,000 images. gen_corpus builds every record up front through the
+same builder, for `triplay synth gen`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .embedding_index import EmbeddingIndex, ImageRecord, IndexManifest
+from .embedding_index import EmbeddingIndex, ImageRecord
 
 # Angular frequencies of the difficulty curve. Several incommensurate
 # frequencies keep nearby difficulties close in embedding space while pushing
@@ -125,12 +131,36 @@ def _add_curve(rows: np.ndarray, difficulties: np.ndarray, slot: int, blocks: in
         rows[:, col + 1] += np.fromiter(map(math.sin, angles), float, len(angles)) / scale
 
 
-def gen_corpus(
+@dataclass(frozen=True)
+class _Images:
+    """One draw of the world as arrays: image i is ids[i], with row i of
+    embeddings and difficulties[i]. record(i) builds its ImageRecord."""
+
+    categories: list[str]
+    ids: list[str]
+    embeddings: np.ndarray
+    difficulties: np.ndarray
+
+    def record(self, i: int) -> ImageRecord:
+        image_id = self.ids[i]
+        return ImageRecord(
+            id=image_id,
+            embedding=self.embeddings[i],
+            category=self.categories[i % len(self.categories)],
+            uri=f"synth://{image_id}",
+            source="synthetic",
+            meta={
+                "difficulty": float(self.difficulties[i]),
+                "answer": canonical_answer(image_id),
+            },
+        )
+
+
+def _draw(
     seed: int, count: int, dim: int, categories: list[str], noise: float = EMBEDDING_NOISE
-) -> list[ImageRecord]:
-    """Seeded corpus: uniform difficulties, embeddings on the category's
-    difficulty curve plus small noise, renormalized to unit length. Each
-    record's meta holds its image's difficulty and canonical answer.
+) -> _Images:
+    """The world's seeded draw: uniform difficulties, embeddings on the
+    category's difficulty curve plus small noise, renormalized to unit length.
 
     Draws are per image in seed order (a uniform, then dim normals): numpy's
     normal sampler rejects and redraws, so one batched draw would change the
@@ -159,21 +189,20 @@ def gen_corpus(
         _add_curve(vecs[slot::ncat], difficulties[slot::ncat], slot, blocks)
     # math.sqrt(row.dot(row)) is exactly np.linalg.norm of a 1-D row.
     vecs /= np.array([math.sqrt(row.dot(row)) for row in vecs])[:, None]
-    records = []
-    for i, (vec, difficulty) in enumerate(zip(vecs, difficulties.tolist())):
-        category = categories[i % ncat]
-        image_id = f"{category}-{i:06d}"
-        records.append(
-            ImageRecord(
-                id=image_id,
-                embedding=vec,
-                category=category,
-                uri=f"synth://{image_id}",
-                source="synthetic",
-                meta={"difficulty": difficulty, "answer": canonical_answer(image_id)},
-            )
-        )
-    return records
+    ids = [f"{categories[i % ncat]}-{i:06d}" for i in range(count)]
+    return _Images(list(categories), ids, vecs, difficulties)
+
+
+def gen_corpus(
+    seed: int, count: int, dim: int, categories: list[str], noise: float = EMBEDDING_NOISE
+) -> list[ImageRecord]:
+    """Every image of the world's draw as a record, in draw order: what
+    `triplay synth gen` writes. Each record's meta holds its image's
+    difficulty and canonical answer. SyntheticWorld.generate makes the same
+    draw and builds a record only when its index first returns it, through
+    the same builder, so both give the same records."""
+    images = _draw(seed, count, dim, categories, noise)
+    return [images.record(i) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -186,19 +215,18 @@ class QueryTemplate:
 
 
 class SyntheticWorld:
-    """Immutable world: corpus, flat index, and the query-template table. It
-    is also the engine's query embedder: embed is embed_query."""
+    """Immutable world: the flat index over its images, and the query-template
+    table. It is also the engine's query embedder: embed is embed_query."""
 
     def __init__(
         self,
-        records: list[ImageRecord],
+        index: EmbeddingIndex,
         categories: list[str],
-        dim: int,
         bands_per_category: int = BANDS_PER_CATEGORY,
     ):
         self.categories = list(categories)
-        self.dimension = dim
-        self.index = EmbeddingIndex(IndexManifest(dimension=dim, records=records))
+        self.dimension = dim = index.dimension
+        self.index = index
         blocks = _curve_blocks(dim, len(self.categories))
         difficulties = [(band + 0.5) / bands_per_category for band in range(bands_per_category)]
         embeddings = np.zeros((len(self.categories), bands_per_category, dim))
@@ -228,8 +256,8 @@ class SyntheticWorld:
         categories: list[str],
         bands_per_category: int = BANDS_PER_CATEGORY,
     ) -> "SyntheticWorld":
-        records = gen_corpus(seed, count, dim, list(categories))
-        return cls(records, list(categories), dim, bands_per_category)
+        images = _draw(seed, count, dim, categories)
+        return cls(EmbeddingIndex(images), images.categories, bands_per_category)
 
     def template_indices(self, category: str) -> list[int]:
         return [t.index for t in self.templates if t.category == category]

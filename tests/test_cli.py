@@ -739,6 +739,41 @@ class TestUsage:
         assert "must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, code, last_line",
+        [
+            (
+                ["run", "--synthetic", "--seed", "-1", "--cycles", "1", "--world-count", "400"],
+                1,
+                "error[ConfigError]: seed must be >= 0, got -1",
+            ),
+            (
+                ["synth", "gen", "--seed", "-1", "--count", "10", "--out", "c.jsonl"],
+                2,
+                "triplay synth gen: error: argument --seed: must be >= 0, got -1",
+            ),
+            (
+                ["grpo", "check", "--trials", "2", "--seed", "-1"],
+                2,
+                "triplay grpo check: error: argument --seed: must be >= 0, got -1",
+            ),
+        ],
+        ids=("run", "synth_gen", "grpo_check"),
+    )
+    def test_negative_seed_refused(self, tmp_path, monkeypatch, capsys, argv, code, last_line):
+        # Unchecked, each ended in numpy's "expected non-negative integer"
+        # ValueError traceback.
+        monkeypatch.chdir(tmp_path)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.splitlines()[-1] == last_line
+        assert code == 2 or err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dataset", "build", "--d-active", "d_active.jsonl", "--out-dir", "out"],

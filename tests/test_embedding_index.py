@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -378,3 +380,73 @@ class TestManifest:
         records = [ImageRecord(id="a", embedding=[1.0, 0.0, 0.0], category="c")]
         with pytest.raises(DimensionMismatch):
             EmbeddingIndex(IndexManifest(dimension=2, records=records))
+
+
+class ArrayCorpus:
+    """LazyRecords over plain arrays, counting the records it builds."""
+
+    def __init__(self, ids, embeddings):
+        self.ids = list(ids)
+        self.embeddings = np.asarray(embeddings, dtype=np.float64)
+        self.built = []
+
+    def record(self, i):
+        self.built.append(i)
+        return ImageRecord(id=self.ids[i], embedding=self.embeddings[i], category="c")
+
+
+class TestLazyRecords:
+    def test_records_built_on_first_read_only(self):
+        corpus = ArrayCorpus(["c", "a", "b"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        index = EmbeddingIndex(corpus)
+        assert corpus.built == []
+        (hit, score), = index.retrieve([0.0, 2.0], 1)
+        assert (hit.id, score) == ("a", 1.0)
+        assert corpus.built == [1]
+        assert index.get("a") is hit
+        assert [r.id for r in index.records] == ["a", "b", "c"]
+        assert sorted(corpus.built) == [0, 1, 2]
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ManifestError, match="^duplicate record ids in manifest$"):
+            EmbeddingIndex(ArrayCorpus(["a", "a"], [[1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0.0, "all-zero embedding"), (math.nan, "embedding norm is nan, not finite")],
+        ids=("zero", "nan"),
+    )
+    def test_unnormalizable_row_rejected(self, bad, message):
+        corpus = ArrayCorpus(["z", "b", "a"], [[1.0, 0.0], [bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ZeroVector, match=f"^record b: {message}$"):
+            EmbeddingIndex(corpus)
+
+    def test_concurrent_first_reads_build_each_record_once(self):
+        # The fill is check-then-act on a shared slot: without its lock, two
+        # threads could each build a record for one id.
+        rng = np.random.default_rng(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                corpus = ArrayCorpus([f"r{i:03d}" for i in range(200)], rng.normal(size=(200, 4)))
+                index = EmbeddingIndex(corpus)
+                barrier = threading.Barrier(8)
+                reads = [[] for _ in range(8)]
+
+                def read(out):
+                    barrier.wait()
+                    out.extend(index.get(record_id) for record_id in corpus.ids)
+
+                threads = [threading.Thread(target=read, args=(out,)) for out in reads]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(corpus.built) == list(range(200))
+                for out in reads:
+                    assert len(out) == 200
+                    assert all(a is b for a, b in zip(out, reads[0]))
+        finally:
+            sys.setswitchinterval(interval)

@@ -14,9 +14,10 @@ from conftest import (
     random_active,
 )
 
-from triplay import orchestrator
+from triplay import orchestrator, synthetic_world
 from triplay.config import IterationConfig, RunConfig, WorldConfig
 from triplay.consensus import extract_tagged
+from triplay.embedding_index import ImageRecord
 from triplay.errors import ConfigError, DimensionMismatch
 from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
@@ -909,3 +910,24 @@ class TestEngineWiring:
             for stage in ("stage1", "build_active", "stage2")
         }
         assert len(seeds) == 6
+
+    def test_setup_builds_no_record_and_a_run_only_the_active_set(self, tmp_path, monkeypatch):
+        # The world's index builds an image's record the first time it returns
+        # it: set-up reads no image, and a cycle reads only the active set's.
+        # 600 queries per domain draw every template, so the active set holds
+        # each image stage 1 retrieved.
+        built = []
+
+        def counting_record(**fields):
+            built.append(fields["id"])
+            return ImageRecord(**fields)
+
+        monkeypatch.setattr(synthetic_world, "ImageRecord", counting_record)
+        cfg = small_cfg(tmp_path, queries_per_iteration=2400)
+        build_engine(cfg)
+        assert built == []
+        run(cfg)
+        d_active = read_jsonl(tmp_path / "run" / "cycle1" / "d_active.jsonl")
+        active = {row["image_id"] for row in d_active}
+        assert len(built) == len(set(built))
+        assert set(built) == active

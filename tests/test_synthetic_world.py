@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from triplay.config import RunConfig, WorldConfig
 from triplay.consensus import ExactNormalizedJudge, extract_boxed
 from triplay.diversity import text_distance
+from triplay.embedding_index import EmbeddingIndex, IndexManifest
 from triplay.errors import ConfigError
 from triplay.orchestrator import build_engine
 from triplay.rewards import probe_from_answers
@@ -153,7 +154,8 @@ class TestBatchedBuildMatchesPerImage:
             assert record.meta["difficulty"] == difficulty
             assert type(record.meta["difficulty"]) is float
             assert record.meta["answer"] == answer
-        world = SyntheticWorld(records, categories, dim, bands_per_category=5)
+        index = EmbeddingIndex(IndexManifest(dimension=dim, records=records))
+        world = SyntheticWorld(index, categories, bands_per_category=5)
         for t in world.templates:
             direction = reference_direction(categories, t.category, t.difficulty, dim)
             assert t.embedding.tobytes() == direction.tobytes()
@@ -161,6 +163,48 @@ class TestBatchedBuildMatchesPerImage:
     def test_dim_too_small_raises_before_building(self):
         with pytest.raises(ConfigError, match="dim 5 cannot host 3 categories"):
             gen_corpus(1, 10, 5, ["a", "b", "c"])
+
+
+class TestLazyWorld:
+    """The world's index builds each record on first read; what it builds is
+    gen_corpus's record, and the index ranks as one built from gen_corpus."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 300),
+        dim=st.integers(4, 64),
+        ncat=st.integers(1, 6),
+        k=st.integers(1, 8),
+    )
+    def test_lazy_world_is_the_eager_corpus(self, seed, count, dim, ncat, k):
+        categories = [f"cat{c}" for c in range(ncat)]
+        try:
+            records = gen_corpus(seed, count, dim, categories)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                SyntheticWorld.generate(seed, count, dim, categories)
+            return
+        world = SyntheticWorld.generate(seed, count, dim, categories)
+        eager = EmbeddingIndex(IndexManifest(dimension=dim, records=records))
+        queries = [t.embedding for t in world.templates]
+        lazy_hits = world.index.retrieve_batch(queries, k)
+        eager_hits = eager.retrieve_batch(queries, k)
+        for lazy_ranked, eager_ranked in zip(lazy_hits, eager_hits):
+            assert [r.id for r, _ in lazy_ranked] == [r.id for r, _ in eager_ranked]
+            assert np.array([s for _, s in lazy_ranked]).tobytes() == (
+                np.array([s for _, s in eager_ranked]).tobytes()
+            )
+            for record, _ in lazy_ranked:
+                assert world.index.get(record.id) is record
+        for want in records:
+            got = world.index.get(want.id)
+            assert got.embedding.tobytes() == want.embedding.tobytes()
+            assert got.meta == want.meta
+            assert type(got.meta["difficulty"]) is float
+            assert (got.uri, got.source, got.category) == (want.uri, want.source, want.category)
+            assert world.index.get(want.id) is got
+        assert [r.id for r in world.index.records] == sorted(r.id for r in records)
 
 
 class TestSolver:

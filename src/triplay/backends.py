@@ -224,20 +224,25 @@ def _image_content(image_ref: str) -> dict:
 
 
 class _HttpClient:
-    """POSTs JSON through _post_with_retry, with a bearer token read from the
-    environment variable named by config.auth_env when it is set."""
+    """POSTs JSON through _post_with_retry, with a bearer token read once from
+    the environment variable named by config.auth_env when that is set; one
+    unset or empty raises ConfigError naming the variable, never its value."""
 
     def __init__(self, config: HttpBackendConfig, transport=None, sleep=time.sleep):
         self.config = config
         self._transport = transport or _requests_transport
         self._sleep = sleep
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_env:
+            token = os.environ.get(config.auth_env)
+            if not token:
+                raise ConfigError(f"backend.auth_env names {config.auth_env}, unset or empty")
+            self._headers["Authorization"] = f"Bearer {token}"
 
     def _post(self, url: str, payload: dict) -> dict:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.config.auth_env, "") if self.config.auth_env else ""
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return _post_with_retry(self._transport, url, payload, headers, self.config, self._sleep)
+        return _post_with_retry(
+            self._transport, url, payload, self._headers, self.config, self._sleep
+        )
 
 
 class HttpChatBackend(_HttpClient):

@@ -10,14 +10,13 @@ does not ask about a pair already joined, so a batch of near-duplicates
 needs fewer text distances than pairs.
 
 The penalties take the text distance as an argument. A caller that scores the
-same texts batch after batch passes memoized_text_distance, which computes
-each unordered pair's BLEU distance once and returns exactly what
-text_distance returns.
+same texts batch after batch passes a memoized equal of text_distance, as the
+Engine does: text_distance is symmetric to the bit, so one entry per
+unordered pair serves both orders.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 
@@ -66,21 +65,6 @@ def sentence_bleu(candidate: str, reference: str) -> float:
 def text_distance(qi: str, qj: str) -> float:
     """1 - mean of both directional BLEU scores; symmetric, 0 iff token-identical."""
     return 1.0 - 0.5 * (sentence_bleu(qi, qj) + sentence_bleu(qj, qi))
-
-
-def memoized_text_distance(maxsize: int):
-    """text_distance behind a bounded LRU memo keyed by the unordered pair.
-
-    text_distance is symmetric to the bit, so one entry serves both orders.
-    The memo belongs to the returned callable; create one per owner.
-    """
-    cached = functools.lru_cache(maxsize=maxsize)(text_distance)
-
-    def distance(qi: str, qj: str) -> float:
-        return cached(qi, qj) if qi <= qj else cached(qj, qi)
-
-    distance.cache_info = cached.cache_info
-    return distance
 
 
 def visual_distance_matrix(embeddings) -> np.ndarray:

@@ -22,15 +22,17 @@ synthetic mode runs all of it serially.
 
 Each distinct piece of work is done once. An Engine memoizes, per engine and
 within fixed bounds, the embedding of each query text (one memo read by
-stage 1 and by build_active_dataset in every cycle), the stage-1 top-1 hit of
-each query text, the BLEU distance of each pair of texts, and the remote
-judge's verdict on each question and pair of answers (one VerdictMemo shared
-by every judge it makes). build_active_dataset retrieves each distinct query
-of a domain once. The dedup and the query memos assume a deterministic
-embedding backend, and the verdict memo a temperature-0 judge; the memos hold
-no agent state and are not journaled. A synthetic toy-policy role keeps each
-domain's action distribution until its logits change, and the offline judge's
-votes group answers by normalized form instead of judging pairs.
+stage 1 and by build_active_dataset in every cycle), the stage-1 top-1 hit
+of each query text, the BLEU distance of each pair of texts, and the remote
+judge's verdict on each question and pair of answers (one memo shared by
+every judge it makes). All four are single-flight consensus.Memo objects
+that drop their oldest entry past their bounds. build_active_dataset
+retrieves each distinct query of a domain once. The dedup and the query
+memos assume a deterministic embedding backend, and the verdict memo a
+temperature-0 judge; the memos hold no agent state and are not journaled. A
+synthetic toy-policy role keeps each domain's action distribution until its
+logits change, and the offline judge's votes group answers by normalized
+form instead of judging pairs.
 """
 
 from __future__ import annotations
@@ -61,15 +63,17 @@ from .config import (
     validate_config,
 )
 from .consensus import (
+    _VERDICT_MEMO_SIZE,
     ExactNormalizedJudge,
+    Memo,
     RemoteJudge,
-    VerdictMemo,
     extract_boxed,
     extract_tagged,
+    remote_judge,
 )
 from .diversity import (
-    memoized_text_distance,
     repetition_penalty,
+    text_distance,
     text_repetition_penalty,
 )
 from .embedding_index import EmbeddingIndex, ImageRecord, _json_lines, load_manifest
@@ -122,8 +126,7 @@ def _is_finite(value) -> bool:
 # Entry bounds of each engine's memos: query text -> embedding (at most
 # 4096 x dimension x 8 bytes: 1 MiB at 32-d, 32 MiB at 1024-d), query text ->
 # stage-1 top-1 hit, and unordered text pair -> BLEU distance. Remote query
-# text is unbounded, so the memos evict least-recently-used entries past
-# these sizes.
+# text is unbounded, so the memos drop their oldest entries past these sizes.
 _QUERY_MEMO_SIZE = 4096
 _TEXT_PAIR_MEMO_SIZE = 16384
 
@@ -418,12 +421,10 @@ class Engine:
             raise DimensionMismatch(
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
-        # lru_cache caches no exception, so a failed embed or a vector the
-        # index refuses leaves no entry behind in either query memo.
-        self._embedding = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._embed_query)
-        self._top1 = functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)(self._retrieve_top1)
-        self._text_distance = memoized_text_distance(_TEXT_PAIR_MEMO_SIZE)
-        self._verdicts = VerdictMemo()
+        self._embedding = Memo(self._embed_query, _QUERY_MEMO_SIZE)
+        self._top1 = Memo(self._retrieve_top1, _QUERY_MEMO_SIZE)
+        self._text_distance = Memo(text_distance, _TEXT_PAIR_MEMO_SIZE)
+        self._verdicts = Memo(functools.partial(remote_judge, judge_backend), _VERDICT_MEMO_SIZE)
 
     def _embed_query(self, query: str) -> np.ndarray:
         # self.embedder.embed is looked up per call, so a wrapper set on the
@@ -435,6 +436,10 @@ class Engine:
 
     def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
         return self.index.retrieve(self._embedding(query), 1)[0]
+
+    def _pair_distance(self, qi: str, qj: str) -> float:
+        # text_distance is symmetric to the bit: one entry serves both orders.
+        return self._text_distance(qi, qj) if qi <= qj else self._text_distance(qj, qi)
 
     def judge_for(self, question: str):
         if self.cfg.judge.kind == "remote":
@@ -502,7 +507,7 @@ class Engine:
             if kept:
                 penalties = repetition_penalty(
                     [(row["query"], rec.embedding) for row, rec, _ in kept],
-                    it.tau_txt, it.tau_vis, self._text_distance,
+                    it.tau_txt, it.tau_vis, self._pair_distance,
                 )
                 for (row, _, probe), penalty in zip(kept, penalties):
                     _record_reward(row, probe.accuracy, uncertainty_reward(probe, penalty))
@@ -591,7 +596,7 @@ class Engine:
             kept = [row for row in rows if row["question"] is not None]
             if kept:
                 penalties = text_repetition_penalty(
-                    [row["question"] for row in kept], it.tau_txt, self._text_distance
+                    [row["question"] for row in kept], it.tau_txt, self._pair_distance
                 )
                 probes = self._fan_out(
                     lambda row: self._score(image, row["question"], it.probe_rollouts, rng),

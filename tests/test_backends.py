@@ -259,6 +259,27 @@ class TestHttpChatBackend:
         with pytest.raises(ConfigError):
             HttpChatBackend(HttpBackendConfig())
 
+    @pytest.mark.parametrize("token", [None, ""], ids=("unset", "empty"))
+    @pytest.mark.parametrize("client", [HttpChatBackend, HttpEmbeddingBackend])
+    def test_auth_env_without_a_token_is_refused(self, monkeypatch, client, token):
+        # Sent without its header, every request would end on the endpoint's
+        # 401, in a message that never names auth_env.
+        if token is None:
+            monkeypatch.delenv("TEST_API_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("TEST_API_TOKEN", token)
+        config = HttpBackendConfig(
+            endpoint="https://api.example/v1/chat",
+            model="m",
+            embedding_endpoint="https://api.example/v1/embed",
+            embedding_model="emb",
+            auth_env="TEST_API_TOKEN",
+        )
+        transport = FakeTransport([])
+        with pytest.raises(ConfigError, match="auth_env names TEST_API_TOKEN"):
+            client(config, transport=transport, sleep=lambda _t: None)
+        assert transport.calls == []
+
 
 def make_embedding_backend(auth_env="", embedding=(0.1, 0.2, 0.3)):
     config = HttpBackendConfig(

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import threading
@@ -14,8 +15,8 @@ from triplay.backends import GenerationRequest
 from triplay.consensus import (
     ConsensusResult,
     ExactNormalizedJudge,
+    Memo,
     RemoteJudge,
-    VerdictMemo,
     extract_boxed,
     extract_tagged,
     majority_vote,
@@ -656,7 +657,7 @@ def ask_concurrently(calls, workers: int, order_seed: int, backend):
     """Each of `workers` threads asks every (question, a, b) call of a judge
     sharing one memo, in its own random order and with each pair in a random
     orientation; the verdicts each saw, by call."""
-    memo = VerdictMemo()
+    memo = Memo(functools.partial(remote_judge, backend), consensus._VERDICT_MEMO_SIZE)
     judges = {q: RemoteJudge(backend, question=q, memo=memo) for q in QUESTIONS}
     start = threading.Barrier(workers)
     seen = [dict() for _ in range(workers)]
@@ -677,7 +678,7 @@ def ask_concurrently(calls, workers: int, order_seed: int, backend):
 
 
 class TestSharedVerdictMemo:
-    """An Engine hands one VerdictMemo to every RemoteJudge it makes, and its
+    """An Engine hands one verdict Memo to every RemoteJudge it makes, and its
     stages ask those judges from several workers at once."""
 
     @settings(max_examples=40, deadline=None)

@@ -1,14 +1,16 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from triplay import orchestrator
+from triplay.config import load_config
 from triplay.diversity import (
     components,
-    memoized_text_distance,
     repetition_penalty,
     sentence_bleu,
     text_distance,
@@ -368,7 +370,16 @@ class TestRepetitionPenalty:
         assert len(asked) == 4
 
 
+def small_memo_engine(bound: int):
+    """A small synthetic engine whose text-pair memo holds at most `bound` entries."""
+    with mock.patch.object(orchestrator, "_TEXT_PAIR_MEMO_SIZE", bound):
+        return orchestrator.build_engine(load_config(None, {"world": {"count": 40, "dim": 8}}))
+
+
 class TestMemoizedTextDistance:
+    """The distance the engine passes to its penalties: text_distance behind
+    its text-pair memo, keyed by the sorted pair."""
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matrix_equals_unmemoized(self, data):
@@ -377,7 +388,8 @@ class TestMemoizedTextDistance:
         words = st.lists(st.sampled_from("ant bee cow dog elk".split()), max_size=6)
         texts = data.draw(st.lists(words.map(" ".join), min_size=1, max_size=10))
         shuffled = data.draw(st.permutations(texts))
-        distance = memoized_text_distance(maxsize=8)
+        engine = small_memo_engine(8)
+        distance = engine._pair_distance
 
         def checked(qi, qj):
             d = distance(qi, qj)
@@ -389,10 +401,18 @@ class TestMemoizedTextDistance:
                 assert text_repetition_penalty(batch, tau, checked) == (
                     text_repetition_penalty(batch, tau)
                 )
-        assert distance.cache_info().currsize <= 8
+        assert len(engine._text_distance) <= 8
 
     def test_one_entry_per_unordered_pair(self):
-        distance = memoized_text_distance(maxsize=16)
+        computed = []
+
+        def counted(qi, qj):
+            computed.append((qi, qj))
+            return text_distance(qi, qj)
+
+        with mock.patch.object(orchestrator, "text_distance", counted):
+            engine = small_memo_engine(16)
+        distance = engine._pair_distance
         assert distance("a b", "c d") == distance("c d", "a b") == text_distance("a b", "c d")
-        info = distance.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert computed == [("a b", "c d")]
+        assert len(engine._text_distance) == 1

@@ -1,6 +1,8 @@
 import functools
 import json
 import logging
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -357,13 +359,17 @@ class TestDistinctWorkOnce:
         oracle = brute_force_top1(engine.index)
         for row in rows:
             assert row["image_id"] in oracle(engine.embedder.embed(row["query"]))
-        assert engine._top1.cache_info().currsize == 5
-        assert engine._embedding.cache_info().currsize == 5
+        assert len(engine._top1) == 5
+        assert len(engine._embedding) == 5
         # The first step's queries were evicted, so they are retrieved anew.
-        misses = engine._top1.cache_info().misses
+        retrieve = engine.index.retrieve
+        retrieved = []
+        monkeypatch.setattr(
+            engine.index, "retrieve", lambda *args: retrieved.append(args) or retrieve(*args)
+        )
         assert engine._top1(rows[0]["query"])[0].id == rows[0]["image_id"]
-        assert engine._top1.cache_info().misses == misses + 1
-        assert engine._text_distance.cache_info().currsize <= 7
+        assert len(retrieved) == 1
+        assert len(engine._text_distance) <= 7
 
     def test_failed_lookup_is_not_memoized(self, engine):
         query = engine.world.templates[0].text
@@ -381,8 +387,81 @@ class TestDistinctWorkOnce:
             engine._top1(query)
         with pytest.raises(DimensionMismatch):
             engine._top1(query)
-        assert engine._top1.cache_info().currsize == 0
+        assert len(engine._top1) == 0
         assert engine._top1(query) == engine.index.retrieve(embed(query), 1)[0]
+
+    def test_query_memos_are_single_flight(self, engine):
+        # Threads that need one text at once share one embed request.
+        query = engine.world.templates[0].text
+        embed = engine.embedder.embed
+        requests = []
+
+        def slow(text):
+            requests.append(text)
+            time.sleep(0.05)
+            return embed(text)
+
+        engine.embedder.embed = slow
+        start = threading.Barrier(8)
+        embeddings, hits = [], []
+
+        def work(i):
+            start.wait()
+            if i % 2:
+                embeddings.append(engine._embedding(query))
+            else:
+                hits.append(engine._top1(query))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert requests == [query]
+        assert len(embeddings) == len(hits) == 4
+        assert all(e is embeddings[0] for e in embeddings)
+        assert hits == [engine.index.retrieve(embeddings[0], 1)[0]] * 4
+
+    def test_failed_embed_reaches_every_waiter(self, engine):
+        query = engine.world.templates[0].text
+        asked, release = threading.Event(), threading.Event()
+        requests = []
+
+        def failing(text):
+            # Holds the first request until released, so the other callers
+            # find it in flight.
+            requests.append(text)
+            asked.set()
+            assert release.wait(timeout=10)
+            raise RuntimeError("transport down")
+
+        engine.embedder.embed = failing
+        outcomes = []
+
+        def call(lookup):
+            try:
+                outcomes.append(lookup(query))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        first = threading.Thread(target=call, args=(engine._embedding,))
+        first.start()
+        assert asked.wait(timeout=10)
+        waiters = [
+            threading.Thread(target=call, args=(lookup,))
+            for lookup in (engine._embedding, engine._top1) * 2
+        ]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.2)
+        release.set()
+        for thread in (first, *waiters):
+            thread.join()
+        assert len(outcomes) == 5
+        assert all(isinstance(outcome, RuntimeError) for outcome in outcomes)
+        assert requests == [query]
+        assert len(engine._embedding) == 0
+        assert len(engine._top1) == 0
 
 
 class NoBoxSolver:

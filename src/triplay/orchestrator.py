@@ -767,28 +767,39 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
 
 
 _TEXT = ("a string", lambda value: type(value) is str)
+_LABEL = ("a nonempty string", lambda value: type(value) is str and value != "")
+_STEP = ("an integer", lambda value: type(value) is int)
 _REWARD = ("a finite number or null", lambda value: value is None or _is_finite(value))
+_STEP_REWARDS = {"step": _STEP, "r_chal": _REWARD, "p_rep": _REWARD, "r_final": _REWARD}
 
-# What each artifact column a reader may name must hold: (what, check).
-_COLUMN_TYPES = {
-    **dict.fromkeys(("image_id", "question", "pseudo_label"), _TEXT),
-    "step": ("an integer", lambda value: type(value) is int),
-    "consensus_score": ("a finite number", _is_finite),
-    **dict.fromkeys(("r_chal", "p_rep", "r_final", "mean_reward"), _REWARD),
+# Each cycle file, in the order run() writes it: the stage that writes it,
+# and {column: (what it holds, check)} for every column a reader reads.
+ARTIFACTS = {
+    "queries.jsonl": ("stage1", _STEP_REWARDS),
+    "searcher_batches.jsonl": ("stage1", {}),
+    "d_active.jsonl": ("build_active", {"image_id": _TEXT}),
+    "questions.jsonl": ("stage2", _STEP_REWARDS),
+    "questioner_batches.jsonl": ("stage2", {}),
+    "d_train.jsonl": ("build_training", {"consensus_score": ("a finite number", _is_finite)}),
+    "d_train_star.jsonl": (
+        "build_training", {"image_id": _TEXT, "question": _TEXT, "pseudo_label": _LABEL}
+    ),
+    "solver_steps.jsonl": ("stage3", {"step": _STEP, "mean_reward": _REWARD}),
+    "solver_batches.jsonl": ("stage3", {}),
 }
 
 
-def read_jsonl(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict]:
-    """The rows of a JSON-lines artifact. A line that is not a JSON object, or
-    an object that lacks one of the named columns or holds a value of the
-    wrong type in it (_COLUMN_TYPES), raises ManifestError naming the file
-    and line."""
-    checks = [(column, *_COLUMN_TYPES[column]) for column in columns]
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The rows of a JSON-lines file. A line that is not a JSON object, or a
+    row of an ARTIFACTS file that lacks one of its columns or holds a value
+    that fails the column's check, raises ManifestError naming the file and
+    line."""
+    _, columns = ARTIFACTS.get(Path(path).name, (None, {}))
     rows = []
     for lineno, row in _json_lines(path):
         if not isinstance(row, dict):
             raise ManifestError(f"{path}:{lineno}: a row must be a JSON object")
-        for column, what, check in checks:
+        for column, (what, check) in columns.items():
             if column not in row:
                 raise ManifestError(f"{path}:{lineno}: a row lacks the {column!r} column")
             if not check(row[column]):
@@ -798,10 +809,6 @@ def read_jsonl(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict]:
                 )
         rows.append(row)
     return rows
-
-
-def _read_optional(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
-    return read_jsonl(path, columns) if path.exists() else []
 
 
 class Journal:
@@ -836,8 +843,8 @@ class Journal:
     def done(self, key: str) -> bool:
         return any(e["key"] == key and e.get("status") == "done" for e in self.entries)
 
-    def mark(self, key: str, artifacts: list[str], state: dict) -> None:
-        entry = {"key": key, "status": "done", "artifacts": artifacts, "state": state}
+    def mark(self, key: str, state: dict) -> None:
+        entry = {"key": key, "status": "done", "state": state}
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"entries": self.entries + [entry]}, indent=2))
@@ -896,49 +903,36 @@ def run(cfg: RunConfig) -> dict:
 
     it = cfg.iteration
 
-    def d_active(cycle_dir: Path) -> list[dict]:
-        return read_jsonl(cycle_dir / "d_active.jsonl", ("image_id",))
-
-    def d_star(cycle_dir: Path) -> list[dict]:
-        return read_jsonl(
-            cycle_dir / "d_train_star.jsonl", ("image_id", "question", "pseudo_label")
-        )
-
-    # (name, stage fn, artifacts): the stage fn takes (rng, cycle_dir) and
-    # returns one payload per artifact; *_batches.jsonl payloads are batch
+    # name -> stage fn: it takes (rng, cycle_dir) and returns one payload per
+    # file ARTIFACTS gives the stage; *_batches.jsonl payloads are batch
     # records. Engine methods are looked up when a stage runs.
-    stages = (
-        ("stage1",
-         lambda rng, _: _run_steps(it.searcher_steps, engine.stage1_step, rng),
-         ("queries.jsonl", "searcher_batches.jsonl")),
-        ("build_active",
-         lambda rng, _: (engine.build_active_dataset(rng),),
-         ("d_active.jsonl",)),
-        ("stage2",
-         lambda rng, cycle_dir: _run_steps(
-             it.questioner_steps, engine.stage2_step, d_active(cycle_dir), rng),
-         ("questions.jsonl", "questioner_batches.jsonl")),
-        ("build_training",
-         lambda rng, cycle_dir: engine.build_training_set(d_active(cycle_dir), rng),
-         ("d_train.jsonl", "d_train_star.jsonl")),
-        ("stage3",
-         lambda rng, cycle_dir: _run_steps(
-             it.solver_steps, engine.stage3_step, d_star(cycle_dir), rng),
-         ("solver_steps.jsonl", "solver_batches.jsonl")),
-    )
+    stages = {
+        "stage1": lambda rng, _: _run_steps(it.searcher_steps, engine.stage1_step, rng),
+        "build_active": lambda rng, _: (engine.build_active_dataset(rng),),
+        "stage2": lambda rng, cycle_dir: _run_steps(
+            it.questioner_steps, engine.stage2_step, read_jsonl(cycle_dir / "d_active.jsonl"), rng
+        ),
+        "build_training": lambda rng, cycle_dir: engine.build_training_set(
+            read_jsonl(cycle_dir / "d_active.jsonl"), rng
+        ),
+        "stage3": lambda rng, cycle_dir: _run_steps(
+            it.solver_steps, engine.stage3_step, read_jsonl(cycle_dir / "d_train_star.jsonl"), rng
+        ),
+    }
     for cycle in range(1, it.cycles + 1):
         cycle_dir = run_dir / f"cycle{cycle}"
         cycle_dir.mkdir(exist_ok=True)
-        for name, stage, artifacts in stages:
+        for name, stage in stages.items():
             key = f"cycle{cycle}:{name}"
             if not journal.done(key):
                 rng = np.random.default_rng(stage_seed(cfg.seed, cycle, name))
-                for artifact, payload in zip(artifacts, stage(rng, cycle_dir)):
+                artifacts = [file for file, (writer, _) in ARTIFACTS.items() if writer == name]
+                for artifact, payload in zip(artifacts, stage(rng, cycle_dir), strict=True):
                     if artifact.endswith("_batches.jsonl"):
                         write_training_batch(payload, cycle_dir / artifact)
                     else:
                         write_jsonl(cycle_dir / artifact, payload)
-                journal.mark(key, list(artifacts), engine.snapshot())
+                journal.mark(key, engine.snapshot())
 
     report = compute_stats(cfg, run_dir, engine.index)
     stats_path = run_dir / "stats.json"
@@ -1007,13 +1001,12 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) ->
         cycle_dir = run_dir / f"cycle{cycle}"
         if not cycle_dir.exists():
             continue
-        d_active = _read_optional(cycle_dir / "d_active.jsonl", ("image_id",))
-        d_train = _read_optional(cycle_dir / "d_train.jsonl", ("consensus_score",))
-        d_star = _read_optional(cycle_dir / "d_train_star.jsonl")
+        d_active, d_train, d_star, queries, questions, solver_rows = (
+            read_jsonl(cycle_dir / name) if (cycle_dir / name).exists() else []
+            for name in ("d_active.jsonl", "d_train.jsonl", "d_train_star.jsonl",
+                         "queries.jsonl", "questions.jsonl", "solver_steps.jsonl")
+        )
         rewards = ("r_chal", "p_rep", "r_final")
-        queries = _read_optional(cycle_dir / "queries.jsonl", ("step", *rewards))
-        questions = _read_optional(cycle_dir / "questions.jsonl", ("step", *rewards))
-        solver_rows = _read_optional(cycle_dir / "solver_steps.jsonl", ("step", "mean_reward"))
         cycles.append(
             {
                 "cycle": cycle,

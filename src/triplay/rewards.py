@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .consensus import AnswerJudge, ConsensusResult, ExactNormalizedJudge, majority_vote
+from .consensus import AnswerJudge, ConsensusResult, majority_vote
 from .errors import InvalidWindow, OutOfRange
 
 
@@ -18,11 +18,10 @@ class ProbeResult:
     accuracy: float
 
 
-def probe_from_answers(answers: list[str], judge: AnswerJudge | None = None) -> ProbeResult:
+def probe_from_answers(answers: list[str], judge: AnswerJudge) -> ProbeResult:
     """Vote over rollout answers; the accuracy is the vote's score, the share
     of rollouts in the winning class, for every judge. An empty winning label
     (unanswered rollouts) scores 0.0. Only the vote asks the judge."""
-    judge = judge if judge is not None else ExactNormalizedJudge()
     vote = majority_vote(answers, judge)
     return ProbeResult(vote=vote, accuracy=vote.score if vote.label else 0.0)
 

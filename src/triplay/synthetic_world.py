@@ -218,18 +218,13 @@ class SyntheticWorld:
     """Immutable world: the flat index over its images, and the query-template
     table. It is also the engine's query embedder: embed is embed_query."""
 
-    def __init__(
-        self,
-        index: EmbeddingIndex,
-        categories: list[str],
-        bands_per_category: int = BANDS_PER_CATEGORY,
-    ):
+    def __init__(self, index: EmbeddingIndex, categories: list[str]):
         self.categories = list(categories)
         self.dimension = dim = index.dimension
         self.index = index
         blocks = _curve_blocks(dim, len(self.categories))
-        difficulties = [(band + 0.5) / bands_per_category for band in range(bands_per_category)]
-        embeddings = np.zeros((len(self.categories), bands_per_category, dim))
+        difficulties = [(band + 0.5) / BANDS_PER_CATEGORY for band in range(BANDS_PER_CATEGORY)]
+        embeddings = np.zeros((len(self.categories), BANDS_PER_CATEGORY, dim))
         self.templates: list[QueryTemplate] = []
         for slot, category in enumerate(self.categories):
             _add_curve(embeddings[slot], np.array(difficulties), slot, blocks)
@@ -248,16 +243,9 @@ class SyntheticWorld:
         self._by_text = {t.text: t for t in self.templates}
 
     @classmethod
-    def generate(
-        cls,
-        seed: int,
-        count: int,
-        dim: int,
-        categories: list[str],
-        bands_per_category: int = BANDS_PER_CATEGORY,
-    ) -> "SyntheticWorld":
+    def generate(cls, seed: int, count: int, dim: int, categories: list[str]) -> "SyntheticWorld":
         images = _draw(seed, count, dim, categories)
-        return cls(EmbeddingIndex(images), images.categories, bands_per_category)
+        return cls(EmbeddingIndex(images), images.categories)
 
     def template_indices(self, category: str) -> list[int]:
         return [t.index for t in self.templates if t.category == category]

@@ -358,14 +358,18 @@ class TestRunCommand:
             ("cycle1:build_active", "d_active.jsonl", {}, ":1: a row lacks the 'image_id' column"),
             ("cycle1:build_active", "d_active.jsonl", {"image_id": "nope"},
              "no image 'nope' in the index"),
+            ("cycle1:build_training", "d_train_star.jsonl",
+             {"image_id": "x", "question": "q", "pseudo_label": ""},
+             "the 'pseudo_label' column must hold a nonempty string"),
         ],
-        ids=("star_row_lacks_question", "active_row_lacks_image_id", "unknown_image_id"),
+        ids=("star_row_lacks_question", "active_row_lacks_image_id", "unknown_image_id",
+             "star_row_empty_label"),
     )
     def test_resume_over_a_broken_row_exits_one(
         self, tmp_path, capsys, monkeypatch, stop_key, artifact, row, message
     ):
-        # Unchecked, these ended in a raw TypeError or KeyError traceback from
-        # the next stage.
+        # Unchecked, these ended in a raw TypeError, KeyError or (an empty
+        # label, from the solver reward) ValueError traceback from the next stage.
         run_dir = tmp_path / "run"
         argv = ["run", "--run-dir", str(run_dir)] + RUN_ARGS
         end_run_after(monkeypatch, stop_key)
@@ -698,6 +702,16 @@ class TestDatasetCommands:
         code2, out2, _ = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
         assert code2 == 0
         assert Path(out2.strip()).exists()
+
+    def test_report_writes_the_runs_own_stats(self, tmp_path, capsys):
+        # report recomputes stats.json from the run directory alone, so a
+        # finished run's report must be the run's own stats.json, byte for byte.
+        run_dir, out_path = tmp_path / "run", tmp_path / "report.json"
+        args = RUN_ARGS + ["--cycles", "2"]
+        assert run_cli(capsys, ["run", "--run-dir", str(run_dir)] + args)[0] == 0
+        argv = ["report", "--run-dir", str(run_dir), "--out", str(out_path)]
+        assert run_cli(capsys, argv)[0] == 0
+        assert out_path.read_bytes() == (run_dir / "stats.json").read_bytes()
 
 
 class TestGrpoCheck:

@@ -148,7 +148,7 @@ class TestNormalizeAnswer:
     def test_period_after_a_space_does_not_split_the_vote(self):
         # "42 ." used to normalize to "42 ", a class of its own apart from
         # "42".
-        probe = probe_from_answers(["42 ."] * 5 + ["41"] * 2)
+        probe = probe_from_answers(["42 ."] * 5 + ["41"] * 2, ExactNormalizedJudge())
         assert probe.vote.label == "42"
         assert probe.vote.score == pytest.approx(5 / 7)
         assert probe.accuracy == pytest.approx(5 / 7)
@@ -260,7 +260,9 @@ class TestKeyedVote:
         assert majority_vote(answers, ExactNormalizedJudge()) == majority_vote(
             answers, KeylessJudge()
         )
-        assert probe_from_answers(answers) == probe_from_answers(answers, KeylessJudge())
+        assert probe_from_answers(answers, ExactNormalizedJudge()) == probe_from_answers(
+            answers, KeylessJudge()
+        )
 
     def test_asks_the_judge_nothing(self, monkeypatch):
         def unasked(self, a, b):

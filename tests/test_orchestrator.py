@@ -1,6 +1,8 @@
+import fnmatch
 import functools
 import json
 import logging
+import re
 import threading
 import time
 from collections import Counter
@@ -23,6 +25,7 @@ from triplay.embedding_index import ImageRecord
 from triplay.errors import ConfigError, DimensionMismatch
 from triplay.grpo import log_probabilities, toy_policy_update
 from triplay.orchestrator import (
+    ARTIFACTS,
     SOLVER_GAIN,
     TOY_LEARNING_RATE,
     Engine,
@@ -1010,3 +1013,45 @@ class TestEngineWiring:
         active = {row["image_id"] for row in d_active}
         assert len(built) == len(set(built))
         assert set(built) == active
+
+
+def readme_cycle_lines() -> dict[str, set[str]]:
+    """{file pattern: the columns in its braces} for every cycleN/ line of the
+    README's run-directory block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Run directory", 1)[1].split("```", 2)[1]
+    lines = {}
+    for line in block.splitlines():
+        match = re.match(r"cycleN/(\S+)\s.*?(?:\{(.*)\})?$", line)
+        if match:
+            pattern, columns = match.groups()
+            lines[pattern] = {c.strip() for c in (columns or "").split(",")} - {""}
+    return lines
+
+
+class TestArtifactTable:
+    def test_readme_lists_each_artifact_once_with_its_columns(self):
+        lines = readme_cycle_lines()
+        for pattern in lines:
+            assert fnmatch.filter(ARTIFACTS, pattern), f"README line {pattern} names no artifact"
+        for name, (_, columns) in ARTIFACTS.items():
+            matching = [pattern for pattern in lines if fnmatch.fnmatch(name, pattern)]
+            assert len(matching) == 1, f"{name} matches README lines {matching}"
+            assert set(columns) <= lines[matching[0]], name
+
+    def test_run_writes_every_artifact_and_journals_no_file_list(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        run(cfg)
+        cycle_dir = Path(cfg.run_dir) / "cycle1"
+        assert sorted(p.name for p in cycle_dir.iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            read_jsonl(cycle_dir / name)
+        entries = Journal(Path(cfg.run_dir) / "journal.json").entries
+        assert [set(entry) for entry in entries] == [{"key", "status", "state"}] * 5
+
+    def test_an_old_journal_entry_with_a_file_list_still_loads(self, tmp_path):
+        path = tmp_path / "journal.json"
+        entry = {"key": "cycle1:stage1", "status": "done", "artifacts": ["queries.jsonl"],
+                 "state": {}}
+        path.write_text(json.dumps({"entries": [entry]}))
+        assert Journal(path).done("cycle1:stage1")

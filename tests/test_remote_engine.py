@@ -137,9 +137,7 @@ def remote_cfg(manifest_path: str) -> RunConfig:
 def manifest_path(tmp_path_factory):
     from triplay.embedding_index import save_manifest
 
-    world = SyntheticWorld.generate(
-        seed=4, count=120, dim=16, categories=["charts", "diagrams"], bands_per_category=4
-    )
+    world = SyntheticWorld.generate(seed=4, count=120, dim=16, categories=["charts", "diagrams"])
     path = tmp_path_factory.mktemp("remote") / "corpus.jsonl"
     save_manifest(
         IndexManifest(dimension=16, records=world.index.records), path

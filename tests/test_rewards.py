@@ -46,18 +46,20 @@ class TestChallengeReward:
 
 class TestEmpiricalAccuracy:
     def test_all_identical(self):
-        p = probe_from_answers(["4"] * 5)
+        p = probe_from_answers(["4"] * 5, ExactNormalizedJudge())
         assert p.accuracy == 1.0
 
     def test_two_thirds(self):
-        p = probe_from_answers(["4", "4", "5"])
+        p = probe_from_answers(["4", "4", "5"], ExactNormalizedJudge())
         assert p.vote.label == "4"
         assert p.accuracy == pytest.approx(2 / 3)
 
     def test_empty_consensus_scores_zero(self):
         # Six of ten rollouts gave no boxed answer: the empty string wins the
         # vote, and an empty label earns no accuracy.
-        p = probe_from_answers(["", "", "", "", "", "", "7", "7", "8", "9"])
+        p = probe_from_answers(
+            ["", "", "", "", "", "", "7", "7", "8", "9"], ExactNormalizedJudge()
+        )
         assert p.vote.label == ""
         assert p.vote.score == 6 / 10
         assert p.accuracy == 0.0
@@ -67,7 +69,7 @@ class TestEmpiricalAccuracy:
         for _ in range(30):
             m = int(rng.integers(1, 12))
             answers = [str(rng.integers(0, 3)) for _ in range(m)]
-            p = probe_from_answers(answers)
+            p = probe_from_answers(answers, ExactNormalizedJudge())
             assert (p.accuracy * m) == pytest.approx(round(p.accuracy * m))
 
 

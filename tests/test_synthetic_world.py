@@ -155,7 +155,7 @@ class TestBatchedBuildMatchesPerImage:
             assert type(record.meta["difficulty"]) is float
             assert record.meta["answer"] == answer
         index = EmbeddingIndex(IndexManifest(dimension=dim, records=records))
-        world = SyntheticWorld(index, categories, bands_per_category=5)
+        world = SyntheticWorld(index, categories)
         for t in world.templates:
             direction = reference_direction(categories, t.category, t.difficulty, dim)
             assert t.embedding.tobytes() == direction.tobytes()

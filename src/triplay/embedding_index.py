@@ -6,6 +6,10 @@ query's k-th best score, every record scoring at or above it (ties on that
 boundary included) becomes a candidate, and only the candidates are
 stable-sorted. Ties are broken by ascending record id, which keeps retrieval
 deterministic and equal to a full stable sort of all scores.
+
+retrieve(q, k) is the first k entries of retrieve(q, k2) for k <= k2, bit for
+bit. A batched score can differ from the single-query score in the last bit
+(gemm and gemv round differently), so the engine retrieves each query alone.
 """
 
 from __future__ import annotations

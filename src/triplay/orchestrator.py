@@ -15,24 +15,24 @@ whenever its backends are deterministic.
 In remote mode each stage fans its per-item requests out over
 backend.in_flight workers (Engine._fan_out): stage 1's probes per domain
 group, stage 2's question scores per image, the training-set harvest, stage
-3's rollouts and rewards per step, and the active set's query embeddings.
+3's rollouts and rewards per step, and the active set's query retrievals.
 Results are consumed, and drop warnings logged, in input order from the
 calling thread. Synthetic roles draw from the stage's shared RNG, so
 synthetic mode runs all of it serially.
 
 Each distinct piece of work is done once. An Engine memoizes, per engine and
-within fixed bounds, the embedding of each query text (one memo read by
-stage 1 and by build_active_dataset in every cycle), the stage-1 top-1 hit
-of each query text, the BLEU distance of each pair of texts, and the remote
-judge's verdict on each question and pair of answers (one memo shared by
-every judge it makes). All four are single-flight consensus.Memo objects
-that drop their oldest entry past their bounds. build_active_dataset
-retrieves each distinct query of a domain once. The dedup and the query
-memos assume a deterministic embedding backend, and the verdict memo a
-temperature-0 judge; the memos hold no agent state and are not journaled. A
-synthetic toy-policy role keeps each domain's action distribution until its
-logits change, and the offline judge's votes group answers by normalized
-form instead of judging pairs.
+within fixed bounds, the top_k retrieval of each query text (one memo read by
+stage 1 for its top-1 and by build_active_dataset in every cycle), the BLEU
+distance of each pair of texts, and the remote judge's verdict on each
+question and pair of answers (one memo shared by every judge it makes). All
+three are single-flight consensus.Memo objects that drop their oldest entry
+past their bounds. build_active_dataset parses each distinct sample and
+retrieves each distinct query of a domain once. The dedup and the query memo
+assume a deterministic embedding backend, and the verdict memo a temperature-0
+judge; the memos hold no agent state and are not journaled. A synthetic
+toy-policy role keeps each domain's action distribution until its logits
+change and renders each distinct action once per draw; the offline judge's
+votes group answers by normalized form instead of judging pairs.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def _is_finite(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-# Entry bounds of each engine's memos: query text -> embedding (at most
-# 4096 x dimension x 8 bytes: 1 MiB at 32-d, 32 MiB at 1024-d), query text ->
-# stage-1 top-1 hit, and unordered text pair -> BLEU distance. Remote query
-# text is unbounded, so the memos drop their oldest entries past these sizes.
+# Entry bounds of each engine's memos: query text -> its top_k (record,
+# score) pairs, whose records are the index's own, and unordered text pair ->
+# BLEU distance. Remote query text is unbounded, so the memos drop their
+# oldest entries past these sizes.
 _QUERY_MEMO_SIZE = 4096
 _TEXT_PAIR_MEMO_SIZE = 16384
 
@@ -195,10 +195,9 @@ class _ToyPolicyRole:
     def _draw(self, domain: str, g: int, rng: np.random.Generator, render) -> list[Sample]:
         """g samples from the domain's rows; render(row) is a sample's text."""
         rows, logp, cdf = self._distribution(domain)
-        return [
-            Sample(text=render(rows[a]), action=a, logp_old=logp[a])
-            for a in sample_actions(cdf, g, rng).tolist()
-        ]
+        actions = sample_actions(cdf, g, rng).tolist()
+        texts = {a: render(rows[a]) for a in set(actions)}
+        return [Sample(text=texts[a], action=a, logp_old=logp[a]) for a in actions]
 
     def apply(self, groups: list[Group]) -> None:
         """One update per group, on the rows of the group's domain."""
@@ -421,21 +420,15 @@ class Engine:
             raise DimensionMismatch(
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
-        self._embedding = Memo(self._embed_query, _QUERY_MEMO_SIZE)
-        self._top1 = Memo(self._retrieve_top1, _QUERY_MEMO_SIZE)
+        self._ranked = Memo(self._retrieve, _QUERY_MEMO_SIZE)
         self._text_distance = Memo(text_distance, _TEXT_PAIR_MEMO_SIZE)
         self._verdicts = Memo(functools.partial(remote_judge, judge_backend), _VERDICT_MEMO_SIZE)
 
-    def _embed_query(self, query: str) -> np.ndarray:
-        # self.embedder.embed is looked up per call, so a wrapper set on the
-        # embedder after the engine is built sees every request. A vector the
-        # index would refuse raises here, so the memo never holds one.
-        vector = self.embedder.embed(query)
-        self.index.normalize_query(vector)
-        return vector
-
-    def _retrieve_top1(self, query: str) -> tuple[ImageRecord, float]:
-        return self.index.retrieve(self._embedding(query), 1)[0]
+    def _retrieve(self, query: str) -> list[tuple[ImageRecord, float]]:
+        # embed and retrieve are looked up per call, so a wrapper set after
+        # the engine is built sees every request. A vector the index refuses
+        # raises in retrieve, so the memo never holds one.
+        return self.index.retrieve(self.embedder.embed(query), self.cfg.iteration.top_k)
 
     def _pair_distance(self, qi: str, qj: str) -> float:
         # text_distance is symmetric to the bit: one entry serves both orders.
@@ -483,10 +476,10 @@ class Engine:
                 dict(step=step, domain=domain.category, query=None, image_id=None, **_UNSCORED)
                 for _ in samples
             ]
-            # Top-1 hits resolve in sample order in this thread, so the memo
-            # and the embedding requests do not depend on the fan-out.
+            # Top-1 hits, each its query's first top_k entry, resolve in sample
+            # order here, so memo and embed requests do not depend on the fan-out.
             queries = [extract_tagged(s.text, "query") for s in samples]
-            records = [self._top1(q)[0] if q else None for q in queries]
+            records = [self._ranked(q)[0][0] if q else None for q in queries]
             probes = self._fan_out(
                 lambda record: self._probe(record, rng) if record is not None else None, records
             )
@@ -527,9 +520,10 @@ class Engine:
     def build_active_dataset(self, rng: np.random.Generator) -> list[dict]:
         """Sample queries from the searcher, retrieve top-k per query, dedup by id.
 
-        Each distinct query of a domain is retrieved once, in first-seen
-        order: a repeat could add no row, since every id it retrieves is
-        already in `seen`. Its embedding comes from the engine's query memo."""
+        Each distinct sample text is parsed once and each distinct query of a
+        domain retrieved once, in first-seen order: a repeat could add no row,
+        since every id it retrieves is already in `seen`. Its top_k comes from
+        the engine's query memo, so a query scores as it did in stage 1."""
         it = self.cfg.iteration
         rows: list[dict] = []
         seen: set[str] = set()
@@ -540,9 +534,10 @@ class Engine:
             if count == 0:
                 continue
             samples = self.searcher.sample(domain.category, count, rng)
+            tagged = {t: extract_tagged(t, "query") for t in {s.text for s in samples}}
             queries = []
             for s in samples:
-                q = extract_tagged(s.text, "query")
+                q = tagged[s.text]
                 if q:
                     queries.append(q)
                 else:
@@ -550,9 +545,7 @@ class Engine:
             if not queries:
                 continue
             distinct = list(dict.fromkeys(queries))
-            embeddings = self._fan_out(self._embedding, distinct)
-            results = self.index.retrieve_batch(embeddings, it.top_k)
-            for query, ranked in zip(distinct, results):
+            for query, ranked in zip(distinct, self._fan_out(self._ranked, distinct)):
                 for rank, (record, score) in enumerate(ranked, start=1):
                     if record.id in seen:
                         continue

@@ -219,6 +219,30 @@ class TestRetrieveTieBreakProperty:
             assert [(r.id, s) for r, s in ranked] == want
 
 
+# Float vectors that normalize: a norm in (0, inf).
+_FLOAT_VECTOR = st.lists(
+    st.floats(-10.0, 10.0, allow_nan=False), min_size=6, max_size=6
+).filter(lambda v: 0.0 < np.linalg.norm(v) < np.inf)
+
+
+class TestRetrievePrefixProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_FLOAT_VECTOR, min_size=1, max_size=30),
+        _FLOAT_VECTOR,
+        st.integers(1, 32),
+        st.integers(1, 32),
+    )
+    def test_smaller_k_is_a_prefix_bit_for_bit(self, vectors, query, k, k2):
+        # The engine memoizes a query's top_k and reads its top-1 from it.
+        k, k2 = sorted((k, k2))
+        index = make_index({f"r{i:02d}": v for i, v in enumerate(vectors)})
+        short, long = (
+            [(r.id, score.hex()) for r, score in index.retrieve(query, n)] for n in (k, k2)
+        )
+        assert short == long[:k]
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -227,7 +227,7 @@ class TestBuildActive:
 
 def build_active_reference(engine, rng) -> list[dict]:
     """build_active_dataset as it was before the query dedup: every parsed
-    query, repeats included, is embedded and retrieved."""
+    query, repeats included, is embedded and retrieved, each on its own."""
     it = engine.cfg.iteration
     rows: list[dict] = []
     seen: set[str] = set()
@@ -241,8 +241,8 @@ def build_active_reference(engine, rng) -> list[dict]:
         queries = [q for q in (extract_tagged(s.text, "query") for s in samples) if q]
         if not queries:
             continue
-        embeddings = [engine.embedder.embed(q) for q in queries]
-        for query, ranked in zip(queries, engine.index.retrieve_batch(embeddings, it.top_k)):
+        for query in queries:
+            ranked = engine.index.retrieve(engine.embedder.embed(query), it.top_k)
             for rank, (record, score) in enumerate(ranked, start=1):
                 if record.id in seen:
                     continue
@@ -264,6 +264,20 @@ def count_embeds(engine) -> Counter:
     return calls
 
 
+def count_retrievals(engine) -> list:
+    """Wrap engine.index.retrieve_batch, which every retrieve goes through;
+    the returned list gets one entry per call."""
+    calls: list = []
+    retrieve_batch = engine.index.retrieve_batch
+
+    def counted(queries, k, *args):
+        calls.append(k)
+        return retrieve_batch(queries, k, *args)
+
+    engine.index.retrieve_batch = counted
+    return calls
+
+
 def brute_force_top1(index):
     """Oracle over the index's records: from a query embedding to the ids
     whose cosine with it is within 1e-12 of the best one."""
@@ -280,8 +294,8 @@ def brute_force_top1(index):
 class TestDistinctWorkOnce:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_build_active_matches_undeduplicated_reference(self, tmp_path, seed):
-        # 600 queries per domain from 8 templates each: many repeats, and the
-        # reference scores them in two retrieve_batch chunks.
+        # 600 queries per domain from 8 templates each: many repeats, which
+        # the reference embeds and retrieves again each time.
         cfg = small_cfg(tmp_path, seed=seed, queries_per_iteration=2400)
         engine = build_engine(cfg)
         calls = count_embeds(engine)
@@ -301,19 +315,21 @@ class TestDistinctWorkOnce:
 
     def test_run_embeds_each_text_once_across_stages_and_cycles(self, tmp_path, monkeypatch):
         # Stage 1 and build_active read one query memo, so a text stage 1
-        # embedded is not embedded again by build_active or by cycle 2.
+        # retrieved is not embedded or retrieved again by build_active or by
+        # cycle 2.
         cfg = small_cfg(tmp_path, cycles=2)
         engines = []
 
         def counted_engine(cfg):
             engine = build_engine(cfg)
-            engines.append((engine, count_embeds(engine)))
+            engines.append((engine, count_embeds(engine), count_retrievals(engine)))
             return engine
 
         monkeypatch.setattr(orchestrator, "build_engine", counted_engine)
         run_dir = Path(run(cfg)["run_dir"])
-        (_, calls), = engines
+        (_, calls, retrievals), = engines
         assert set(calls.values()) == {1}
+        assert retrievals == [cfg.iteration.top_k] * len(calls)
         states = {e["key"]: e["state"] for e in Journal(run_dir / "journal.json").entries}
         queries = set()
         for cycle in (1, 2):
@@ -334,6 +350,28 @@ class TestDistinctWorkOnce:
         for step in range(20):
             for row in engine.stage1_step(step, rng).rows:
                 assert row["image_id"] in oracle(engine.world.embed_query(row["query"]))
+
+    def test_query_scores_alike_in_stage1_and_active_set(self, engine):
+        # Stage 1's hit is the first entry of the query's memoized top_k, and
+        # an active row is the entry at its rank, score and all. Once stage 1
+        # has retrieved every template, the active set retrieves nothing.
+        rng = np.random.default_rng(34)
+        templates = {t.text for t in engine.world.templates}
+        rows = []
+        for step in range(200):
+            rows += engine.stage1_step(step, rng).rows
+            if {row["query"] for row in rows} == templates:
+                break
+        assert {row["query"] for row in rows} == templates
+        for row in rows:
+            assert row["image_id"] == engine._ranked(row["query"])[0][0].id
+        retrievals = count_retrievals(engine)
+        active = engine.build_active_dataset(rng)
+        assert active
+        assert retrievals == []
+        for row in active:
+            record, score = engine._ranked(row["query"])[row["rank"] - 1]
+            assert (row["image_id"], row["score"]) == (record.id, score)
 
     def test_memos_stay_within_bounds(self, tmp_path, monkeypatch):
         monkeypatch.setattr(orchestrator, "_QUERY_MEMO_SIZE", 5)
@@ -362,16 +400,16 @@ class TestDistinctWorkOnce:
         oracle = brute_force_top1(engine.index)
         for row in rows:
             assert row["image_id"] in oracle(engine.embedder.embed(row["query"]))
-        assert len(engine._top1) == 5
-        assert len(engine._embedding) == 5
+        assert len(engine._ranked) == 5
         # The first step's queries were evicted, so they are retrieved anew.
         retrieve = engine.index.retrieve
         retrieved = []
         monkeypatch.setattr(
             engine.index, "retrieve", lambda *args: retrieved.append(args) or retrieve(*args)
         )
-        assert engine._top1(rows[0]["query"])[0].id == rows[0]["image_id"]
+        assert engine._ranked(rows[0]["query"])[0][0].id == rows[0]["image_id"]
         assert len(retrieved) == 1
+        assert len(engine._ranked) == 5
         assert len(engine._text_distance) <= 7
 
     def test_failed_lookup_is_not_memoized(self, engine):
@@ -387,14 +425,16 @@ class TestDistinctWorkOnce:
 
         engine.embedder.embed = flaky
         with pytest.raises(RuntimeError):
-            engine._top1(query)
+            engine._ranked(query)
         with pytest.raises(DimensionMismatch):
-            engine._top1(query)
-        assert len(engine._top1) == 0
-        assert engine._top1(query) == engine.index.retrieve(embed(query), 1)[0]
+            engine._ranked(query)
+        assert len(engine._ranked) == 0
+        top_k = engine.cfg.iteration.top_k
+        assert engine._ranked(query) == engine.index.retrieve(embed(query), top_k)
 
     def test_query_memos_are_single_flight(self, engine):
-        # Threads that need one text at once share one embed request.
+        # Threads that need one text at once share one embed request and
+        # one retrieval.
         query = engine.world.templates[0].text
         embed = engine.embedder.embed
         requests = []
@@ -405,25 +445,24 @@ class TestDistinctWorkOnce:
             return embed(text)
 
         engine.embedder.embed = slow
+        retrievals = count_retrievals(engine)
         start = threading.Barrier(8)
-        embeddings, hits = [], []
+        results = []
 
-        def work(i):
+        def work():
             start.wait()
-            if i % 2:
-                embeddings.append(engine._embedding(query))
-            else:
-                hits.append(engine._top1(query))
+            results.append(engine._ranked(query))
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=work) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert requests == [query]
-        assert len(embeddings) == len(hits) == 4
-        assert all(e is embeddings[0] for e in embeddings)
-        assert hits == [engine.index.retrieve(embeddings[0], 1)[0]] * 4
+        assert len(retrievals) == 1
+        assert len(results) == 8
+        assert all(r is results[0] for r in results)
+        assert results[0] == engine.index.retrieve(embed(query), engine.cfg.iteration.top_k)
 
     def test_failed_embed_reaches_every_waiter(self, engine):
         query = engine.world.templates[0].text
@@ -441,19 +480,16 @@ class TestDistinctWorkOnce:
         engine.embedder.embed = failing
         outcomes = []
 
-        def call(lookup):
+        def call():
             try:
-                outcomes.append(lookup(query))
+                outcomes.append(engine._ranked(query))
             except Exception as exc:
                 outcomes.append(exc)
 
-        first = threading.Thread(target=call, args=(engine._embedding,))
+        first = threading.Thread(target=call)
         first.start()
         assert asked.wait(timeout=10)
-        waiters = [
-            threading.Thread(target=call, args=(lookup,))
-            for lookup in (engine._embedding, engine._top1) * 2
-        ]
+        waiters = [threading.Thread(target=call) for _ in range(4)]
         for thread in waiters:
             thread.start()
         time.sleep(0.2)
@@ -463,8 +499,7 @@ class TestDistinctWorkOnce:
         assert len(outcomes) == 5
         assert all(isinstance(outcome, RuntimeError) for outcome in outcomes)
         assert requests == [query]
-        assert len(engine._embedding) == 0
-        assert len(engine._top1) == 0
+        assert len(engine._ranked) == 0
 
 
 class NoBoxSolver:

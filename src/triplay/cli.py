@@ -171,9 +171,10 @@ def _cmd_dataset_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    """stats.json from the run directory alone: its config.json and cycle
+    artifacts. No world is drawn, no manifest loaded and no backend built."""
     run_dir = Path(args.run_dir)
-    cfg = load_config(run_dir / "config.json")
-    report = orchestrator.compute_stats(cfg, run_dir, orchestrator.build_engine(cfg).index)
+    report = orchestrator.compute_stats(load_config(run_dir / "config.json"), run_dir)
     out = Path(args.out) if args.out else run_dir / "stats.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(str(out))
@@ -264,11 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error[FileNotFoundError]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -44,6 +44,7 @@ import logging
 import math
 import os
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -457,13 +458,13 @@ class Engine:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
 
-    def _probe(self, image: ImageRecord, rng: np.random.Generator) -> ProbeResult | None:
-        """Stage 1's probe of an image: one question, scored by m rollouts;
-        None when the questioner's output is not a well-formed question."""
+    def _probe(self, image: ImageRecord, n: int, rng) -> tuple[tuple[str, str], ProbeResult] | None:
+        """((question, type), its score by n rollouts) for one question on the
+        image; None when the questioner's output is not a well-formed question."""
         parsed = _parse_question(self.questioner.sample(image, 1, rng)[0].text)
         if parsed is None:
             return None
-        return self._score(image, parsed[0], self.cfg.iteration.probe_rollouts, rng)
+        return parsed, self._score(image, parsed[0], n, rng)
 
     def stage1_step(self, step: int, rng: np.random.Generator) -> StepResult:
         """One searcher optimization step across every domain."""
@@ -481,10 +482,11 @@ class Engine:
             queries = [extract_tagged(s.text, "query") for s in samples]
             records = [self._ranked(q)[0][0] if q else None for q in queries]
             probes = self._fan_out(
-                lambda record: self._probe(record, rng) if record is not None else None, records
+                lambda rec: self._probe(rec, it.probe_rollouts, rng) if rec is not None else None,
+                records,
             )
             kept = []  # (row, image, probe)
-            for row, query, record, probe in zip(rows, queries, records, probes):
+            for row, query, record, probed in zip(rows, queries, records, probes):
                 if record is None:
                     logger.warning(
                         "stage1 step %d domain %s: query tag missing, reward 0",
@@ -493,10 +495,10 @@ class Engine:
                     )
                     continue
                 row.update(query=query, image_id=record.id)
-                if probe is None:
+                if probed is None:
                     logger.warning("probe question unparsable for image %s", record.id)
                 else:
-                    kept.append((row, record, probe))
+                    kept.append((row, record, probed[1]))
             if kept:
                 penalties = repetition_penalty(
                     [(row["query"], rec.embedding) for row, rec, _ in kept],
@@ -553,6 +555,7 @@ class Engine:
                     rows.append(
                         {
                             "image_id": record.id,
+                            "category": record.category,
                             "query": query,
                             "rank": rank,
                             "score": score,
@@ -625,23 +628,21 @@ class Engine:
             # Sample, roll out and vote on one image; the vote runs in the
             # worker so remote judge calls fan out with the rollouts.
             image = self.index.get(row["image_id"])
-            parsed = _parse_question(self.questioner.sample(image, 1, rng)[0].text)
-            if parsed is None:
-                return image.id, None, None
             try:
-                return image.id, parsed, self._score(image, parsed[0], it.vote_trajectories, rng)
+                return image.id, self._probe(image, it.vote_trajectories, rng)
             except JudgeFailure as exc:
-                return image.id, parsed, exc
+                return image.id, exc
 
         d_train: list[dict] = []
         d_star: list[dict] = []
-        for image_id, parsed, probe in self._fan_out(harvest, d_active):
-            if parsed is None:
+        for image_id, probed in self._fan_out(harvest, d_active):
+            if probed is None:
                 logger.warning("build_training: dropping %s (malformed question)", image_id)
                 continue
-            if isinstance(probe, JudgeFailure):
-                logger.warning("build_training: vote aborted for %s: %s", image_id, probe)
+            if isinstance(probed, JudgeFailure):
+                logger.warning("build_training: vote aborted for %s: %s", image_id, probed)
                 continue
+            parsed, probe = probed
             if not probe.vote.label:
                 logger.warning("build_training: dropping %s (empty consensus)", image_id)
                 continue
@@ -770,7 +771,7 @@ _STEP_REWARDS = {"step": _STEP, "r_chal": _REWARD, "p_rep": _REWARD, "r_final": 
 ARTIFACTS = {
     "queries.jsonl": ("stage1", _STEP_REWARDS),
     "searcher_batches.jsonl": ("stage1", {}),
-    "d_active.jsonl": ("build_active", {"image_id": _TEXT}),
+    "d_active.jsonl": ("build_active", {"image_id": _TEXT, "category": _TEXT}),
     "questions.jsonl": ("stage2", _STEP_REWARDS),
     "questioner_batches.jsonl": ("stage2", {}),
     "d_train.jsonl": ("build_training", {"consensus_score": ("a finite number", _is_finite)}),
@@ -927,7 +928,7 @@ def run(cfg: RunConfig) -> dict:
                         write_jsonl(cycle_dir / artifact, payload)
                 journal.mark(key, engine.snapshot())
 
-    report = compute_stats(cfg, run_dir, engine.index)
+    report = compute_stats(cfg, run_dir)
     stats_path = run_dir / "stats.json"
     stats_path.write_text(json.dumps(report, indent=2, sort_keys=True))
     return {
@@ -959,15 +960,10 @@ def consensus_histogram(items: list[dict], k: int) -> dict:
     }
 
 
-def category_distribution(index: EmbeddingIndex, d_active: list[dict]) -> dict:
-    shares: dict[str, float] = {}
-    if not d_active:
-        return shares
-    for row in d_active:
-        category = index.get(row["image_id"]).category
-        shares[category] = shares.get(category, 0.0) + 1.0
-    total = sum(shares.values())
-    return {cat: count / total for cat, count in sorted(shares.items())}
+def category_distribution(d_active: list[dict]) -> dict:
+    """Each category's share of the active set's rows."""
+    counts = Counter(row["category"] for row in d_active)
+    return {cat: counts[cat] / len(d_active) for cat in sorted(counts)}
 
 
 def _series(rows: list[dict], fields_: tuple[str, ...]) -> list[dict]:
@@ -984,10 +980,11 @@ def _series(rows: list[dict], fields_: tuple[str, ...]) -> list[dict]:
     return out
 
 
-def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) -> dict:
+def compute_stats(cfg: RunConfig, run_dir: str | Path) -> dict:
     """Machine-readable report: per-cycle consensus histogram, category shares
-    over the active set (categories looked up in the run's index), and reward
-    time series for all three stages."""
+    over the active set, and reward time series for all three stages. It reads
+    only cfg (a run's config.json) and the cycle artifacts: no world, index
+    or backend."""
     run_dir = Path(run_dir)
     cycles = []
     for cycle in range(1, cfg.iteration.cycles + 1):
@@ -1006,7 +1003,7 @@ def compute_stats(cfg: RunConfig, run_dir: str | Path, index: EmbeddingIndex) ->
                 "consensus_histogram": consensus_histogram(
                     d_train, cfg.iteration.vote_trajectories
                 ),
-                "category_distribution": category_distribution(index, d_active),
+                "category_distribution": category_distribution(d_active),
                 "reward_series": {
                     "searcher": _series(queries, rewards),
                     "questioner": _series(questions, rewards),

@@ -138,7 +138,8 @@ def random_active(engine, count: int, rng: np.random.Generator) -> list[dict]:
     records = engine.index.records
     picks = rng.choice(len(records), size=min(count, len(records)), replace=False)
     return [
-        {"image_id": records[i].id, "query": "", "rank": 1, "score": 0.0}
+        {"image_id": records[i].id, "category": records[i].category, "query": "", "rank": 1,
+         "score": 0.0}
         for i in sorted(int(i) for i in picks)
     ]
 

@@ -8,6 +8,7 @@ import pytest
 from triplay import orchestrator
 from triplay.cli import RUN_FLAGS, main
 from triplay.orchestrator import Sample, SyntheticSearcherRole, read_jsonl
+from triplay.synthetic_world import SyntheticWorld
 
 from conftest import Stopped, assert_same_artifacts, end_run_after
 
@@ -356,14 +357,16 @@ class TestRunCommand:
             ("cycle1:build_training", "d_train_star.jsonl", {"image_id": "x"},
              ":1: a row lacks the 'question' column"),
             ("cycle1:build_active", "d_active.jsonl", {}, ":1: a row lacks the 'image_id' column"),
-            ("cycle1:build_active", "d_active.jsonl", {"image_id": "nope"},
+            ("cycle1:build_active", "d_active.jsonl", {"image_id": "nope", "category": "charts"},
              "no image 'nope' in the index"),
+            ("cycle1:build_active", "d_active.jsonl", {"image_id": "x"},
+             ":1: a row lacks the 'category' column"),
             ("cycle1:build_training", "d_train_star.jsonl",
              {"image_id": "x", "question": "q", "pseudo_label": ""},
              "the 'pseudo_label' column must hold a nonempty string"),
         ],
         ids=("star_row_lacks_question", "active_row_lacks_image_id", "unknown_image_id",
-             "star_row_empty_label"),
+             "active_row_lacks_category", "star_row_empty_label"),
     )
     def test_resume_over_a_broken_row_exits_one(
         self, tmp_path, capsys, monkeypatch, stop_key, artifact, row, message
@@ -681,13 +684,50 @@ class TestDatasetCommands:
             assert err.startswith(expected)
             assert err.count("\n") == 1
 
-    def test_report_on_unknown_image_id_exits_one(self, finished_run, capsys):
-        # Unchecked, this ended in a raw KeyError traceback from the index.
-        with open(finished_run / "cycle1" / "d_active.jsonl", "a", encoding="utf-8") as fh:
-            fh.write('{"image_id": "nope"}\n')
+    def test_report_on_active_rows_without_category_exits_one(self, finished_run, capsys):
+        # d_active rows written before they carried their image's category:
+        # the report reads no index to look one up, so it refuses them.
+        path = finished_run / "cycle1" / "d_active.jsonl"
+        rows = read_jsonl(path)
+        path.write_text("".join(
+            json.dumps({k: v for k, v in row.items() if k != "category"}) + "\n" for row in rows
+        ))
         code, out, err = run_cli(capsys, ["report", "--run-dir", str(finished_run)])
         assert (code, out) == (1, "")
-        assert err == "error[ManifestError]: no image 'nope' in the index\n"
+        assert err == f"error[ManifestError]: {path}:1: a row lacks the 'category' column\n"
+
+    def test_report_builds_no_engine(self, finished_run, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("report built an engine or drew a world")
+
+        monkeypatch.setattr(orchestrator, "build_engine", refuse)
+        monkeypatch.setattr(SyntheticWorld, "generate", refuse)
+        out_path = tmp_path / "report.json"
+        argv = ["report", "--run-dir", str(finished_run), "--out", str(out_path)]
+        assert run_cli(capsys, argv)[0] == 0
+        assert out_path.read_bytes() == (finished_run / "stats.json").read_bytes()
+
+    def test_report_on_a_remote_run_needs_no_manifest_or_token(
+        self, finished_run, tmp_path, capsys, monkeypatch
+    ):
+        # A remote run's report used to load the manifest and build the HTTP
+        # clients, so a moved manifest or an unset token ended it in one error.
+        remote = tmp_path / "remote"
+        shutil.copytree(finished_run, remote)
+        config = json.loads((remote / "config.json").read_text())
+        config["mode"] = "remote"
+        config["manifest_path"] = str(tmp_path / "moved.jsonl")
+        config["backend"].update(
+            endpoint="https://api.example/v1/chat", model="m",
+            embedding_endpoint="https://api.example/v1/embed", embedding_model="e",
+            auth_env="TRIPLAY_UNSET_TOKEN",
+        )
+        (remote / "config.json").write_text(json.dumps(config))
+        monkeypatch.delenv("TRIPLAY_UNSET_TOKEN", raising=False)
+        out_path = tmp_path / "report.json"
+        argv = ["report", "--run-dir", str(remote), "--out", str(out_path)]
+        assert run_cli(capsys, argv)[0] == 0
+        assert out_path.read_bytes() == (finished_run / "stats.json").read_bytes()
 
     def test_stats_and_report(self, finished_run, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -819,6 +859,26 @@ class TestUsage:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            (["run", "--run-dir", "{file}/run"] + RUN_ARGS, "NotADirectoryError"),
+            (["run", "--config", "{dir}"], "IsADirectoryError"),
+            (["index", "build", "--manifest", "{dir}"], "IsADirectoryError"),
+        ],
+        ids=("run_dir_under_a_file", "config_is_a_directory", "manifest_is_a_directory"),
+    )
+    def test_os_error_is_one_line(self, tmp_path, capsys, argv, error):
+        # Unchecked, each ended in a raw traceback: only a missing file was
+        # caught, not a directory where a file belongs or the reverse.
+        regular = tmp_path / "file"
+        regular.write_text("")
+        argv = [arg.format(file=regular, dir=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[{error}]: ")
+        assert err.count("\n") == 1
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -247,7 +247,8 @@ def build_active_reference(engine, rng) -> list[dict]:
                 if record.id in seen:
                     continue
                 seen.add(record.id)
-                rows.append({"image_id": record.id, "query": query, "rank": rank, "score": score})
+                rows.append({"image_id": record.id, "category": record.category, "query": query,
+                             "rank": rank, "score": score})
     return rows
 
 
@@ -986,11 +987,25 @@ class TestStats:
         assert hist["counts"][9] == 2
         assert sum(hist["counts"]) == 5
 
-    def test_category_distribution(self, engine):
-        rows = random_active(engine, 30, np.random.default_rng(1))
-        shares = category_distribution(engine.index, rows)
-        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
-        assert set(shares) <= {d.category for d in engine.cfg.iteration.domains}
+    def test_category_distribution(self):
+        # The shares count the rows' category column; the ids name no image
+        # of any index, as none is read.
+        categories = ["maps", "charts", "maps", "maps"]
+        rows = [{"image_id": f"nope{i}", "category": c} for i, c in enumerate(categories)]
+        shares = category_distribution(rows)
+        assert shares == {"charts": 0.25, "maps": 0.75}
+        assert list(shares) == ["charts", "maps"]
+        assert category_distribution([]) == {}
+
+    def test_active_rows_carry_their_images_category(self, tmp_path):
+        cfg = small_cfg(tmp_path, cycles=2)
+        run_dir = Path(run(cfg)["run_dir"])
+        index = build_engine(cfg).index
+        for cycle in (1, 2):
+            rows = read_jsonl(run_dir / f"cycle{cycle}" / "d_active.jsonl")
+            assert len({row["category"] for row in rows}) == len(cfg.iteration.domains)
+            for row in rows:
+                assert row["category"] == index.get(row["image_id"]).category
 
 
 class TestEngineWiring:

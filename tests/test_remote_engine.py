@@ -26,6 +26,7 @@ from triplay.orchestrator import (
     RemoteSearcherRole,
     RemoteSolverRole,
     build_engine,
+    read_jsonl,
     run,
 )
 from triplay.synthetic_world import SyntheticWorld
@@ -563,6 +564,18 @@ def test_remote_run_embeds_each_text_once_at_any_in_flight(manifest_path, tmp_pa
         embed_bodies[in_flight] = sorted(bodies)
     assert embed_bodies[4] == embed_bodies[1]
     assert_same_artifacts(tmp_path / "in_flight1", tmp_path / "in_flight4")
+
+
+def test_remote_active_rows_carry_their_images_category(manifest_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(backends, "_requests_transport", RecordingTransport(dimension=16))
+    cfg = remote_cfg(manifest_path)
+    cfg.run_dir = str(tmp_path / "run")
+    run(cfg)
+    index = build_engine(cfg).index
+    rows = read_jsonl(tmp_path / "run" / "cycle1" / "d_active.jsonl")
+    assert {row["category"] for row in rows} == {"charts", "diagrams"}
+    for row in rows:
+        assert row["category"] == index.get(row["image_id"]).category
 
 
 def test_resume_with_empty_verdict_memo_is_byte_identical(manifest_path, tmp_path, monkeypatch):

@@ -9,10 +9,16 @@ penalized by the relative size of its text and visual clusters. components
 does not ask about a pair already joined, so a batch of near-duplicates
 needs fewer text distances than pairs.
 
+BLEU reads a text only through its ngram_table: its token count and its
+n-gram Counters of orders 1..4. table_distance scores a pair from two tables,
+and each order's clipped match count, the same in both BLEU directions, is
+counted once for both. text_distance(qi, qj) builds both tables and calls it.
+
 The penalties take the text distance as an argument. A caller that scores the
 same texts batch after batch passes a memoized equal of text_distance, as the
-Engine does: text_distance is symmetric to the bit, so one entry per
-unordered pair serves both orders.
+Engine does: it keeps each text's table and each pair's distance.
+text_distance is symmetric to the bit, so one entry per unordered pair serves
+both orders.
 """
 
 from __future__ import annotations
@@ -27,44 +33,62 @@ from .errors import DimensionMismatch, ZeroVector
 _MAX_ORDER = 4
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def ngram_table(text: str) -> tuple[int, tuple[Counter, ...]]:
+    """(token count, n-gram Counters of orders 1..4) of a text's whitespace
+    tokens: all that BLEU reads of a text, built once per text."""
+    tokens = text.split()
+    return len(tokens), tuple(
+        Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        for n in range(1, _MAX_ORDER + 1)
+    )
 
 
-def sentence_bleu(candidate: str, reference: str) -> float:
-    """Sentence-level BLEU on whitespace tokens, n-gram orders 1..4 with
-    uniform weights and the standard brevity penalty.
+def _clipped(counts: Counter, other: Counter) -> int:
+    """Clipped match count sum(min(counts[g], other[g])), the same either way round."""
+    return sum(min(counts[g], other[g]) for g in counts.keys() & other.keys())
+
+
+def _bleu(length: int, ref_length: int, matches: list[int]) -> float:
+    """Sentence BLEU of a candidate of length tokens against a reference of
+    ref_length tokens, from their clipped match counts of orders 1..4, with
+    uniform weights and the standard brevity penalty. matches[0] must be
+    positive: a candidate that shares no token with its reference scores 0.0.
 
     Precisions of order >= 2 get add-one smoothing so short strings stay
-    finite; unigram precision is left exact, so token-disjoint strings score
-    0.0 and token-identical strings score exactly 1.0.
+    finite; unigram precision is left exact, so token-identical strings score
+    exactly 1.0.
     """
-    cand = candidate.split()
-    ref = reference.split()
-    if not cand:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, _MAX_ORDER + 1):
-        counts = _ngram_counts(cand, n)
-        ref_counts = _ngram_counts(ref, n)
-        total = max(len(cand) - n + 1, 0)
-        matched = sum(min(c, ref_counts[g]) for g, c in counts.items())
-        if n == 1:
-            if matched == 0:
-                return 0.0
-            precision = matched / total
-        else:
-            precision = (matched + 1) / (total + 1)
-        log_sum += math.log(precision)
+    log_sum = math.log(matches[0] / length)
+    for n in range(2, _MAX_ORDER + 1):
+        total = max(length - n + 1, 0)
+        log_sum += math.log((matches[n - 1] + 1) / (total + 1))
     bleu = math.exp(log_sum / _MAX_ORDER)
-    if len(cand) < len(ref):
-        bleu *= math.exp(1.0 - len(ref) / len(cand))
+    if length < ref_length:
+        bleu *= math.exp(1.0 - ref_length / length)
     return min(bleu, 1.0)
 
 
+def table_distance(a: tuple[int, tuple[Counter, ...]], b: tuple[int, tuple[Counter, ...]]) -> float:
+    """text_distance of the two texts whose ngram_tables are a and b. Each
+    order's clipped match count is computed once and read by both directions."""
+    (len_a, grams_a), (len_b, grams_b) = a, b
+    unigrams = _clipped(grams_a[0], grams_b[0])
+    if not unigrams:
+        # Both directions score 0.0, as they do when either text has no tokens.
+        return 1.0
+    matches = [unigrams] + [_clipped(ca, cb) for ca, cb in zip(grams_a[1:], grams_b[1:])]
+    return 1.0 - 0.5 * (_bleu(len_a, len_b, matches) + _bleu(len_b, len_a, matches))
+
+
 def text_distance(qi: str, qj: str) -> float:
-    """1 - mean of both directional BLEU scores; symmetric, 0 iff token-identical."""
-    return 1.0 - 0.5 * (sentence_bleu(qi, qj) + sentence_bleu(qj, qi))
+    """1 - mean of both directional sentence BLEU scores, symmetric to the bit.
+
+    It is 0.0 for token-identical texts that have tokens, and 1.0 for texts
+    that share no token. A text with no tokens shares none, so
+    text_distance("", "") is 1.0; the engine never scores one, as stage 1
+    drops an empty query and every question must be nonempty.
+    """
+    return table_distance(ngram_table(qi), ngram_table(qj))
 
 
 def visual_distance_matrix(embeddings) -> np.ndarray:

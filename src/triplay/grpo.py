@@ -182,7 +182,9 @@ def write_training_batch(records: list[BatchRecord], path: str | Path) -> None:
     leaves either the old file or the whole new one."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
+    # json.dumps(row, sort_keys=True) would build an encoder per row.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_row(), sort_keys=True) + "\n")
+            fh.write(encode(rec.to_row()) + "\n")
     tmp.replace(path)

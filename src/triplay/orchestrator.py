@@ -23,16 +23,19 @@ synthetic mode runs all of it serially.
 Each distinct piece of work is done once. An Engine memoizes, per engine and
 within fixed bounds, the top_k retrieval of each query text (one memo read by
 stage 1 for its top-1 and by build_active_dataset in every cycle), the BLEU
-distance of each pair of texts, and the remote judge's verdict on each
-question and pair of answers (one memo shared by every judge it makes). All
-three are single-flight consensus.Memo objects that drop their oldest entry
-past their bounds. build_active_dataset parses each distinct sample and
-retrieves each distinct query of a domain once. The dedup and the query memo
-assume a deterministic embedding backend, and the verdict memo a temperature-0
-judge; the memos hold no agent state and are not journaled. A synthetic
-toy-policy role keeps each domain's action distribution until its logits
-change and renders each distinct action once per draw; the offline judge's
-votes group answers by normalized form instead of judging pairs.
+n-gram table of each text, the BLEU distance of each pair of texts (scored
+from the two tables), and the remote judge's verdict on each question and
+pair of answers (one memo shared by every judge it makes). All four are
+single-flight consensus.Memo objects that drop their oldest entry past their
+bounds. Stage 1 and build_active_dataset parse each distinct searcher sample
+once, _score and stage 3 scan each distinct rollout for its boxed answer
+once, and build_active_dataset retrieves each distinct query of a domain
+once. The dedup and the query memo assume a deterministic embedding backend,
+and the verdict memo a temperature-0 judge; the memos hold no agent state and
+are not journaled. A synthetic toy-policy role keeps each domain's action
+distribution until its logits change and renders each distinct action once
+per draw; the offline judge's votes group answers by normalized form instead
+of judging pairs.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ from .consensus import (
     remote_judge,
 )
 from .diversity import (
+    ngram_table,
     repetition_penalty,
-    text_distance,
+    table_distance,
     text_repetition_penalty,
 )
 from .embedding_index import EmbeddingIndex, ImageRecord, _json_lines, load_manifest
@@ -119,16 +123,27 @@ def _parse_question(text: str) -> tuple[str, str] | None:
     return None
 
 
+def _each_distinct(fn, texts: list[str]) -> list:
+    """[fn(text) for text in texts], with fn called once per distinct text;
+    fn must be pure."""
+    results = {text: fn(text) for text in set(texts)}
+    return [results[text] for text in texts]
+
+
+_query_tag = functools.partial(extract_tagged, tag="query")
+
+
 def _is_finite(value) -> bool:
     # JSON true and false are not numbers, although Python counts a bool as an int.
     return type(value) in (int, float) and math.isfinite(value)
 
 
 # Entry bounds of each engine's memos: query text -> its top_k (record,
-# score) pairs, whose records are the index's own, and unordered text pair ->
-# BLEU distance. Remote query text is unbounded, so the memos drop their
-# oldest entries past these sizes.
+# score) pairs, whose records are the index's own, text -> its BLEU n-gram
+# table, and unordered text pair -> BLEU distance. Remote query text is
+# unbounded, so the memos drop their oldest entries past these sizes.
 _QUERY_MEMO_SIZE = 4096
+_TEXT_TABLE_MEMO_SIZE = 4096
 _TEXT_PAIR_MEMO_SIZE = 16384
 
 # Most completions one remote request asks for; a role needing more sends
@@ -422,7 +437,8 @@ class Engine:
                 f"embedding backend dimension {declared} != index dimension {index.dimension}"
             )
         self._ranked = Memo(self._retrieve, _QUERY_MEMO_SIZE)
-        self._text_distance = Memo(text_distance, _TEXT_PAIR_MEMO_SIZE)
+        self._ngram_tables = Memo(ngram_table, _TEXT_TABLE_MEMO_SIZE)
+        self._text_distance = Memo(self._table_distance, _TEXT_PAIR_MEMO_SIZE)
         self._verdicts = Memo(functools.partial(remote_judge, judge_backend), _VERDICT_MEMO_SIZE)
 
     def _retrieve(self, query: str) -> list[tuple[ImageRecord, float]]:
@@ -430,6 +446,10 @@ class Engine:
         # the engine is built sees every request. A vector the index refuses
         # raises in retrieve, so the memo never holds one.
         return self.index.retrieve(self.embedder.embed(query), self.cfg.iteration.top_k)
+
+    def _table_distance(self, qi: str, qj: str) -> float:
+        # diversity.text_distance, from each text's memoized n-gram table.
+        return table_distance(self._ngram_tables(qi), self._ngram_tables(qj))
 
     def _pair_distance(self, qi: str, qj: str) -> float:
         # text_distance is symmetric to the bit: one entry serves both orders.
@@ -444,7 +464,7 @@ class Engine:
         """n solver rollouts on the question, their boxed answers voted (an
         unboxed rollout answers "")."""
         raw = self.solver.solve(image, question, n, rng)
-        answers = [extract_boxed(text) or "" for text in raw]
+        answers = [b or "" for b in _each_distinct(extract_boxed, raw)]
         return probe_from_answers(answers, self.judge_for(question))
 
     def _fan_out(self, fn, items) -> list:
@@ -479,7 +499,7 @@ class Engine:
             ]
             # Top-1 hits, each its query's first top_k entry, resolve in sample
             # order here, so memo and embed requests do not depend on the fan-out.
-            queries = [extract_tagged(s.text, "query") for s in samples]
+            queries = _each_distinct(_query_tag, [s.text for s in samples])
             records = [self._ranked(q)[0][0] if q else None for q in queries]
             probes = self._fan_out(
                 lambda rec: self._probe(rec, it.probe_rollouts, rng) if rec is not None else None,
@@ -536,10 +556,8 @@ class Engine:
             if count == 0:
                 continue
             samples = self.searcher.sample(domain.category, count, rng)
-            tagged = {t: extract_tagged(t, "query") for t in {s.text for s in samples}}
             queries = []
-            for s in samples:
-                q = tagged[s.text]
+            for q in _each_distinct(_query_tag, [s.text for s in samples]):
                 if q:
                     queries.append(q)
                 else:
@@ -678,9 +696,9 @@ class Engine:
             question = item["question"]
             raw = self.solver.solve(image, question, it.group_size, rng)
             judge = self.judge_for(question)
-            boxed = [extract_boxed(text) for text in raw]
             return image, raw, [
-                0 if b is None else solver_reward(b, item["pseudo_label"], judge) for b in boxed
+                0 if b is None else solver_reward(b, item["pseudo_label"], judge)
+                for b in _each_distinct(extract_boxed, raw)
             ]
 
         groups = [
@@ -754,9 +772,11 @@ def build_engine(cfg: RunConfig) -> Engine:
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
+    # json.dumps(row, sort_keys=True) would build an encoder per row.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(tmp, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
     tmp.replace(path)
 
 

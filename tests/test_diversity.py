@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from triplay import orchestrator
 from triplay.config import load_config
 from triplay.diversity import (
+    _bleu,
+    _clipped,
     components,
+    ngram_table,
     repetition_penalty,
-    sentence_bleu,
+    table_distance,
     text_distance,
     text_repetition_penalty,
     visual_distance_matrix,
@@ -22,34 +25,76 @@ from triplay.errors import DimensionMismatch, ZeroVector
 from conftest import cosine_similarity
 
 
+def bleu(candidate: str, reference: str) -> float:
+    """One direction of text_distance's BLEU, through the private helper; a
+    candidate sharing no token with the reference scores 0.0."""
+    (len_c, grams_c), (len_r, grams_r) = ngram_table(candidate), ngram_table(reference)
+    matches = [_clipped(c, r) for c, r in zip(grams_c, grams_r)]
+    return _bleu(len_c, len_r, matches) if matches[0] else 0.0
+
+
+def reference_sentence_bleu(candidate: str, reference: str) -> float:
+    """The directional BLEU text_distance was first written with: both texts
+    split and counted anew, each order's clipped matches counted per direction."""
+
+    def ngram_counts(tokens: list[str], n: int) -> Counter:
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    cand = candidate.split()
+    ref = reference.split()
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        counts = ngram_counts(cand, n)
+        ref_counts = ngram_counts(ref, n)
+        total = max(len(cand) - n + 1, 0)
+        matched = sum(min(c, ref_counts[g]) for g, c in counts.items())
+        if n == 1:
+            if matched == 0:
+                return 0.0
+            precision = matched / total
+        else:
+            precision = (matched + 1) / (total + 1)
+        log_sum += math.log(precision)
+    score = math.exp(log_sum / 4)
+    if len(cand) < len(ref):
+        score *= math.exp(1.0 - len(ref) / len(cand))
+    return min(score, 1.0)
+
+
+@st.composite
+def spaced_texts(draw):
+    """0-9 tokens from a 4-word alphabet, joined and framed by mixed whitespace."""
+    tokens = draw(st.lists(st.sampled_from(["ant", "bee", "cow", "dog"]), max_size=9))
+    gaps = st.sampled_from([" ", "  ", "\t", "\n", " \t\n"])
+    ends = st.sampled_from(["", " ", "\t\n"])
+    inner = [draw(gaps) for _ in tokens[1:]]
+    return draw(ends) + "".join(g + t for g, t in zip([""] + inner, tokens)) + draw(ends)
+
+
 class TestSentenceBleu:
     def test_identical(self):
-        assert sentence_bleu("a red bar chart", "a red bar chart") == 1.0
+        assert bleu("a red bar chart", "a red bar chart") == 1.0
 
     def test_identical_single_token(self):
-        assert sentence_bleu("chart", "chart") == 1.0
+        assert bleu("chart", "chart") == 1.0
 
     def test_disjoint_tokens(self):
-        # No unigram matches -> exact zero under this smoothing choice.
-        value = sentence_bleu("alpha beta", "gamma delta")
-        assert value == 0.0
-        assert value < 0.2
+        # No unigram matches: both directions score exactly 0.
+        assert text_distance("alpha beta", "gamma delta") == 1.0
 
     def test_empty_candidate(self):
-        assert sentence_bleu("", "anything") == 0.0
+        assert text_distance("", "anything") == text_distance("anything", "") == 1.0
 
     def test_hand_computed_overlap(self):
         # p1=3/4, p2=(1+1)/(3+1), p3=(0+1)/(2+1), p4=(0+1)/(1+1), BP=1:
         # (0.75 * 0.5 * 1/3 * 0.5) ** 0.25 == 0.5
-        assert sentence_bleu("a red bar chart", "a red line chart") == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert bleu("a red bar chart", "a red line chart") == pytest.approx(0.5, abs=1e-12)
 
     def test_brevity_penalty(self):
         # All precisions 1, candidate half the reference length: exp(1 - 2).
-        assert sentence_bleu("a red", "a red bar chart") == pytest.approx(
-            math.exp(-1.0), abs=1e-12
-        )
+        assert bleu("a red", "a red bar chart") == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -57,7 +102,7 @@ class TestSentenceBleu:
         for _ in range(100):
             cand = " ".join(rng.choice(words, size=rng.integers(1, 6)))
             ref = " ".join(rng.choice(words, size=rng.integers(1, 6)))
-            assert 0.0 <= sentence_bleu(cand, ref) <= 1.0
+            assert 0.0 <= bleu(cand, ref) <= 1.0
 
 
 class TestTextDistance:
@@ -67,13 +112,23 @@ class TestTextDistance:
     def test_disjoint_above_point_eight(self):
         assert text_distance("alpha beta", "gamma delta") > 0.8
 
-    def test_symmetric(self):
-        rng = np.random.default_rng(3)
-        words = "red blue bar line chart axis grid and the".split()
-        for _ in range(50):
-            a = " ".join(rng.choice(words, size=4))
-            b = " ".join(rng.choice(words, size=4))
-            assert text_distance(a, b) == pytest.approx(text_distance(b, a), abs=1e-12)
+    def test_no_tokens_is_one(self):
+        # A text with no tokens shares none, even with itself.
+        assert text_distance("", "") == 1.0
+        assert text_distance(" ", "\t") == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaced_texts(), spaced_texts())
+    def test_symmetric(self, a, b):
+        # Bit for bit: the engine's text-pair memo keeps one entry per
+        # unordered pair and serves it in both orders.
+        assert text_distance(a, b) == text_distance(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaced_texts(), spaced_texts())
+    def test_equals_sentence_bleu_formula(self, a, b):
+        expected = 1.0 - 0.5 * (reference_sentence_bleu(a, b) + reference_sentence_bleu(b, a))
+        assert text_distance(a, b) == expected
 
     def test_in_unit_interval(self):
         assert 0.0 <= text_distance("a b", "a b c d") <= 1.0
@@ -371,14 +426,17 @@ class TestRepetitionPenalty:
 
 
 def small_memo_engine(bound: int):
-    """A small synthetic engine whose text-pair memo holds at most `bound` entries."""
-    with mock.patch.object(orchestrator, "_TEXT_PAIR_MEMO_SIZE", bound):
+    """A small synthetic engine whose text-table and text-pair memos each hold
+    at most `bound` entries."""
+    with mock.patch.object(orchestrator, "_TEXT_TABLE_MEMO_SIZE", bound), mock.patch.object(
+        orchestrator, "_TEXT_PAIR_MEMO_SIZE", bound
+    ):
         return orchestrator.build_engine(load_config(None, {"world": {"count": 40, "dim": 8}}))
 
 
 class TestMemoizedTextDistance:
     """The distance the engine passes to its penalties: text_distance behind
-    its text-pair memo, keyed by the sorted pair."""
+    its text-pair memo, keyed by the sorted pair, over its text-table memo."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -402,17 +460,33 @@ class TestMemoizedTextDistance:
                     text_repetition_penalty(batch, tau)
                 )
         assert len(engine._text_distance) <= 8
+        assert len(engine._ngram_tables) <= 8
 
     def test_one_entry_per_unordered_pair(self):
-        computed = []
+        engine = small_memo_engine(16)
+        scored = []
 
-        def counted(qi, qj):
-            computed.append((qi, qj))
-            return text_distance(qi, qj)
+        def counted(a, b):
+            scored.append((a, b))
+            return table_distance(a, b)
 
-        with mock.patch.object(orchestrator, "text_distance", counted):
-            engine = small_memo_engine(16)
         distance = engine._pair_distance
-        assert distance("a b", "c d") == distance("c d", "a b") == text_distance("a b", "c d")
-        assert computed == [("a b", "c d")]
+        with mock.patch.object(orchestrator, "table_distance", counted):
+            assert distance("a b", "c d") == distance("c d", "a b") == text_distance("a b", "c d")
+        assert scored == [(ngram_table("a b"), ngram_table("c d"))]
         assert len(engine._text_distance) == 1
+
+    def test_each_text_tokenized_once(self):
+        built = []
+
+        def counted(text):
+            built.append(text)
+            return ngram_table(text)
+
+        with mock.patch.object(orchestrator, "ngram_table", counted):
+            engine = small_memo_engine(16)
+        texts = ["a b", "c d", "a b c", "c d"]
+        for batch in (texts, texts[::-1]):
+            text_repetition_penalty(batch, 0.0, engine._pair_distance)
+        assert sorted(built) == sorted(set(texts))
+        assert len(engine._ngram_tables) == 3

@@ -176,15 +176,19 @@ class BatchRecord:
         return dict(vars(self))
 
 
+# The one encoding of a JSONL row, for training batches and run-directory
+# artifacts alike. One encoder serves every row: json.dumps(row,
+# sort_keys=True) builds a new one per call.
+encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_training_batch(records: list[BatchRecord], path: str | Path) -> None:
     """Write newline-delimited JSON rows consumable by an external trainer.
     The rows go to a temporary file that then replaces path, so a kill
     leaves either the old file or the whole new one."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    # json.dumps(row, sort_keys=True) would build an encoder per row.
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(encode(rec.to_row()) + "\n")
+            fh.write(encode_row(rec.to_row()) + "\n")
     tmp.replace(path)

@@ -27,15 +27,13 @@ n-gram table of each text, the BLEU distance of each pair of texts (scored
 from the two tables), and the remote judge's verdict on each question and
 pair of answers (one memo shared by every judge it makes). All four are
 single-flight consensus.Memo objects that drop their oldest entry past their
-bounds. Stage 1 and build_active_dataset parse each distinct searcher sample
-once, _score and stage 3 scan each distinct rollout for its boxed answer
-once, and build_active_dataset retrieves each distinct query of a domain
-once. The dedup and the query memo assume a deterministic embedding backend,
-and the verdict memo a temperature-0 judge; the memos hold no agent state and
-are not journaled. A synthetic toy-policy role keeps each domain's action
-distribution until its logits change and renders each distinct action once
-per draw; the offline judge's votes group answers by normalized form instead
-of judging pairs.
+bounds. build_active_dataset parses each distinct sample and retrieves each
+distinct query of a domain once. The dedup and the query memo assume a
+deterministic embedding backend, and the verdict memo a temperature-0 judge;
+the memos hold no agent state and are not journaled. A synthetic toy-policy
+role keeps each domain's action distribution until its logits change and
+renders each distinct action once per draw; the offline judge's votes group
+answers by normalized form instead of judging pairs.
 """
 
 from __future__ import annotations
@@ -87,6 +85,7 @@ from .grpo import (
     BatchRecord,
     action_cdf,
     domain_advantages,
+    encode_row,
     group_advantages,
     log_probabilities,
     sample_actions,
@@ -121,16 +120,6 @@ def _parse_question(text: str) -> tuple[str, str] | None:
     if question and extract_tagged(text, "answer") and qtype in VALID_QUESTION_TYPES:
         return question, qtype
     return None
-
-
-def _each_distinct(fn, texts: list[str]) -> list:
-    """[fn(text) for text in texts], with fn called once per distinct text;
-    fn must be pure."""
-    results = {text: fn(text) for text in set(texts)}
-    return [results[text] for text in texts]
-
-
-_query_tag = functools.partial(extract_tagged, tag="query")
 
 
 def _is_finite(value) -> bool:
@@ -464,7 +453,7 @@ class Engine:
         """n solver rollouts on the question, their boxed answers voted (an
         unboxed rollout answers "")."""
         raw = self.solver.solve(image, question, n, rng)
-        answers = [b or "" for b in _each_distinct(extract_boxed, raw)]
+        answers = [extract_boxed(text) or "" for text in raw]
         return probe_from_answers(answers, self.judge_for(question))
 
     def _fan_out(self, fn, items) -> list:
@@ -499,7 +488,7 @@ class Engine:
             ]
             # Top-1 hits, each its query's first top_k entry, resolve in sample
             # order here, so memo and embed requests do not depend on the fan-out.
-            queries = _each_distinct(_query_tag, [s.text for s in samples])
+            queries = [extract_tagged(s.text, "query") for s in samples]
             records = [self._ranked(q)[0][0] if q else None for q in queries]
             probes = self._fan_out(
                 lambda rec: self._probe(rec, it.probe_rollouts, rng) if rec is not None else None,
@@ -556,8 +545,10 @@ class Engine:
             if count == 0:
                 continue
             samples = self.searcher.sample(domain.category, count, rng)
+            tagged = {t: extract_tagged(t, "query") for t in {s.text for s in samples}}
             queries = []
-            for q in _each_distinct(_query_tag, [s.text for s in samples]):
+            for s in samples:
+                q = tagged[s.text]
                 if q:
                     queries.append(q)
                 else:
@@ -696,9 +687,9 @@ class Engine:
             question = item["question"]
             raw = self.solver.solve(image, question, it.group_size, rng)
             judge = self.judge_for(question)
+            boxed = [extract_boxed(text) for text in raw]
             return image, raw, [
-                0 if b is None else solver_reward(b, item["pseudo_label"], judge)
-                for b in _each_distinct(extract_boxed, raw)
+                0 if b is None else solver_reward(b, item["pseudo_label"], judge) for b in boxed
             ]
 
         groups = [
@@ -772,11 +763,9 @@ def build_engine(cfg: RunConfig) -> Engine:
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    # json.dumps(row, sort_keys=True) would build an encoder per row.
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(tmp, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(encode(row) + "\n")
+            fh.write(encode_row(row) + "\n")
     tmp.replace(path)
 
 
